@@ -29,8 +29,6 @@ from benchsel.imputation import impute_row
 from benchsel.score_matrix import (
     ScoreMatrix,
     column_stats,
-    destandardize,
-    inverse_logit,
     load_csv,
     logit_params,
     logit_transform,

@@ -53,6 +53,8 @@ class GaussianModel:
                 "estimator": self.estimator,
                 "em_iterations": self.em_iterations,
                 "converged": self.converged,
+                "loglik_trace": list(self.loglik_trace),
+                "clamped": self.clamped,
             }
         )
 
@@ -65,6 +67,8 @@ class GaussianModel:
         return cls(
             mean, cov, d["estimator"], d.get("em_iterations", 0),
             d.get("converged", True),
+            tuple(float(x) for x in d.get("loglik_trace", ())),
+            d.get("clamped", False),
         )
 
 
@@ -173,54 +177,115 @@ def to_correlation(S: np.ndarray) -> np.ndarray:
     return R
 
 
-def _conditional_moments(mu, Sigma, obs_idx, mis_idx, x_obs, ridge, row_label):
-    """Conditional mean/cov of the missing block given the observed block.
+def _missingness_patterns(m: ScoreMatrix) -> list[tuple]:
+    """Distinct mask rows, ordered by the first row that has each.
 
-    Cholesky on the observed block, with a ridge retry on failure.
+    Each entry is (obs, mis, rows, x_obs): the observed and missing column
+    indices, the row indices in file order, and their observed values.
     """
-    Soo = Sigma[np.ix_(obs_idx, obs_idx)]
-    Smo = Sigma[np.ix_(mis_idx, obs_idx)]
-    Smm = Sigma[np.ix_(mis_idx, mis_idx)]
-    resid = x_obs - mu[obs_idx]
-    for attempt, eps in enumerate((0.0, ridge)):
-        try:
-            c, low = linalg.cho_factor(
-                Soo + eps * np.eye(len(obs_idx)), lower=True
-            )
-        except np.linalg.LinAlgError:
-            continue
-        gain = linalg.cho_solve((c, low), Smo.T).T  # Smo @ Soo^{-1}
-        cond_mean = mu[mis_idx] + gain @ resid
-        cond_cov = Smm - gain @ Smo.T
-        return cond_mean, 0.5 * (cond_cov + cond_cov.T)
-    raise NumericalError(
-        f"observed block for row {row_label!r} is singular even with ridge"
+    patterns, first, inverse = np.unique(
+        m.mask, axis=0, return_index=True, return_inverse=True
+    )
+    inverse = inverse.ravel()
+    out = []
+    for k in np.argsort(first):
+        obs = np.flatnonzero(patterns[k])
+        rows = np.flatnonzero(inverse == k)
+        out.append(
+            (obs, np.flatnonzero(~patterns[k]), rows, m.values[np.ix_(rows, obs)])
+        )
+    return out
+
+
+def _factor_loglik(Soo: np.ndarray, resid: np.ndarray):
+    """Unridged Cholesky of Soo (None if it fails) and sum of log N(r; 0, Soo).
+
+    `resid` holds one residual per row.  Without a factor the log-density
+    comes from slogdet/solve, and is -inf when the sign is not positive.
+    """
+    rows, n = resid.shape
+    try:
+        factor = linalg.cho_factor(Soo, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        factor = None
+    if factor is not None:
+        logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
+        z = linalg.solve_triangular(
+            factor[0], resid.T, lower=True, check_finite=False
+        )
+        quad = np.sum(z * z)
+    else:
+        sign, logdet = np.linalg.slogdet(Soo)
+        if sign <= 0:
+            return None, -np.inf
+        quad = np.sum(resid.T * np.linalg.solve(Soo, resid.T))
+    return factor, -0.5 * (rows * (n * np.log(2 * np.pi) + logdet) + quad)
+
+
+def _observed_loglik(patterns, mu: np.ndarray, Sigma: np.ndarray) -> float:
+    """Sum over rows of log N(x_obs; mu_obs, Sigma_obs_obs)."""
+    return sum(
+        _factor_loglik(Sigma[np.ix_(obs, obs)], x_obs - mu[obs])[1]
+        for obs, _, _, x_obs in patterns
     )
 
 
-def _observed_loglik(m: ScoreMatrix, mu: np.ndarray, Sigma: np.ndarray) -> float:
-    """Sum over rows of log N(x_obs; mu_obs, Sigma_obs_obs)."""
-    total = 0.0
-    for i in range(m.shape[0]):
-        obs = np.flatnonzero(m.mask[i])
+def _e_step(m: ScoreMatrix, patterns, mu, Sigma, ridge):
+    """Conditional expectations at (mu, Sigma), one pattern at a time.
+
+    Returns the completed matrix, the summed conditional covariance of the
+    missing cells, and the observed-data log-likelihood at (mu, Sigma).
+    The gain uses the unridged Cholesky of the observed block, retrying
+    with `ridge` on the diagonal if that fails.
+    """
+    completed = np.where(m.mask, m.values, 0.0)
+    correction = np.zeros_like(Sigma)
+    loglik = 0.0
+    for obs, mis, rows, x_obs in patterns:
         Soo = Sigma[np.ix_(obs, obs)]
-        resid = m.values[i, obs] - mu[obs]
-        sign, logdet = np.linalg.slogdet(Soo)
-        if sign <= 0:
-            return -np.inf
-        alpha = np.linalg.solve(Soo, resid)
-        total += -0.5 * (len(obs) * np.log(2 * np.pi) + logdet + resid @ alpha)
-    return total
+        resid = x_obs - mu[obs]
+        factor, ll = _factor_loglik(Soo, resid)
+        loglik += ll
+        if mis.size == 0:
+            continue
+        if factor is None:
+            try:
+                factor = linalg.cho_factor(
+                    Soo + ridge * np.eye(obs.size), lower=True,
+                    check_finite=False,
+                )
+            except np.linalg.LinAlgError:
+                raise NumericalError(
+                    f"observed block for row {m.model_names[rows[0]]!r} "
+                    "is singular even with ridge"
+                ) from None
+        Smo = Sigma[np.ix_(mis, obs)]
+        gain = linalg.cho_solve(factor, Smo.T, check_finite=False).T
+        completed[np.ix_(rows, mis)] = mu[mis] + resid @ gain.T
+        cond_cov = Sigma[np.ix_(mis, mis)] - gain @ Smo.T
+        cond_cov = 0.5 * (cond_cov + cond_cov.T)
+        correction[np.ix_(mis, mis)] += rows.size * cond_cov
+    return completed, correction, loglik
 
 
 def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
     """EM for (mu, Sigma) under MAR missingness.
 
     Initializes from mean_missing and the PSD-projected pairwise
-    covariance (identity-shrunk when M < N), then alternates per-row
-    conditional imputation with completed-data moment updates plus the
+    covariance (identity-shrunk when M < N), then alternates conditional
+    imputation with completed-data moment updates plus the
     conditional-covariance correction, projecting to the PSD cone each
     iteration.  Stops on relative Frobenius change of Sigma or max_iter.
+
+    The E-step sweeps the distinct missingness patterns, not the rows:
+    rows that miss the same cells share one Cholesky factor of their
+    observed block per iteration, and all their conditional means come
+    from one matrix product.  The same factor gives the observed-data
+    log-likelihood at the E-step's inputs, so iteration t's E-step yields
+    the log-likelihood of the estimate from iteration t - 1; one last
+    pass after the loop gives that of the returned estimate.
+    `loglik_trace[t - 1]` is the log-likelihood after iteration t, before
+    any final shrinkage.
     """
     M, N = m.shape
     rank_deficient = M < N
@@ -234,24 +299,15 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
     if cfg.shrink == "auto" and rank_deficient:
         Sigma = shrink_identity(Sigma, M, N)
 
+    patterns = _missingness_patterns(m)
     loglik_trace: list[float] = []
     clamped = False
     converged = False
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        completed = np.where(m.mask, m.values, 0.0)
-        correction = np.zeros((N, N))
-        for i in range(M):
-            mis = np.flatnonzero(~m.mask[i])
-            if mis.size == 0:
-                continue
-            obs = np.flatnonzero(m.mask[i])
-            cond_mean, cond_cov = _conditional_moments(
-                mu, Sigma, obs, mis, m.values[i, obs], cfg.ridge,
-                m.model_names[i],
-            )
-            completed[i, mis] = cond_mean
-            correction[np.ix_(mis, mis)] += cond_cov
+        completed, correction, loglik = _e_step(m, patterns, mu, Sigma, cfg.ridge)
+        if it > 1:
+            loglik_trace.append(loglik)
 
         mu_new = completed.mean(axis=0)
         Bc = completed - mu_new
@@ -264,14 +320,13 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
             clamped = True
         Sigma_new = projected
 
-        loglik_trace.append(_observed_loglik(m, mu_new, Sigma_new))
-
         denom = np.linalg.norm(Sigma, "fro")
         change = np.linalg.norm(Sigma_new - Sigma, "fro") / max(denom, 1e-300)
         mu, Sigma = mu_new, Sigma_new
         if change < cfg.rel_tol:
             converged = True
             break
+    loglik_trace.append(_observed_loglik(patterns, mu, Sigma))
 
     if cfg.shrink == "auto" and rank_deficient:
         Sigma = shrink_identity(Sigma, M, N)

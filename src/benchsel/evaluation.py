@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from benchsel.errors import DataError
+from benchsel.errors import DataError, NumericalError
 from benchsel.covariance import EmConfig, em_fit, estimate_full
 from benchsel.imputation import clip_standardized, impute_row, r2_standardized
 from benchsel.score_matrix import (
@@ -310,7 +310,7 @@ def _run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows, warnings_out):
             )
             try:
                 ent = entropy_value(Sigma, A)
-            except Exception:
+            except NumericalError:
                 ent = math.nan
             rfrac = residual_trace(Sigma, A, psd_floor=1e-10) / total_var
             fold_cells.append(

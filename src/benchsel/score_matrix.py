@@ -118,7 +118,8 @@ def load_csv(source) -> ScoreMatrix:
 
     First row: label cell, then benchmark names.  Each following row:
     model name, then one cell per benchmark, each a decimal number or
-    empty (missing).  "NaN"/"NA" tokens are rejected as malformed.
+    empty (missing).  "NaN"/"NA" tokens are rejected as malformed, and so
+    are cells that parse to a non-finite number ("inf", "-nan", "1e999").
     `source` may be a path, a text stream, or a byte stream.
     """
     if isinstance(source, (str, bytes)) and b"," not in (
@@ -181,12 +182,16 @@ def load_csv(source) -> ScoreMatrix:
 
     if not values:
         raise DataError("CSV contains no data rows")
-    return ScoreMatrix(
-        np.array(values, dtype=float),
-        np.array(mask, dtype=bool),
-        tuple(model_names),
-        tuple(benchmark_names),
-    )
+    values = np.array(values, dtype=float)
+    mask = np.array(mask, dtype=bool)
+    non_finite = np.argwhere(mask & ~np.isfinite(values))
+    if non_finite.size:
+        i, j = non_finite[0]
+        raise DataError(
+            f"line {i + 2}, column {benchmark_names[j]!r}: non-finite value "
+            f"{rows[i + 1][j + 1].strip()!r} is not a valid score"
+        )
+    return ScoreMatrix(values, mask, tuple(model_names), tuple(benchmark_names))
 
 
 def write_csv(m: ScoreMatrix, sink) -> None:

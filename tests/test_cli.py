@@ -121,6 +121,12 @@ class TestSelect:
         assert main(["select", str(bad), "--k", "1",
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_non_finite_cell_exit_code(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("model,b0,b1\na,-nan,1\nb,2,3\nc,4,5\n")
+        assert main(["select", str(bad), "--k", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+
 
 class TestImpute:
     def test_train_recovers_rank_one(self, tmp_path):

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy import linalg
 
+from benchsel import covariance
 from benchsel.covariance import (
     EmConfig,
     GaussianModel,
@@ -12,7 +16,7 @@ from benchsel.covariance import (
     shrink_identity,
     to_correlation,
 )
-from benchsel.errors import DataError
+from benchsel.errors import DataError, NumericalError
 
 from conftest import make_matrix, mcar_matrix, random_spd
 
@@ -229,6 +233,171 @@ class TestEmFit:
         assert em_fit(matrix, EmConfig()).estimator == "em"
 
 
+def _reference_conditional_moments(mu, Sigma, obs_idx, mis_idx, x_obs, ridge, row_label):
+    """Per-row conditional mean/cov of the missing block, ridge retry."""
+    Soo = Sigma[np.ix_(obs_idx, obs_idx)]
+    Smo = Sigma[np.ix_(mis_idx, obs_idx)]
+    Smm = Sigma[np.ix_(mis_idx, mis_idx)]
+    resid = x_obs - mu[obs_idx]
+    for eps in (0.0, ridge):
+        try:
+            c, low = linalg.cho_factor(
+                Soo + eps * np.eye(len(obs_idx)), lower=True
+            )
+        except np.linalg.LinAlgError:
+            continue
+        gain = linalg.cho_solve((c, low), Smo.T).T
+        cond_mean = mu[mis_idx] + gain @ resid
+        cond_cov = Smm - gain @ Smo.T
+        return cond_mean, 0.5 * (cond_cov + cond_cov.T)
+    raise NumericalError(
+        f"observed block for row {row_label!r} is singular even with ridge"
+    )
+
+
+def _reference_observed_loglik(m, mu, Sigma):
+    """Per-row sum of log N(x_obs; mu_obs, Sigma_obs_obs) by slogdet/solve."""
+    total = 0.0
+    for i in range(m.shape[0]):
+        obs = np.flatnonzero(m.mask[i])
+        Soo = Sigma[np.ix_(obs, obs)]
+        resid = m.values[i, obs] - mu[obs]
+        sign, logdet = np.linalg.slogdet(Soo)
+        if sign <= 0:
+            return -np.inf
+        alpha = np.linalg.solve(Soo, resid)
+        total += -0.5 * (len(obs) * np.log(2 * np.pi) + logdet + resid @ alpha)
+    return total
+
+
+def reference_em_fit(m, cfg):
+    """EM with a row-by-row E-step and a separate log-likelihood pass."""
+    M, N = m.shape
+    rank_deficient = M < N
+    floor = cfg.psd_floor
+    if floor is None:
+        floor = 1e-3 if (rank_deficient or m.observed_fraction() < 0.5) else 1e-10
+    mu = mean_missing(m)
+    Sigma = psd_project(pairwise_cov(m, mu), floor)
+    if cfg.shrink == "auto" and rank_deficient:
+        Sigma = shrink_identity(Sigma, M, N)
+    trace, clamped, converged = [], False, False
+    for it in range(1, cfg.max_iter + 1):
+        completed = np.where(m.mask, m.values, 0.0)
+        correction = np.zeros((N, N))
+        for i in range(M):
+            mis = np.flatnonzero(~m.mask[i])
+            if mis.size == 0:
+                continue
+            obs = np.flatnonzero(m.mask[i])
+            cond_mean, cond_cov = _reference_conditional_moments(
+                mu, Sigma, obs, mis, m.values[i, obs], cfg.ridge,
+                m.model_names[i],
+            )
+            completed[i, mis] = cond_mean
+            correction[np.ix_(mis, mis)] += cond_cov
+        mu_new = completed.mean(axis=0)
+        Bc = completed - mu_new
+        Sigma_new = (Bc.T @ Bc + correction) / M
+        Sigma_new = 0.5 * (Sigma_new + Sigma_new.T)
+        projected = psd_project(Sigma_new, floor)
+        if np.max(np.abs(projected - Sigma_new)) > 1e-12 * max(
+            1.0, np.max(np.abs(Sigma_new))
+        ):
+            clamped = True
+        Sigma_new = projected
+        trace.append(_reference_observed_loglik(m, mu_new, Sigma_new))
+        change = np.linalg.norm(Sigma_new - Sigma, "fro") / max(
+            np.linalg.norm(Sigma, "fro"), 1e-300
+        )
+        mu, Sigma = mu_new, Sigma_new
+        if change < cfg.rel_tol:
+            converged = True
+            break
+    if cfg.shrink == "auto" and rank_deficient:
+        Sigma = shrink_identity(Sigma, M, N)
+    return GaussianModel(
+        mu, Sigma, "em", em_iterations=it, converged=converged,
+        loglik_trace=tuple(trace), clamped=clamped,
+    )
+
+
+@st.composite
+def em_matrices(draw):
+    """Gaussian scores under block, MCAR or mixed (block plus MCAR) masks.
+
+    Block masks give few distinct patterns, MCAR masks mostly one per row.
+    The first N + 1 rows are fully observed, which keeps the fitted Sigma
+    well conditioned: on a near-singular Sigma, reordered sums alone move
+    the log-likelihood by more than the comparison tolerance.
+    """
+    N = draw(st.integers(2, 6))
+    M = draw(st.integers(3 * N, 6 * N))
+    regime = draw(st.sampled_from(["block", "mcar", "mixed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = np.ones((M, N), dtype=bool)
+    if regime in ("block", "mixed"):
+        suites = rng.random((draw(st.integers(1, 4)), N)) > 0.4
+        mask = suites[rng.integers(0, len(suites), size=M)]
+    if regime in ("mcar", "mixed"):
+        mask = mask & (rng.random((M, N)) > 0.25)
+    mask[: N + 1] = True
+    mask[~mask.any(axis=1), 0] = True
+    A = rng.normal(size=(N, N))
+    X = rng.multivariate_normal(rng.normal(size=N), A @ A.T + np.eye(N), size=M)
+    return make_matrix(np.where(mask, X, np.nan), mask)
+
+
+class TestEmPatternSweep:
+    @settings(max_examples=30, deadline=None)
+    @given(em_matrices())
+    def test_matches_per_row_reference(self, m):
+        cfg = EmConfig(max_iter=40)
+        g = em_fit(m, cfg)
+        ref = reference_em_fit(m, cfg)
+        assert g.em_iterations == ref.em_iterations
+        assert g.converged == ref.converged
+        assert g.clamped == ref.clamped
+        assert np.allclose(g.mean, ref.mean, rtol=0, atol=1e-10)
+        assert np.allclose(g.cov, ref.cov, rtol=0, atol=1e-10)
+        assert np.allclose(g.loglik_trace, ref.loglik_trace, rtol=1e-10, atol=1e-10)
+
+    @settings(max_examples=50, deadline=None)
+    @given(em_matrices())
+    def test_loglik_nondecreasing(self, m):
+        g = em_fit(m, EmConfig(max_iter=100))
+        # the PSD projection is not an M-step, so only unclamped fits qualify
+        assume(not g.clamped)
+        assert len(g.loglik_trace) == g.em_iterations
+        assert (np.diff(g.loglik_trace) >= -1e-8).all()
+
+    def test_singular_pattern_names_its_first_row(self, monkeypatch):
+        # Two 2-of-4 patterns: [F, F, T, T] sorts before [T, T, F, F], but
+        # the latter comes first in the file (row m5), so it is named.
+        rng = np.random.default_rng(40)
+        vals = rng.normal(size=(9, 4))
+        mask = np.ones((9, 4), dtype=bool)
+        mask[3:5, 3] = False
+        mask[[5, 8], 2:] = False
+        mask[[6, 7], :2] = False
+        m = make_matrix(np.where(mask, vals, np.nan), mask)
+
+        # The PSD floor keeps a fitted Sigma positive definite, so a
+        # singular observed block is simulated: every 2x2 factorization fails.
+        class SingularPairs:
+            def __getattr__(self, name):
+                return getattr(linalg, name)
+
+            def cho_factor(self, a, **kw):
+                if a.shape == (2, 2):
+                    raise np.linalg.LinAlgError("not positive definite")
+                return linalg.cho_factor(a, **kw)
+
+        monkeypatch.setattr(covariance, "linalg", SingularPairs())
+        with pytest.raises(NumericalError, match="row 'm5' is singular"):
+            em_fit(m, EmConfig())
+
+
 class TestGaussianModelJson:
     def test_round_trip(self):
         matrix, _, _ = mcar_matrix(120, 4, 0.2, seed=30)
@@ -239,6 +408,17 @@ class TestGaussianModelJson:
         assert g2.estimator == g.estimator
         assert g2.em_iterations == g.em_iterations
         assert g2.converged == g.converged
+        assert g2.loglik_trace == g.loglik_trace
+        assert g2.clamped == g.clamped
+
+    def test_round_trip_infinite_loglik_and_clamped(self):
+        g = GaussianModel(
+            np.zeros(2), np.eye(2), "em", em_iterations=3, converged=False,
+            loglik_trace=(-np.inf, -12.5, -3.25), clamped=True,
+        )
+        g2 = GaussianModel.from_json(g.to_json())
+        assert g2.loglik_trace == (-np.inf, -12.5, -3.25)
+        assert g2.clamped is True
 
     def test_asymmetric_cov_symmetrized(self):
         g = GaussianModel(

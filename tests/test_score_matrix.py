@@ -48,6 +48,11 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="missing-cell"):
             load_csv("model,b0,b1\na,NA,1\nb,2,3\nc,4,5\n")
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "+nan", "-nan", "1e999"])
+    def test_non_finite_rejected(self, token):
+        with pytest.raises(DataError, match=r"line 3, column 'b1': non-finite"):
+            load_csv(f"model,b0,b1\na,1,2\nb,3,{token}\nc,4,5\n")
+
     def test_duplicate_names(self):
         with pytest.raises(DataError, match="duplicate model"):
             load_csv("model,b0,b1\na,1,2\na,3,4\n")
