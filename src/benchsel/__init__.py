@@ -51,6 +51,7 @@ from benchsel.imputation import (
     ImputationResult,
     clip_standardized,
     impute_row,
+    impute_rows,
     r2_standardized,
 )
 from benchsel.evaluation import CvConfig, CvReport, compare_methods, run_cv

@@ -25,7 +25,9 @@ from benchsel.errors import DataError, NumericalError
 from benchsel.covariance import EmConfig, GaussianModel, em_fit, estimate_full, to_correlation
 from benchsel.diagnostics import mardia, normality_report
 from benchsel.evaluation import CvConfig, run_cv
-from benchsel.imputation import impute_row
+# cli uses only impute_rows; bench/test_bench.py deletes cli.impute_row to
+# test its tracer, so the name stays importable here.
+from benchsel.imputation import impute_row, impute_rows  # noqa: F401
 from benchsel.score_matrix import (
     ScoreMatrix,
     column_stats,
@@ -228,27 +230,15 @@ def cmd_impute(args) -> int:
         stats = lp = None
         std_vals = m.values
 
-    N = m.shape[1]
-    completed = m.values.copy()
-    cond_sd = np.full(m.shape, np.nan)
-    for i in range(m.shape[0]):
-        obs_cols = np.flatnonzero(m.mask[i])
-        target_cols = np.flatnonzero(~m.mask[i])
-        if target_cols.size == 0:
-            continue
-        obs = {int(j): float(std_vals[i, j]) for j in obs_cols}
-        res = impute_row(obs, selected, model, ridge=args.ridge,
-                         targets=[int(j) for j in target_cols])
-        for j in target_cols:
-            pred = res.predicted[int(j)]
-            sd = math.sqrt(max(res.cond_var[int(j)], 0.0))
-            if stats is not None:
-                pred = pred * stats.stds[j] + stats.means[j]
-                sd = sd * stats.stds[j]
-                if lp is not None:
-                    pred = (1.0 / (1.0 + math.exp(-pred))) * lp.col_max[j]
-            completed[i, j] = pred
-            cond_sd[i, j] = sd
+    pred, cvar = impute_rows(std_vals, m.mask, selected, model, args.ridge)
+    sd = np.sqrt(np.maximum(cvar, 0.0))
+    if stats is not None:
+        pred = pred * stats.stds + stats.means
+        sd = sd * stats.stds
+        if lp is not None:
+            pred = (1.0 / (1.0 + np.exp(-pred))) * lp.col_max
+    completed = np.where(m.mask, m.values, pred)
+    cond_sd = np.where(m.mask, np.nan, sd)
 
     os.makedirs(args.out, exist_ok=True)
     header = ["model"] + list(m.benchmark_names)
@@ -331,27 +321,16 @@ def cmd_normality(args) -> int:
     if m.mask.all() and m.shape[0] > m.shape[1]:
         mardia_doc = mardia(m.values)
         mardia_doc["matrix"] = "raw"
-    else:
+    elif m.shape[0] > m.shape[1]:
         # Mardia needs a complete matrix; fill by EM conditional means.
         try:
-            stats = column_stats(m)
-            std = standardize(m, stats)
+            std = standardize(m, column_stats(m))
             model = em_fit(std, EmConfig())
-            filled = std.values.copy()
-            for i in range(m.shape[0]):
-                miss = np.flatnonzero(~m.mask[i])
-                if miss.size == 0:
-                    continue
-                obs_cols = np.flatnonzero(m.mask[i])
-                obs = {int(j): float(std.values[i, j]) for j in obs_cols}
-                res = impute_row(obs, [int(j) for j in obs_cols], model,
-                                 ridge=args.ridge,
-                                 targets=[int(j) for j in miss])
-                for j in miss:
-                    filled[i, j] = res.predicted[int(j)]
-            if filled.shape[0] > filled.shape[1]:
-                mardia_doc = mardia(filled)
-                mardia_doc["matrix"] = "completed-data"
+            # Each row conditions on all it observed: one group per pattern.
+            pred = impute_rows(std.values, m.mask, range(m.shape[1]), model,
+                               args.ridge).predicted
+            mardia_doc = mardia(np.where(m.mask, std.values, pred))
+            mardia_doc["matrix"] = "completed-data"
         except (DataError, NumericalError):
             mardia_doc = None
     with open(os.path.join(args.out, "mardia.json"), "w",

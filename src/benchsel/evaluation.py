@@ -15,7 +15,6 @@ fraction never perturbs the draws of another.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -23,10 +22,8 @@ import numpy as np
 
 from benchsel.errors import DataError, NumericalError
 from benchsel.covariance import EmConfig, em_fit, estimate_full
-from benchsel.imputation import clip_standardized, impute_row, r2_standardized
+from benchsel.imputation import STANDARDIZED_CLIP, impute_rows, r2_standardized
 from benchsel.score_matrix import (
-    ColumnStats,
-    LogitParams,
     ScoreMatrix,
     column_stats,
     logit_params,
@@ -248,7 +245,6 @@ def _run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows, warnings_out):
         ).values
         stats = column_stats(work_train)
     else:
-        lp = None
         work_train = train_m
         va_work = va_vals
         stats = raw_stats
@@ -261,6 +257,9 @@ def _run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows, warnings_out):
     Sigma = model.cov
     n_act = len(active)
     va_std = (va_work - stats.means) / stats.stds
+    # R^2 is scored in raw standardized space, in logit mode too.
+    va_z = np.clip((va_vals - raw_stats.means) / raw_stats.stds,
+                   -STANDARDIZED_CLIP, STANDARDIZED_CLIP)
 
     fold_cells: list[CvCell] = []
     fold_orders: dict = {}
@@ -280,34 +279,16 @@ def _run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows, warnings_out):
         total_var = float(np.trace(Sigma))
         for k in range(1, len(order) + 1):
             A = order[:k]
-            preds: list[float] = []
-            targets: list[float] = []
-            sel = set(A)
-            for i in range(va_vals.shape[0]):
-                obs_cols = np.flatnonzero(va_mask[i])
-                obs = {int(j): float(va_std[i, j]) for j in obs_cols}
-                target_cols = [j for j in obs_cols if j not in sel]
-                if not target_cols:
-                    continue
-                res = impute_row(
-                    obs, A, model, ridge=cfg.ridge, targets=target_cols
-                )
-                for j in target_cols:
-                    if cfg.logit_mode:
-                        # invert: standardized logit -> logit -> raw, then
-                        # score both sides in raw standardized space
-                        f = res.predicted[j] * stats.stds[j] + stats.means[j]
-                        raw_pred = (1.0 / (1.0 + math.exp(-f))) * lp.col_max[j]
-                        pred_z = (raw_pred - raw_stats.means[j]) / raw_stats.stds[j]
-                        target_z = (va_vals[i, j] - raw_stats.means[j]) / raw_stats.stds[j]
-                    else:
-                        pred_z = res.predicted[j]
-                        target_z = va_std[i, j]
-                    preds.append(pred_z)
-                    targets.append(clip_standardized(target_z))
-            r2 = (
-                r2_standardized(preds, targets) if targets else math.nan
-            )
+            pred = impute_rows(va_std, va_mask, A, model, cfg.ridge).predicted
+            if cfg.logit_mode:
+                # standardized logit -> logit -> raw -> raw standardized
+                f = pred * stats.stds + stats.means
+                raw_pred = (1.0 / (1.0 + np.exp(-f))) * lp.col_max
+                pred = (raw_pred - raw_stats.means) / raw_stats.stds
+            tmask = va_mask.copy()
+            tmask[:, A] = False
+            r2 = (r2_standardized(pred[tmask], va_z[tmask]) if tmask.any()
+                  else math.nan)
             try:
                 ent = entropy_value(Sigma, A)
             except NumericalError:

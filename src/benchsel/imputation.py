@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg
@@ -31,6 +32,59 @@ class ImputationResult:
     used_condition: tuple[int, ...]
 
 
+class BatchImputation(NamedTuple):
+    """Per-row conditional moments over every column, each shaped (R, N)."""
+
+    predicted: np.ndarray
+    cond_var: np.ndarray
+
+
+def impute_rows(
+    values, mask, selected, model: GaussianModel, ridge: float = 1e-2
+) -> BatchImputation:
+    """Conditional means and variances of every column, for every row.
+
+    Row i conditions on selected ∩ observed(i), where `mask` marks the
+    observed cells of the standardized `values`.  Rows with the same
+    conditioning set C share one Cholesky factor of Sigma_CC + ridge*I;
+    with C empty a row gets the marginal mean and variance.
+    """
+    values, mask = np.asarray(values, float), np.asarray(mask, bool)
+    mu, Sigma = model.mean, model.cov
+    N = mu.size
+    if values.ndim != 2 or values.shape != mask.shape or values.shape[1] != N:
+        raise DataError("values and mask must both be R x N")
+    sel = np.unique(np.asarray(list(selected), dtype=int))
+    if sel.size and (sel[0] < 0 or sel[-1] >= N):
+        raise DataError("selected index out of range")
+    var = np.diag(Sigma)
+    predicted = np.tile(mu, (len(values), 1))
+    cond_var = np.tile(var, (len(values), 1))
+    patterns, first, inverse = np.unique(
+        mask[:, sel], axis=0, return_index=True, return_inverse=True
+    )
+    for k, pattern in enumerate(patterns):
+        C = sel[pattern]
+        if C.size == 0:
+            continue
+        rows = np.flatnonzero(inverse == k)
+        try:
+            factor = linalg.cho_factor(
+                Sigma[np.ix_(C, C)] + ridge * np.eye(C.size), lower=True
+            )
+        except np.linalg.LinAlgError:
+            raise NumericalError(
+                f"conditioning block for row {int(first[k])} is singular "
+                "even with ridge"
+            ) from None
+        Sxc = Sigma[:, C]
+        x = linalg.cho_solve(factor, (values[np.ix_(rows, C)] - mu[C]).T)
+        predicted[rows] = mu + (Sxc @ x).T
+        gain = linalg.cho_solve(factor, Sxc.T)  # Scc^{-1} Sigma_C.
+        cond_var[rows] = var - np.sum(Sxc * gain.T, axis=1)
+    return BatchImputation(predicted, cond_var)
+
+
 def impute_row(
     obs: dict[int, float],
     selected,
@@ -42,43 +96,20 @@ def impute_row(
 
     `obs` maps column index -> standardized value.  The conditioning set
     is selected ∩ keys(obs); `targets` defaults to every column outside
-    `selected`.  Solves (Sigma_CC + ridge*I) x = obs_C - mu_C; with an
-    empty conditioning set the prediction is the marginal mean.
+    `selected`.  A one-row view of `impute_rows`.
     """
     N = model.mean.size
     selected = sorted(set(int(j) for j in selected))
-    if selected and (selected[0] < 0 or selected[-1] >= N):
-        raise DataError("selected index out of range")
-    cond = [j for j in selected if j in obs]
     if targets is None:
         targets = [j for j in range(N) if j not in selected]
     targets = sorted(set(int(j) for j in targets))
-
-    mu, Sigma = model.mean, model.cov
-    if not cond:
-        predicted = {j: float(mu[j]) for j in targets}
-        cond_var = {j: float(Sigma[j, j]) for j in targets}
-        return ImputationResult(predicted, cond_var, ())
-
-    C = np.asarray(cond, dtype=int)
-    T = np.asarray(targets, dtype=int)
-    Scc = Sigma[np.ix_(C, C)] + ridge * np.eye(C.size)
-    Stc = Sigma[np.ix_(T, C)]
-    resid = np.array([obs[j] for j in cond]) - mu[C]
-    try:
-        c, low = linalg.cho_factor(Scc, lower=True)
-    except np.linalg.LinAlgError:
-        raise NumericalError(
-            "conditioning block is singular even with ridge"
-        ) from None
-    x = linalg.cho_solve((c, low), resid)
-    pred = mu[T] + Stc @ x
-    gain = linalg.cho_solve((c, low), Stc.T)  # Scc^{-1} Sigma_CT
-    cvar = np.diag(Sigma)[T] - np.sum(Stc * gain.T, axis=1)
-
-    predicted = {int(j): float(p) for j, p in zip(T, pred)}
-    cond_var = {int(j): float(v) for j, v in zip(T, cvar)}
-    return ImputationResult(predicted, cond_var, tuple(cond))
+    row = np.array([[obs.get(j, np.nan) for j in range(N)]])
+    pred, cvar = impute_rows(row, ~np.isnan(row), selected, model, ridge)
+    return ImputationResult(
+        {j: float(pred[0, j]) for j in targets},
+        {j: float(cvar[0, j]) for j in targets},
+        tuple(j for j in selected if j in obs),
+    )
 
 
 def clip_standardized(v: float) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,13 @@ class ScoreMatrix:
             raise DataError("duplicate model names")
         if len(set(self.benchmark_names)) != N:
             raise DataError("duplicate benchmark names")
+        bad = mask & ~np.isfinite(values)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise DataError(
+                f"non-finite score {float(values[i, j])} for model "
+                f"{self.model_names[i]!r}, benchmark {self.benchmark_names[j]!r}"
+            )
         row_obs = mask.sum(axis=1)
         if np.any(row_obs < 1):
             bad = self.model_names[int(np.argmin(row_obs))]

@@ -154,6 +154,29 @@ class TestImpute:
                   for j, cell in enumerate(row[1:]) if cell]
         assert filled == [(5, 4)]  # only the imputed cell has an sd
 
+    def test_logit_train(self, tmp_path):
+        rng = np.random.default_rng(17)
+        a = rng.uniform(0.2, 0.8, size=60)
+        b = rng.uniform(0.5, 1.5, size=5)
+        vals = np.clip(np.outer(a, b) / 2 + rng.normal(0, 0.02, (60, 5)),
+                       0.01, 0.99)
+        train_path = write_matrix(tmp_path, make_matrix(vals), "train.csv")
+        mask = rng.random(vals.shape) >= 0.3
+        mask[:, 0] = True
+        holed = make_matrix(np.where(mask, vals, np.nan), mask)
+        input_path = write_matrix(tmp_path, holed, "holed.csv")
+        out = str(tmp_path / "out")
+        assert main(["impute", input_path, "--train", train_path,
+                     "--selected", "b0,b1", "--logit", "--out", out]) == 0
+        completed = load_csv(open(os.path.join(out, "completed.csv")).read())
+        assert completed.mask.all()
+        assert np.array_equal(completed.values[mask], holed.values[mask])
+        assert np.isfinite(completed.values[~mask]).all()
+        # the logit map keeps predictions inside (0, training maximum)
+        assert (completed.values[~mask] > 0).all()
+        col_max = np.broadcast_to(vals.max(axis=0), vals.shape)
+        assert (completed.values[~mask] < col_max[~mask]).all()
+
     def test_mutual_exclusion(self, rank1_csv, tmp_path):
         assert main(["impute", rank1_csv, "--selected", "b0",
                      "--out", str(tmp_path / "o")]) == 1

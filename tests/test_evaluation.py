@@ -1,15 +1,34 @@
+import math
+
 import numpy as np
 import pytest
 
-from benchsel.errors import DataError
+from benchsel import evaluation
+from benchsel.errors import DataError, NumericalError
 from benchsel.evaluation import (
+    CvCell,
     CvConfig,
     _balanced_folds,
+    _fit_training_model,
     compare_methods,
     run_cv,
     training_size,
 )
-from benchsel.score_matrix import ScoreMatrix
+from benchsel.imputation import clip_standardized, impute_row, r2_standardized
+from benchsel.score_matrix import (
+    ScoreMatrix,
+    column_stats,
+    logit_params,
+    logit_transform,
+    standardize,
+)
+from benchsel.selection import (
+    entropy_value,
+    greedy_entropy,
+    greedy_mi,
+    mi_value,
+    residual_trace,
+)
 
 from conftest import independent_matrix, make_matrix, rank_one_matrix
 
@@ -186,6 +205,122 @@ class TestRunCv:
         # at k=1 many validation rows miss the single selected benchmark
         # and fall back to the marginal mean, so assert at k=3
         assert report.summary[("entropy", 0.2, 3)]["mean"] > 0.95
+
+
+def reference_run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows,
+                       warnings_out):
+    """`_run_fold` with one `impute_row` call per validation row and scalar
+    logit inversion and clipping per target cell."""
+    tr_vals, tr_mask = m.values[train_rows], m.mask[train_rows]
+    va_vals, va_mask = m.values[val_rows], m.mask[val_rows]
+    active = [
+        j for j in range(m.shape[1])
+        if tr_mask[:, j].sum() >= 2 and tr_vals[tr_mask[:, j], j].std(ddof=1) > 0
+    ]
+    assert len(active) == m.shape[1], "fixture must keep every column"
+    names = m.benchmark_names
+    keep = tr_mask.any(axis=1)
+    tr_vals, tr_mask = tr_vals[keep], tr_mask[keep]
+    train_m = ScoreMatrix(tr_vals, tr_mask,
+                          tuple(f"r{i}" for i in range(tr_vals.shape[0])),
+                          names)
+    raw_stats = column_stats(train_m)
+    if cfg.logit_mode:
+        lp = logit_params(train_m, cfg.logit_epsilon)
+        work_train = logit_transform(train_m, lp)
+        va_work = logit_transform(
+            ScoreMatrix(va_vals, va_mask,
+                        tuple(f"v{i}" for i in range(va_vals.shape[0])),
+                        names),
+            lp,
+        ).values
+        stats = column_stats(work_train)
+    else:
+        lp, work_train, va_work, stats = None, train_m, va_vals, raw_stats
+    std_train = standardize(work_train, stats)
+    model = _fit_training_model(
+        std_train.values, std_train.mask, cfg.estimator_policy, cfg.em,
+        std_train.model_names, names,
+    )
+    Sigma = model.cov
+    n_act = len(active)
+    va_std = (va_work - stats.means) / stats.stds
+
+    cells, orders = [], {}
+    for method in cfg.methods:
+        k_cap = min(cfg.k_max, n_act if method != "mi" else n_act - 1)
+        if method == "entropy":
+            order = list(greedy_entropy(Sigma, k_cap).order)
+        elif method == "mi":
+            order = list(greedy_mi(Sigma, k_cap).order)
+        else:
+            rng = np.random.default_rng(
+                np.random.SeedSequence([cfg.seed, 2, pk, fold_idx])
+            )
+            order = [int(j) for j in rng.permutation(n_act)[:k_cap]]
+        orders[(method, p, fold_idx)] = tuple(names[j] for j in order)
+        total_var = float(np.trace(Sigma))
+        for k in range(1, len(order) + 1):
+            A = order[:k]
+            preds, targets = [], []
+            for i in range(va_vals.shape[0]):
+                obs_cols = np.flatnonzero(va_mask[i])
+                obs = {int(j): float(va_std[i, j]) for j in obs_cols}
+                target_cols = [j for j in obs_cols if j not in A]
+                if not target_cols:
+                    continue
+                res = impute_row(obs, A, model, ridge=cfg.ridge,
+                                 targets=target_cols)
+                for j in target_cols:
+                    if cfg.logit_mode:
+                        f = res.predicted[j] * stats.stds[j] + stats.means[j]
+                        raw = (1.0 / (1.0 + math.exp(-f))) * lp.col_max[j]
+                        pred_z = (raw - raw_stats.means[j]) / raw_stats.stds[j]
+                        target_z = ((va_vals[i, j] - raw_stats.means[j])
+                                    / raw_stats.stds[j])
+                    else:
+                        pred_z, target_z = res.predicted[j], va_std[i, j]
+                    preds.append(pred_z)
+                    targets.append(clip_standardized(target_z))
+            r2 = r2_standardized(preds, targets) if targets else math.nan
+            try:
+                ent = entropy_value(Sigma, A)
+            except NumericalError:
+                ent = math.nan
+            rfrac = residual_trace(Sigma, A, psd_floor=1e-10) / total_var
+            cells.append(CvCell(method, p, fold_idx, k, r2, float(rfrac),
+                                float(ent), float(mi_value(Sigma, A))))
+    return cells, orders
+
+
+class TestBatchedFold:
+    @pytest.mark.parametrize("logit_mode", [True, False])
+    def test_matches_per_row_reference(self, monkeypatch, logit_mode):
+        # Scores in (0, 1) for the logit map, with MCAR holes in every
+        # column, so validation rows condition on different subsets.
+        rng = np.random.default_rng(21)
+        a = rng.uniform(0.2, 0.8, size=90)
+        b = rng.uniform(0.5, 1.5, size=6)
+        vals = np.clip(np.outer(a, b) / 2 + rng.normal(0, 0.05, (90, 6)),
+                       0.01, 0.99)
+        mask = rng.random(vals.shape) >= 0.25
+        mask[~mask.any(axis=1), 0] = True
+        matrix = make_matrix(np.where(mask, vals, np.nan), mask)
+        cfg = CvConfig(folds=3, holdout_fractions=(0.2,), k_max=4,
+                       methods=("entropy", "mi", "random"), seed=3,
+                       logit_mode=logit_mode)
+        got = run_cv(matrix, cfg)
+        monkeypatch.setattr(evaluation, "_run_fold", reference_run_fold)
+        want = run_cv(matrix, cfg)
+        assert len(got.cells) == len(want.cells) == 3 * (4 + 4 + 4)
+        assert got.selection_orders == want.selection_orders
+        for g, w in zip(got.cells, want.cells):
+            assert (g.method, g.holdout_p, g.fold, g.k) == \
+                (w.method, w.holdout_p, w.fold, w.k)
+            assert np.isfinite(w.r2)
+            assert abs(g.r2 - w.r2) <= 1e-12
+            assert (g.residual_fraction, g.entropy, g.mi) == \
+                (w.residual_fraction, w.entropy, w.mi)
 
 
 class TestCompareMethods:

@@ -2,13 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import linalg
 
 from benchsel.covariance import GaussianModel
-from benchsel.errors import DataError
+from benchsel.errors import DataError, NumericalError
 from benchsel.imputation import (
     STANDARDIZED_CLIP,
     clip_standardized,
     impute_row,
+    impute_rows,
     r2_standardized,
 )
 
@@ -107,6 +111,84 @@ class TestImputeRow:
         g = model_from(random_spd(3, seed=8))
         with pytest.raises(DataError):
             impute_row({0: 1.0}, selected=[0, 5], model=g, ridge=0.0)
+
+
+def reference_impute_row(obs, selected, model, ridge, targets):
+    """One row at a time: Cholesky of the conditioning block, two solves."""
+    mu, Sigma = model.mean, model.cov
+    cond = [j for j in sorted(set(selected)) if j in obs]
+    if not cond:
+        return ({j: mu[j] for j in targets},
+                {j: Sigma[j, j] for j in targets})
+    C, T = np.asarray(cond), np.asarray(targets, dtype=int)
+    factor = linalg.cho_factor(
+        Sigma[np.ix_(C, C)] + ridge * np.eye(C.size), lower=True
+    )
+    Stc = Sigma[np.ix_(T, C)]
+    x = linalg.cho_solve(factor, np.array([obs[j] for j in cond]) - mu[C])
+    gain = linalg.cho_solve(factor, Stc.T)
+    pred = mu[T] + Stc @ x
+    cvar = np.diag(Sigma)[T] - np.sum(Stc * gain.T, axis=1)
+    return dict(zip(targets, pred)), dict(zip(targets, cvar))
+
+
+@st.composite
+def batch_cases(draw):
+    """An SPD model, a selected set and masked rows that include one row
+    with an empty conditioning set and one that observes every selected
+    column."""
+    N = draw(st.integers(1, 7))
+    R = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.normal(size=(N, N))
+    model = model_from(A @ A.T + 0.5 * np.eye(N), mean=rng.normal(size=N))
+    selected = sorted(draw(st.sets(st.integers(0, N - 1), max_size=N)))
+    mask = rng.random((R, N)) < draw(st.sampled_from([0.3, 0.7, 1.0]))
+    mask[0, selected] = False
+    mask[1, selected] = True
+    values = np.where(mask, rng.normal(size=(R, N)), np.nan)
+    ridge = draw(st.sampled_from([0.0, 1e-2]))
+    return values, mask, selected, model, ridge
+
+
+class TestImputeRows:
+    @settings(max_examples=200, deadline=None)
+    @given(batch_cases())
+    def test_matches_per_row(self, case):
+        values, mask, selected, model, ridge = case
+        R, N = values.shape
+        pred, cvar = impute_rows(values, mask, selected, model, ridge)
+        assert pred.shape == cvar.shape == (R, N)
+        for i in range(R):
+            obs = {int(j): values[i, j] for j in np.flatnonzero(mask[i])}
+            row = impute_row(obs, selected, model, ridge=ridge)
+            ref_pred, ref_var = reference_impute_row(
+                obs, selected, model, ridge, sorted(row.predicted)
+            )
+            for j in row.predicted:
+                assert abs(pred[i, j] - row.predicted[j]) <= 1e-12
+                assert abs(cvar[i, j] - row.cond_var[j]) <= 1e-12
+                assert abs(pred[i, j] - ref_pred[j]) <= 1e-12
+                assert abs(cvar[i, j] - ref_var[j]) <= 1e-12
+
+    def test_shape_mismatch(self):
+        g = model_from(random_spd(3, seed=13))
+        with pytest.raises(DataError):
+            impute_rows(np.zeros((2, 4)), np.ones((2, 4), bool), [0], g)
+
+    def test_singular_group_names_its_first_row(self):
+        # Columns 1 and 2 have an indefinite block that the ridge cannot
+        # repair.  Rows 2 and 4 condition on {1, 2}, whose pattern
+        # [F, T, T] sorts first in np.unique; rows 0, 1 and 3 condition on
+        # the positive definite {0, 1}.  The error names row 2.
+        cov = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 1.5], [0.0, 1.5, 1.0]])
+        g = GaussianModel(mean=np.zeros(3), cov=cov, estimator="full")
+        mask = np.array([[True, True, False], [True, True, False],
+                         [False, True, True], [True, True, False],
+                         [False, True, True]])
+        values = np.where(mask, 1.0, np.nan)
+        with pytest.raises(NumericalError, match="row 2 is singular"):
+            impute_rows(values, mask, [0, 1, 2], g, ridge=1e-2)
 
 
 class TestClip:

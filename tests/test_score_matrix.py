@@ -109,6 +109,23 @@ class TestInvariants:
         with pytest.raises(ValueError):
             m.values[0, 0] = 9.0
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_observed_cell_rejected(self, bad):
+        # Built in the library, not through load_csv: the first observed
+        # non-finite cell in row-major order is named.
+        vals = np.random.default_rng(0).normal(size=(8, 3))
+        vals[2, 1] = bad
+        vals[5, 0] = np.inf
+        with pytest.raises(DataError, match="model 'm2', benchmark 'b1'"):
+            make_matrix(vals, np.ones((8, 3), dtype=bool))
+
+    def test_non_finite_unobserved_cell_ignored(self):
+        vals = np.random.default_rng(1).normal(size=(8, 3))
+        vals[2, 1] = np.inf
+        mask = np.ones((8, 3), dtype=bool)
+        mask[2, 1] = False
+        assert np.isnan(make_matrix(vals, mask).values[2, 1])
+
 
 class TestDropSparseRows:
     def test_fully_observed_unchanged(self):
