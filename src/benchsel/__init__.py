@@ -24,9 +24,11 @@ from benchsel.score_matrix import (
 )
 from benchsel.covariance import (
     EmConfig,
+    FittedModel,
     GaussianModel,
     em_fit,
     estimate_full,
+    fit_model,
     mean_missing,
     pairwise_cov,
     psd_project,

@@ -22,26 +22,19 @@ import numpy as np
 
 import benchsel
 from benchsel.errors import DataError, NumericalError
-from benchsel.covariance import EmConfig, GaussianModel, em_fit, estimate_full, to_correlation
+from benchsel.covariance import GaussianModel, fit_model, to_correlation
 from benchsel.diagnostics import mardia, normality_report
 from benchsel.evaluation import CvConfig, run_cv
-# cli uses only impute_rows; bench/test_bench.py deletes cli.impute_row to
-# test its tracer, so the name stays importable here.
+# cli uses neither impute_row nor lazy_greedy_entropy; bench/test_bench.py
+# deletes both names from cli to test its tracer, so they stay importable.
 from benchsel.imputation import impute_row, impute_rows  # noqa: F401
-from benchsel.score_matrix import (
-    ScoreMatrix,
-    column_stats,
-    load_csv,
-    logit_params,
-    logit_transform,
-    standardize,
-)
+from benchsel.score_matrix import load_csv
 from benchsel.selection import (
     CostModel,
     budgeted_entropy,
     greedy_entropy,
     greedy_mi,
-    lazy_greedy_entropy,
+    lazy_greedy_entropy,  # noqa: F401
     spectrum,
 )
 
@@ -78,27 +71,9 @@ def _write_manifest(out_dir, command, config, input_path, seed, extra=None):
         fh.write("\n")
 
 
-def _fit_pipeline(m: ScoreMatrix, estimator: str, logit: bool,
-                  epsilon: float = 1e-3):
-    """Shared preprocessing: (logit ->) standardize -> fit covariance."""
-    lp = logit_params(m, epsilon) if logit else None
-    work = logit_transform(m, lp) if logit else m
-    stats = column_stats(work)
-    std = standardize(work, stats)
-    complete = bool(std.mask.all())
-    if estimator == "full" or (estimator == "auto" and complete):
-        if not complete:
-            raise DataError("--estimator full requires a complete matrix")
-        model = estimate_full(std)
-    else:
-        model = em_fit(std, EmConfig())
-    return model, stats, lp, std
-
-
 def cmd_spectrum(args) -> int:
     m = load_csv(args.input)
-    model, _, _, _ = _fit_pipeline(m, args.estimator, False)
-    rep = spectrum(to_correlation(model.cov))
+    rep = spectrum(to_correlation(fit_model(m, args.estimator).model.cov))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "spectrum.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -153,11 +128,9 @@ def cmd_select(args) -> int:
         return 1
 
     m = load_csv(args.input)
-    model, _, _, _ = _fit_pipeline(m, "auto", args.logit, args.epsilon)
-    Sigma = model.cov
+    Sigma = fit_model(m, logit=args.logit, epsilon=args.epsilon).model.cov
     if args.objective == "entropy":
-        fn = lazy_greedy_entropy if args.lazy else greedy_entropy
-        result = fn(Sigma, args.k)
+        result = greedy_entropy(Sigma, args.k)
     elif args.objective == "mi":
         result = greedy_mi(Sigma, args.k)
         if all(abs(g) < 1e-12 for g in result.gains):
@@ -216,27 +189,21 @@ def cmd_impute(args) -> int:
         train = load_csv(args.train)
         if train.benchmark_names != m.benchmark_names:
             raise DataError("training CSV benchmarks do not match input")
-        model, stats, lp, _ = _fit_pipeline(
-            train, "auto", args.logit, args.epsilon
-        )
-        work = logit_transform(m, lp) if args.logit else m
-        std_vals = (work.values - stats.means) / stats.stds
+        fit = fit_model(train, logit=args.logit, epsilon=args.epsilon)
+        model, std_vals = fit.model, fit.encode(m.values)
     else:
         # A bare model JSON is interpreted in raw score space.
         with open(args.model, "r", encoding="utf-8") as fh:
             model = GaussianModel.from_json(fh.read())
         if model.mean.size != m.shape[1]:
             raise DataError("model dimension does not match input width")
-        stats = lp = None
+        fit = None
         std_vals = m.values
 
     pred, cvar = impute_rows(std_vals, m.mask, selected, model, args.ridge)
     sd = np.sqrt(np.maximum(cvar, 0.0))
-    if stats is not None:
-        pred = pred * stats.stds + stats.means
-        sd = sd * stats.stds
-        if lp is not None:
-            pred = (1.0 / (1.0 + np.exp(-pred))) * lp.col_max
+    if fit is not None:
+        pred, sd = fit.decode(pred), sd * fit.stats.stds
     completed = np.where(m.mask, m.values, pred)
     cond_sd = np.where(m.mask, np.nan, sd)
 
@@ -324,12 +291,12 @@ def cmd_normality(args) -> int:
     elif m.shape[0] > m.shape[1]:
         # Mardia needs a complete matrix; fill by EM conditional means.
         try:
-            std = standardize(m, column_stats(m))
-            model = em_fit(std, EmConfig())
+            fit = fit_model(m)
+            z = fit.encode(m.values)
             # Each row conditions on all it observed: one group per pattern.
-            pred = impute_rows(std.values, m.mask, range(m.shape[1]), model,
+            pred = impute_rows(z, m.mask, range(m.shape[1]), fit.model,
                                args.ridge).predicted
-            mardia_doc = mardia(np.where(m.mask, std.values, pred))
+            mardia_doc = mardia(np.where(m.mask, z, pred))
             mardia_doc["matrix"] = "completed-data"
         except (DataError, NumericalError):
             mardia_doc = None
@@ -366,7 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float)
     p.add_argument("--shift-c", dest="shift_c", type=float)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lazy", action="store_true")
+    p.add_argument("--lazy", action="store_true",
+                   help="accepted for compatibility; same as the default")
     p.add_argument("--logit", action="store_true")
     p.add_argument("--epsilon", type=float, default=1e-3)
     p.add_argument("--out", required=True)

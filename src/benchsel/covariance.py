@@ -2,7 +2,8 @@
 
 Estimates (mu, Sigma) over benchmarks from complete or incomplete score
 matrices, with PSD projection, identity shrinkage for rank-deficient
-regimes, and correlation conversion.
+regimes, and correlation conversion.  `fit_model` is the one path from
+raw scores to a model: (logit ->) standardize -> fit.
 """
 
 from __future__ import annotations
@@ -14,7 +15,15 @@ import numpy as np
 from scipy import linalg
 
 from benchsel.errors import DataError, NumericalError
-from benchsel.score_matrix import ScoreMatrix
+from benchsel.score_matrix import (
+    ColumnStats,
+    LogitParams,
+    ScoreMatrix,
+    column_stats,
+    logit_params,
+    logit_transform,
+    standardize,
+)
 
 _SYM_TOL = 1e-8
 
@@ -335,3 +344,47 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
         mu, Sigma, "em", em_iterations=it, converged=converged,
         loglik_trace=tuple(loglik_trace), clamped=clamped,
     )
+
+
+@dataclass(frozen=True)
+class FittedModel:
+    """A model in standardized (optionally logit) space and its transforms."""
+
+    model: GaussianModel
+    stats: ColumnStats
+    logit: LogitParams | None = None
+
+    def encode(self, values: np.ndarray) -> np.ndarray:
+        """Raw scores -> model space; NaN cells stay NaN."""
+        values = np.asarray(values, dtype=float)
+        if self.logit is not None:
+            values = self.logit.forward(values)
+        return (values - self.stats.means) / self.stats.stds
+
+    def decode(self, values: np.ndarray) -> np.ndarray:
+        """Model space -> raw scores: the inverse of encode."""
+        raw = np.asarray(values, dtype=float) * self.stats.stds + self.stats.means
+        return self.logit.inverse(raw) if self.logit is not None else raw
+
+
+def fit_model(m: ScoreMatrix, estimator: str = "auto", logit: bool = False,
+              epsilon: float = 1e-3, em: EmConfig = EmConfig()) -> FittedModel:
+    """(logit ->) standardize -> fit, with every transform taken from `m`.
+
+    estimator "auto" uses the closed form on a complete matrix and EM
+    otherwise; "full" requires a complete matrix; "em" always runs EM.
+    """
+    if estimator not in ("auto", "full", "em"):
+        raise DataError("estimator must be auto, full, or em")
+    lp = logit_params(m, epsilon) if logit else None
+    work = logit_transform(m, lp) if logit else m
+    stats = column_stats(work)
+    std = standardize(work, stats)
+    complete = bool(std.mask.all())
+    if estimator == "full" or (estimator == "auto" and complete):
+        if not complete:
+            raise DataError("estimator 'full' requires a complete matrix")
+        model = estimate_full(std)
+    else:
+        model = em_fit(std, em)
+    return FittedModel(model, stats, lp)

@@ -21,20 +21,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from benchsel.errors import DataError, NumericalError
-from benchsel.covariance import EmConfig, em_fit, estimate_full
+from benchsel.covariance import EmConfig, fit_model
 from benchsel.imputation import STANDARDIZED_CLIP, impute_rows, r2_standardized
-from benchsel.score_matrix import (
-    ScoreMatrix,
-    column_stats,
-    logit_params,
-    logit_transform,
-    standardize,
-)
+from benchsel.score_matrix import ScoreMatrix, column_stats
 from benchsel.selection import (
     entropy_value,
     greedy_entropy,
     greedy_mi,
     mi_value,
+    random_select,
     residual_trace,
 )
 
@@ -132,17 +127,6 @@ def training_size(p: float, M: int, pool_size: int) -> int:
     return min(round((1 - p) * M), pool_size)
 
 
-def _fit_training_model(values, mask, policy: str, em_cfg: EmConfig,
-                        names_rows, names_cols):
-    m = ScoreMatrix(values, mask, names_rows, names_cols)
-    complete = bool(mask.all())
-    if policy == "full" or (policy == "auto" and complete):
-        if not complete:
-            raise DataError("estimator_policy=full requires complete training data")
-        return estimate_full(m)
-    return em_fit(m, em_cfg)
-
-
 def run_cv(m: ScoreMatrix, cfg: CvConfig = CvConfig()) -> CvReport:
     """Execute the full cross-validation protocol; deterministic in cfg.seed."""
     M, N = m.shape
@@ -228,36 +212,15 @@ def _run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows, warnings_out):
             "training rows"
         )
         tr_vals, tr_mask = tr_vals[keep], tr_mask[keep]
-    train_names = tuple(f"r{i}" for i in range(tr_vals.shape[0]))
-    train_m = ScoreMatrix(tr_vals, tr_mask, train_names, names)
-
-    # Raw-space stats back the final R^2 in logit mode.
-    raw_stats = column_stats(train_m)
-    if cfg.logit_mode:
-        lp = logit_params(train_m, cfg.logit_epsilon)
-        work_train = logit_transform(train_m, lp)
-        va_work = logit_transform(
-            ScoreMatrix(
-                va_vals, va_mask,
-                tuple(f"v{i}" for i in range(va_vals.shape[0])), names,
-            ),
-            lp,
-        ).values
-        stats = column_stats(work_train)
-    else:
-        work_train = train_m
-        va_work = va_vals
-        stats = raw_stats
-
-    std_train = standardize(work_train, stats)
-    model = _fit_training_model(
-        std_train.values, std_train.mask, cfg.estimator_policy, cfg.em,
-        std_train.model_names, names,
-    )
-    Sigma = model.cov
+    train_m = ScoreMatrix(tr_vals, tr_mask,
+                          tuple(f"r{i}" for i in range(len(tr_vals))), names)
+    fit = fit_model(train_m, cfg.estimator_policy, cfg.logit_mode,
+                    cfg.logit_epsilon, cfg.em)
+    Sigma = fit.model.cov
     n_act = len(active)
-    va_std = (va_work - stats.means) / stats.stds
+    va_std = fit.encode(va_vals)
     # R^2 is scored in raw standardized space, in logit mode too.
+    raw_stats = column_stats(train_m) if cfg.logit_mode else fit.stats
     va_z = np.clip((va_vals - raw_stats.means) / raw_stats.stds,
                    -STANDARDIZED_CLIP, STANDARDIZED_CLIP)
 
@@ -270,21 +233,18 @@ def _run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows, warnings_out):
         elif method == "mi":
             order = list(greedy_mi(Sigma, k_cap).order)
         else:
-            rng = np.random.default_rng(
-                np.random.SeedSequence([cfg.seed, 2, pk, fold_idx])
-            )
-            order = [int(j) for j in rng.permutation(n_act)[:k_cap]]
+            order = list(random_select(
+                n_act, k_cap, np.random.SeedSequence([cfg.seed, 2, pk, fold_idx])
+            ).order)
         fold_orders[(method, p, fold_idx)] = tuple(names[j] for j in order)
 
         total_var = float(np.trace(Sigma))
         for k in range(1, len(order) + 1):
             A = order[:k]
-            pred = impute_rows(va_std, va_mask, A, model, cfg.ridge).predicted
+            pred = impute_rows(va_std, va_mask, A, fit.model, cfg.ridge).predicted
             if cfg.logit_mode:
-                # standardized logit -> logit -> raw -> raw standardized
-                f = pred * stats.stds + stats.means
-                raw_pred = (1.0 / (1.0 + np.exp(-f))) * lp.col_max
-                pred = (raw_pred - raw_stats.means) / raw_stats.stds
+                # standardized logit -> raw -> raw standardized
+                pred = (fit.decode(pred) - raw_stats.means) / raw_stats.stds
             tmask = va_mask.copy()
             tmask[:, A] = False
             r2 = (r2_standardized(pred[tmask], va_z[tmask]) if tmask.any()

@@ -119,6 +119,18 @@ class LogitParams:
         col_max.setflags(write=False)
         object.__setattr__(self, "col_max", col_max)
 
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        """s -> log(t / (1-t)), t = clip(s/max_j, eps, 1-eps); NaN stays NaN."""
+        if np.any(values < 0):
+            raise DataError("logit transform requires nonnegative scores")
+        t = np.clip(values / self.col_max, self.epsilon, 1 - self.epsilon)
+        return np.log(t / (1 - t))
+
+    def inverse(self, values: np.ndarray) -> np.ndarray:
+        """f -> sigmoid(f) * max_j; caps at the training maximum."""
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-values)) * self.col_max
+
 
 def load_csv(source) -> ScoreMatrix:
     """Parse a model-by-benchmark CSV into a ScoreMatrix.
@@ -127,17 +139,18 @@ def load_csv(source) -> ScoreMatrix:
     model name, then one cell per benchmark, each a decimal number or
     empty (missing).  "NaN"/"NA" tokens are rejected as malformed, and so
     are cells that parse to a non-finite number ("inf", "-nan", "1e999").
-    `source` may be a path, a text stream, or a byte stream.
+    `source` may be a path, a text stream, a byte stream, or the CSV text
+    itself; a str or bytes is CSV text when it holds a line break.
     """
-    if isinstance(source, (str, bytes)) and b"," not in (
-        source.encode() if isinstance(source, str) else source
-    ):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return load_csv(fh)
+    if isinstance(source, (str, bytes)):
+        breaks = ("\n", "\r") if isinstance(source, str) else (b"\n", b"\r")
+        if not any(b in source for b in breaks):
+            with open(source, "r", encoding="utf-8", newline="") as fh:
+                return load_csv(fh)
     if isinstance(source, bytes):
-        source = io.StringIO(source.decode("utf-8"))
+        source = io.StringIO(source.decode("utf-8"), newline="")
     elif isinstance(source, str):
-        source = io.StringIO(source)
+        source = io.StringIO(source, newline="")
     elif hasattr(source, "read") and isinstance(source.read(0), bytes):
         source = io.TextIOWrapper(source, encoding="utf-8")
 
@@ -289,16 +302,11 @@ def logit_transform(m: ScoreMatrix, params: LogitParams) -> ScoreMatrix:
     """Map each observed cell s -> log(t / (1-t)), t = clip(s/max_j, eps, 1-eps)."""
     if params.col_max.shape[0] != m.shape[1]:
         raise DataError("logit params dimension does not match matrix width")
-    if np.any(m.values[m.mask] < 0):
-        raise DataError("logit transform requires nonnegative scores")
-    t = np.clip(m.values / params.col_max, params.epsilon, 1 - params.epsilon)
-    return m.with_values(np.log(t / (1 - t)))
+    return m.with_values(params.forward(m.values))
 
 
 def inverse_logit(m: ScoreMatrix, params: LogitParams) -> ScoreMatrix:
     """Map each cell f -> sigmoid(f) * max_j; caps at the training maximum."""
     if params.col_max.shape[0] != m.shape[1]:
         raise DataError("logit params dimension does not match matrix width")
-    with np.errstate(over="ignore"):
-        s = 1.0 / (1.0 + np.exp(-m.values))
-    return m.with_values(s * params.col_max)
+    return m.with_values(params.inverse(m.values))

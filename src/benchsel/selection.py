@@ -1,18 +1,18 @@
 """Greedy benchmark subset selection and spectral diagnostics.
 
-Entropy selection is pivoted Cholesky with the max-residual-diagonal
-pivot rule; mutual information selection combines the same forward
-Cholesky recursion with a fresh factorization of the complement block
-at every step.  Ties break lexicographically: largest gain, then lowest
-index, so runs are fully deterministic.
+Every greedy objective is one forward pivoted-Cholesky recursion with
+its own pivot rule: entropy takes the largest residual diagonal, mutual
+information scores it against a fresh factorization of the complement
+block, and budgeted entropy takes the best shifted gain-to-cost ratio.
+Ties break lexicographically: largest gain, then lowest index, so runs
+are fully deterministic.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
@@ -36,7 +36,6 @@ class SelectionResult:
     objective: str                 # {entropy, mi, budgeted_entropy, random}
     seed: int | None = None
     truncated: bool = False
-    reevaluations: int | None = None  # lazy greedy only
     total_cost: float | None = None   # budgeted only
 
     def __post_init__(self):
@@ -60,8 +59,6 @@ class SelectionResult:
             d["selected"] = names
         if self.seed is not None:
             d["seed"] = self.seed
-        if self.reevaluations is not None:
-            d["reevaluations"] = self.reevaluations
         if self.total_cost is not None:
             d["total_cost"] = self.total_cost
         return d
@@ -116,12 +113,43 @@ def _check_cov(S: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
+def _pivoted_cholesky(S: np.ndarray, k: int, pivot):
+    """Forward pivoted Cholesky of S for at most k steps.
+
+    Each step `pivot(d, active)` returns (element, gain) from the residual
+    diagonal d, or None to stop; the element's Cholesky column then
+    downdates d.  Returns the order, the gains and the residual trace.
+    """
+    N = S.shape[0]
+    d = np.diag(S).copy()
+    ell = np.zeros((N, k))
+    active = np.ones(N, dtype=bool)
+    order: list[int] = []
+    gains: list[float] = []
+    trace = [float(np.sum(d))]
+    for t in range(k):
+        step = pivot(d, active)
+        if step is None:
+            break
+        j, gain = step
+        order.append(j)
+        gains.append(gain)
+        active[j] = False
+        sq = math.sqrt(d[j])
+        ell[j, t] = sq
+        idx = np.flatnonzero(active)
+        if idx.size:
+            ell[idx, t] = (S[idx, j] - ell[idx, :t] @ ell[j, :t]) / sq
+            d[idx] -= ell[idx, t] ** 2
+        trace.append(float(np.sum(d[active])))
+    return tuple(order), tuple(gains), tuple(trace)
+
+
 def greedy_entropy(S: np.ndarray, k: int) -> SelectionResult:
     """Greedy entropy maximization = pivoted Cholesky with max pivot.
 
-    Maintains the residual diagonal d and Cholesky rows; each step picks
-    argmax d (ties to the lowest index), records the marginal gain
-    0.5*log(2*pi*e*d) in nats, and downdates the remaining diagonal.
+    Each step picks argmax of the residual diagonal d (ties to the lowest
+    index) and records the marginal gain 0.5*log(2*pi*e*d) in nats.
     Stops early (truncated=True) once the largest residual falls below
     the degeneracy floor.
     """
@@ -129,38 +157,22 @@ def greedy_entropy(S: np.ndarray, k: int) -> SelectionResult:
     N = S.shape[0]
     if not 1 <= k <= N:
         raise DataError(f"k={k} out of range [1, {N}]")
-    d = np.diag(S).copy()
-    if np.any(d < -1e-9):
+    diag = np.diag(S)
+    if np.any(diag < -1e-9):
         raise DataError("covariance has a negative diagonal entry")
-    floor = DEGENERACY_REL_FLOOR * max(d.max(), 0.0)
+    floor = DEGENERACY_REL_FLOOR * max(diag.max(), 0.0)
 
-    ell = np.zeros((N, k))
-    active = np.ones(N, dtype=bool)
-    order: list[int] = []
-    gains: list[float] = []
-    trace = [float(np.sum(d))]
-    truncated = False
-    for t in range(k):
-        masked = np.where(active, d, -np.inf)
-        j_star = int(np.argmax(masked))  # argmax takes the lowest index on ties
+    def max_residual(d, active):
+        j = int(np.argmax(np.where(active, d, -np.inf)))  # lowest index on ties
         if np.any(d[active] < -1e-9):
             raise NumericalError("negative residual variance: input is not PSD")
-        if d[j_star] <= floor:
-            truncated = True
-            break
-        gains.append(0.5 * (LOG_2PIE + math.log(d[j_star])))
-        order.append(j_star)
-        active[j_star] = False
-        sq = math.sqrt(d[j_star])
-        ell[j_star, t] = sq
-        idx = np.flatnonzero(active)
-        if idx.size:
-            ell[idx, t] = (S[idx, j_star] - ell[idx, :t] @ ell[j_star, :t]) / sq
-            d[idx] -= ell[idx, t] ** 2
-        trace.append(float(np.sum(d[active])))
-    return SelectionResult(
-        tuple(order), tuple(gains), tuple(trace), "entropy", truncated=truncated
-    )
+        if d[j] <= floor:
+            return None
+        return j, 0.5 * (LOG_2PIE + math.log(d[j]))
+
+    order, gains, trace = _pivoted_cholesky(S, k, max_residual)
+    return SelectionResult(order, gains, trace, "entropy",
+                           truncated=len(order) < k)
 
 
 def _complement_precision_diag(S_bar: np.ndarray, psd_floor: float) -> np.ndarray:
@@ -194,115 +206,21 @@ def greedy_mi(S: np.ndarray, k: int, psd_floor: float = 1e-10) -> SelectionResul
     N = S.shape[0]
     if not 1 <= k <= N - 1:
         raise DataError(f"k={k} out of range [1, {N - 1}] (complement nonempty)")
-    d = np.diag(S).copy()
-    ell = np.zeros((N, k))
-    active = np.ones(N, dtype=bool)
-    order: list[int] = []
-    gains: list[float] = []
-    trace = [float(np.sum(d))]
-    for t in range(k):
+
+    def max_mi(d, active):
         comp = np.flatnonzero(active)
         P = _complement_precision_diag(S[np.ix_(comp, comp)], psd_floor)
         with np.errstate(divide="ignore", invalid="ignore"):
             crit = 0.5 * (np.log(d[comp]) + np.log(P))
         pos = int(np.argmax(crit))
-        j_star = int(comp[pos])
-        gains.append(float(crit[pos]))
-        order.append(j_star)
-        active[j_star] = False
-        sq = math.sqrt(d[j_star])
-        ell[j_star, t] = sq
-        idx = np.flatnonzero(active)
-        if idx.size:
-            ell[idx, t] = (S[idx, j_star] - ell[idx, :t] @ ell[j_star, :t]) / sq
-            d[idx] -= ell[idx, t] ** 2
-        trace.append(float(np.sum(d[active])))
-    return SelectionResult(tuple(order), tuple(gains), tuple(trace), "mi")
+        return int(comp[pos]), float(crit[pos])
+
+    return SelectionResult(*_pivoted_cholesky(S, k, max_mi), "mi")
 
 
 def lazy_greedy_entropy(S: np.ndarray, k: int) -> SelectionResult:
-    """Lazy greedy entropy: identical output to greedy_entropy.
-
-    Marginal gains only shrink as the selection grows, so a stale gain
-    is a valid upper bound.  A max-heap keyed on (-d, index) pops
-    candidates; stale entries are brought up to date (counted in
-    reevaluations) and reinserted unless they still dominate.
-    """
-    S = _check_cov(S)
-    N = S.shape[0]
-    if not 1 <= k <= N:
-        raise DataError(f"k={k} out of range [1, {N}]")
-    d = np.diag(S).astype(float).copy()
-    if np.any(d < -1e-9):
-        raise DataError("covariance has a negative diagonal entry")
-    floor = DEGENERACY_REL_FLOOR * max(d.max(), 0.0)
-
-    ell = np.zeros((N, k))
-    fresh_at = np.zeros(N, dtype=int)  # step d[j] is valid for
-    heap = [(-d[j], j) for j in range(N)]
-    heapq.heapify(heap)
-    selected = np.zeros(N, dtype=bool)
-    order: list[int] = []
-    gains: list[float] = []
-    reevals = N  # the initial diagonal scan
-    truncated = False
-
-    def refresh(j: int, t: int) -> None:
-        # Apply the Cholesky downdates j missed while buried in the heap.
-        for s in range(fresh_at[j], t):
-            p = order[s]
-            ell[j, s] = (S[j, p] - ell[j, :s] @ ell[p, :s]) / ell[p, s]
-            d[j] -= ell[j, s] ** 2
-        fresh_at[j] = t
-
-    for t in range(k):
-        j = -1
-        while True:
-            key, j = heapq.heappop(heap)
-            if selected[j]:
-                continue
-            if -key != d[j]:
-                continue  # outdated duplicate; a fresher entry exists
-            if fresh_at[j] < t:
-                refresh(j, t)
-                reevals += 1
-                entry = (-d[j], j)
-                if heap and entry > heap[0]:
-                    heapq.heappush(heap, entry)
-                    continue
-            break
-        if d[j] < -1e-9:
-            raise NumericalError("negative residual variance: input is not PSD")
-        if d[j] <= floor:
-            truncated = True
-            break
-        order.append(j)
-        selected[j] = True
-        ell[j, t] = math.sqrt(d[j])
-
-    # Gains and residual-trace diagnostics need every element's diagonal
-    # trajectory, which lazy evaluation skipped (and its scalar refresh can
-    # differ from the vectorized downdate by an ulp); replay the identical
-    # eager recursion so the reported numbers match it bitwise.
-    d2 = np.diag(S).astype(float).copy()
-    ell2 = np.zeros((N, len(order)))
-    active = np.ones(N, dtype=bool)
-    trace = [float(np.sum(d2))]
-    for t, j_star in enumerate(order):
-        gains.append(0.5 * (LOG_2PIE + math.log(d2[j_star])))
-        active[j_star] = False
-        sq = math.sqrt(d2[j_star])
-        ell2[j_star, t] = sq
-        idx = np.flatnonzero(active)
-        if idx.size:
-            ell2[idx, t] = (S[idx, j_star] - ell2[idx, :t] @ ell2[j_star, :t]) / sq
-            d2[idx] -= ell2[idx, t] ** 2
-        trace.append(float(np.sum(d2[active])))
-
-    return SelectionResult(
-        tuple(order), tuple(gains), tuple(trace), "entropy",
-        truncated=truncated, reevaluations=reevals,
-    )
+    """Deprecated alias of greedy_entropy, kept for existing callers."""
+    return greedy_entropy(S, k)
 
 
 def budgeted_entropy(S: np.ndarray, cm: CostModel) -> SelectionResult:
@@ -323,41 +241,26 @@ def budgeted_entropy(S: np.ndarray, cm: CostModel) -> SelectionResult:
         raise DataError("no element is affordable within the budget")
 
     shift_c = cm.resolved_shift(S)
-
     floor = DEGENERACY_REL_FLOOR * max(diag.max(), 0.0)
-    d = diag.astype(float).copy()
-    ell = np.zeros((N, N))
-    active = np.ones(N, dtype=bool)
-    order: list[int] = []
-    gains: list[float] = []
-    trace = [float(np.sum(d))]
     spent = 0.0
     negative_marginal = False
-    t = 0
-    while True:
-        remaining = cm.budget - spent
-        cand = np.flatnonzero(active & (cm.costs <= remaining) & (d > floor))
+
+    def max_ratio(d, active):
+        nonlocal spent, negative_marginal
+        cand = np.flatnonzero(
+            active & (cm.costs <= cm.budget - spent) & (d > floor)
+        )
         if cand.size == 0:
-            break
+            return None
         marg = 0.5 * (LOG_2PIE + np.log(d[cand])) + shift_c
         if np.any(marg < 0):
             negative_marginal = True
-        ratio = marg / cm.costs[cand]
-        pos = int(np.argmax(ratio))
-        j_star = int(cand[pos])
-        gains.append(float(marg[pos] - shift_c))
-        order.append(j_star)
-        active[j_star] = False
-        spent += float(cm.costs[j_star])
-        sq = math.sqrt(d[j_star])
-        ell[j_star, t] = sq
-        idx = np.flatnonzero(active)
-        if idx.size:
-            ell[idx, t] = (S[idx, j_star] - ell[idx, :t] @ ell[j_star, :t]) / sq
-            d[idx] -= ell[idx, t] ** 2
-        trace.append(float(np.sum(d[active])))
-        t += 1
+        pos = int(np.argmax(marg / cm.costs[cand]))
+        j = int(cand[pos])
+        spent += float(cm.costs[j])
+        return j, float(marg[pos] - shift_c)
 
+    order, gains, trace = _pivoted_cholesky(S, N, max_ratio)
     if negative_marginal:
         warnings.warn(
             "shifted marginal gain went negative; the approximation "
@@ -383,13 +286,12 @@ def budgeted_entropy(S: np.ndarray, cm: CostModel) -> SelectionResult:
             (best_single,), (g,), (total, rt), "budgeted_entropy",
             total_cost=float(cm.costs[best_single]),
         )
-    return SelectionResult(
-        tuple(order), tuple(gains), tuple(trace), "budgeted_entropy",
-        total_cost=spent,
-    )
+    return SelectionResult(order, gains, trace, "budgeted_entropy",
+                           total_cost=spent)
 
 
-def random_select(N: int, k: int, seed: int) -> SelectionResult:
+def random_select(N: int, k: int,
+                  seed: int | np.random.SeedSequence) -> SelectionResult:
     """First k elements of a seeded uniform permutation of range(N)."""
     if k > N:
         raise DataError(f"k={k} exceeds N={N}")

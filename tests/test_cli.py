@@ -121,6 +121,15 @@ class TestSelect:
         assert main(["select", str(bad), "--k", "1",
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_input_path_with_a_comma(self, tmp_path):
+        (tmp_path / "a,b").mkdir()
+        path = write_matrix(tmp_path / "a,b", rank_one_matrix(M=20, N=4),
+                            name="in.csv")
+        out = str(tmp_path / "o")
+        assert main(["select", path, "--k", "2", "--out", out]) == 0
+        assert len(json.load(open(os.path.join(out, "selection.json")))
+                   ["order"]) == 2
+
     def test_non_finite_cell_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("model,b0,b1\na,-nan,1\nb,2,3\nc,4,5\n")

@@ -1,15 +1,17 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from benchsel import evaluation
+from benchsel.cli import main
+from benchsel.covariance import em_fit, estimate_full
 from benchsel.errors import DataError, NumericalError
 from benchsel.evaluation import (
     CvCell,
     CvConfig,
     _balanced_folds,
-    _fit_training_model,
     compare_methods,
     run_cv,
     training_size,
@@ -21,6 +23,7 @@ from benchsel.score_matrix import (
     logit_params,
     logit_transform,
     standardize,
+    write_csv,
 )
 from benchsel.selection import (
     entropy_value,
@@ -207,6 +210,18 @@ class TestRunCv:
         assert report.summary[("entropy", 0.2, 3)]["mean"] > 0.95
 
 
+def reference_fit_training_model(values, mask, policy, em_cfg, names_rows,
+                                 names_cols):
+    """The fit `_run_fold` made before `fit_model` existed."""
+    m = ScoreMatrix(values, mask, names_rows, names_cols)
+    complete = bool(mask.all())
+    if policy == "full" or (policy == "auto" and complete):
+        if not complete:
+            raise DataError("estimator_policy=full requires complete training data")
+        return estimate_full(m)
+    return em_fit(m, em_cfg)
+
+
 def reference_run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows,
                        warnings_out):
     """`_run_fold` with one `impute_row` call per validation row and scalar
@@ -238,7 +253,7 @@ def reference_run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows,
     else:
         lp, work_train, va_work, stats = None, train_m, va_vals, raw_stats
     std_train = standardize(work_train, stats)
-    model = _fit_training_model(
+    model = reference_fit_training_model(
         std_train.values, std_train.mask, cfg.estimator_policy, cfg.em,
         std_train.model_names, names,
     )
@@ -321,6 +336,43 @@ class TestBatchedFold:
             assert abs(g.r2 - w.r2) <= 1e-12
             assert (g.residual_fraction, g.entropy, g.mi) == \
                 (w.residual_fraction, w.entropy, w.mi)
+
+
+def sparse_validation_matrix():
+    """30x4 scores in (0, 1); b3 is observed in one row of fold 0 (seed 0)
+    and in every row of the other folds."""
+    rng = np.random.default_rng(31)
+    a = rng.uniform(0.2, 0.8, size=30)
+    vals = np.clip(np.outer(a, rng.uniform(0.5, 1.5, size=4)) / 2
+                   + rng.normal(0, 0.03, (30, 4)), 0.01, 0.99)
+    fold0 = _balanced_folds(30, 3, np.random.default_rng(
+        np.random.SeedSequence([0, 0])))[0]
+    mask = np.ones(vals.shape, dtype=bool)
+    mask[fold0[1:], 3] = False
+    return make_matrix(np.where(mask, vals, np.nan), mask)
+
+
+class TestLogitSparseValidation:
+    # A validation fold that observes a benchmark once used to abort the
+    # logit path: the fold's rows were wrapped in a ScoreMatrix, which
+    # requires two observations per column.
+    def test_run_cv(self):
+        cfg = CvConfig(folds=3, holdout_fractions=(0.2,), k_max=2,
+                       methods=("entropy",), seed=0, logit_mode=True)
+        report = run_cv(sparse_validation_matrix(), cfg)
+        assert len(report.cells) == 6
+        assert all(np.isfinite(c.r2) for c in report.cells)
+
+    def test_cli(self, tmp_path):
+        path = str(tmp_path / "input.csv")
+        write_csv(sparse_validation_matrix(), path)
+        out = str(tmp_path / "out")
+        assert main(["cv", path, "--folds", "3", "--holdout", "0.2",
+                     "--kmax", "2", "--methods", "entropy", "--seed", "0",
+                     "--logit", "--out", out]) == 0
+        rows = open(os.path.join(out, "cv_cells.csv")).read().splitlines()[1:]
+        assert len(rows) == 6
+        assert all(math.isfinite(float(r.split(",")[4])) for r in rows)
 
 
 class TestCompareMethods:

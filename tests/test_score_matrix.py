@@ -79,6 +79,14 @@ class TestLoadCsv:
         m = load_csv(io.BytesIO(CSV_FULL.encode()))
         assert m.shape == (2, 2)
 
+    def test_text_is_told_from_a_path_by_its_line_break(self, tmp_path):
+        (tmp_path / "a,b").mkdir()
+        path = tmp_path / "a,b" / "in.csv"
+        path.write_text(CSV_FULL)
+        for source in (str(path), bytes(path), CSV_FULL, CSV_FULL.encode(),
+                       CSV_FULL.replace("\n", "\r")):
+            assert load_csv(source).shape == (2, 2)
+
     def test_round_trip_bit_exact(self):
         rng = np.random.default_rng(5)
         vals = rng.normal(size=(6, 4))
