@@ -45,6 +45,7 @@ from benchsel.selection import (
     greedy_mi,
     lazy_greedy_entropy,
     mi_value,
+    path_metrics,
     random_select,
     residual_trace,
     spectrum,

@@ -231,14 +231,6 @@ def _factor_loglik(Soo: np.ndarray, resid: np.ndarray):
     return factor, -0.5 * (rows * (n * np.log(2 * np.pi) + logdet) + quad)
 
 
-def _observed_loglik(patterns, mu: np.ndarray, Sigma: np.ndarray) -> float:
-    """Sum over rows of log N(x_obs; mu_obs, Sigma_obs_obs)."""
-    return sum(
-        _factor_loglik(Sigma[np.ix_(obs, obs)], x_obs - mu[obs])[1]
-        for obs, _, _, x_obs in patterns
-    )
-
-
 def _e_step(m: ScoreMatrix, patterns, mu, Sigma, ridge):
     """Conditional expectations at (mu, Sigma), one pattern at a time.
 
@@ -292,7 +284,7 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
     from one matrix product.  The same factor gives the observed-data
     log-likelihood at the E-step's inputs, so iteration t's E-step yields
     the log-likelihood of the estimate from iteration t - 1; one last
-    pass after the loop gives that of the returned estimate.
+    E-step after the loop gives that of the returned estimate.
     `loglik_trace[t - 1]` is the log-likelihood after iteration t, before
     any final shrinkage.
     """
@@ -335,7 +327,7 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
         if change < cfg.rel_tol:
             converged = True
             break
-    loglik_trace.append(_observed_loglik(patterns, mu, Sigma))
+    loglik_trace.append(_e_step(m, patterns, mu, Sigma, cfg.ridge)[2])
 
     if cfg.shrink == "auto" and rank_deficient:
         Sigma = shrink_identity(Sigma, M, N)

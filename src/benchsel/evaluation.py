@@ -20,18 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from benchsel.errors import DataError, NumericalError
+from benchsel.errors import DataError
 from benchsel.covariance import EmConfig, fit_model
 from benchsel.imputation import STANDARDIZED_CLIP, impute_rows, r2_standardized
 from benchsel.score_matrix import ScoreMatrix, column_stats
-from benchsel.selection import (
-    entropy_value,
-    greedy_entropy,
-    greedy_mi,
-    mi_value,
-    random_select,
-    residual_trace,
-)
+from benchsel.selection import greedy_entropy, greedy_mi, path_metrics, random_select
 
 VALID_METHODS = ("entropy", "mi", "random")
 
@@ -238,7 +231,7 @@ def _run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows, warnings_out):
             ).order)
         fold_orders[(method, p, fold_idx)] = tuple(names[j] for j in order)
 
-        total_var = float(np.trace(Sigma))
+        entropy, mi, rtrace = path_metrics(Sigma, order)
         for k in range(1, len(order) + 1):
             A = order[:k]
             pred = impute_rows(va_std, va_mask, A, fit.model, cfg.ridge).predicted
@@ -249,17 +242,10 @@ def _run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows, warnings_out):
             tmask[:, A] = False
             r2 = (r2_standardized(pred[tmask], va_z[tmask]) if tmask.any()
                   else math.nan)
-            try:
-                ent = entropy_value(Sigma, A)
-            except NumericalError:
-                ent = math.nan
-            rfrac = residual_trace(Sigma, A, psd_floor=1e-10) / total_var
-            fold_cells.append(
-                CvCell(
-                    method, p, fold_idx, k, r2, float(rfrac), float(ent),
-                    float(mi_value(Sigma, A)),
-                )
-            )
+            fold_cells.append(CvCell(
+                method, p, fold_idx, k, r2, float(rtrace[k] / rtrace[0]),
+                float(entropy[k]), float(mi[k]),
+            ))
     return fold_cells, fold_orders
 
 

@@ -2,10 +2,11 @@
 
 Every greedy objective is one forward pivoted-Cholesky recursion with
 its own pivot rule: entropy takes the largest residual diagonal, mutual
-information scores it against a fresh factorization of the complement
-block, and budgeted entropy takes the best shifted gain-to-cost ratio.
-Ties break lexicographically: largest gain, then lowest index, so runs
-are fully deterministic.
+information runs it on Sigma and its precision with shared pivots, and
+budgeted entropy takes the best shifted gain-to-cost ratio.  Along a
+given order, `path_metrics` gives the entropy, MI and residual trace of
+every prefix.  Ties break lexicographically: largest gain, then lowest
+index, so runs are fully deterministic.
 """
 
 from __future__ import annotations
@@ -113,20 +114,22 @@ def _check_cov(S: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def _pivoted_cholesky(S: np.ndarray, k: int, pivot):
-    """Forward pivoted Cholesky of S for at most k steps.
+def _pivoted_cholesky(mats, k: int, pivot):
+    """Forward pivoted Cholesky of every matrix in `mats`, shared pivots.
 
-    Each step `pivot(d, active)` returns (element, gain) from the residual
-    diagonal d, or None to stop; the element's Cholesky column then
-    downdates d.  Returns the order, the gains and the residual trace.
+    At most k steps.  Each step `pivot(d, active)` returns (element, gain)
+    from the residual diagonals d (one row per matrix), or None to stop.
+    The element's Cholesky column then downdates each row of d whose
+    residual at the element is positive; the other matrices get a zero
+    column.  Returns the order, the gains and the residual trace of mats[0].
     """
-    N = S.shape[0]
-    d = np.diag(S).copy()
-    ell = np.zeros((N, k))
+    N = mats[0].shape[0]
+    d = np.array([np.diag(S) for S in mats])
+    ell = np.zeros((len(mats), N, k))
     active = np.ones(N, dtype=bool)
     order: list[int] = []
-    gains: list[float] = []
-    trace = [float(np.sum(d))]
+    gains: list = []
+    trace = [float(np.sum(d[0]))]
     for t in range(k):
         step = pivot(d, active)
         if step is None:
@@ -135,14 +138,22 @@ def _pivoted_cholesky(S: np.ndarray, k: int, pivot):
         order.append(j)
         gains.append(gain)
         active[j] = False
-        sq = math.sqrt(d[j])
-        ell[j, t] = sq
         idx = np.flatnonzero(active)
-        if idx.size:
-            ell[idx, t] = (S[idx, j] - ell[idx, :t] @ ell[j, :t]) / sq
-            d[idx] -= ell[idx, t] ** 2
-        trace.append(float(np.sum(d[active])))
+        for S, dm, L in zip(mats, d, ell):
+            if dm[j] > 0:
+                L[idx, t] = (S[idx, j] - L[idx, :t] @ L[j, :t]) / math.sqrt(dm[j])
+                dm[idx] -= L[idx, t] ** 2
+        trace.append(float(np.sum(d[0][active])))
     return tuple(order), tuple(gains), tuple(trace)
+
+
+def _precision(S: np.ndarray, psd_floor: float) -> np.ndarray:
+    """Inverse of S by Cholesky, or with eigenvalues clamped to psd_floor."""
+    try:
+        return linalg.cho_solve(linalg.cho_factor(S, lower=True), np.eye(len(S)))
+    except np.linalg.LinAlgError:
+        w, V = np.linalg.eigh(S)
+        return (V / np.maximum(w, psd_floor)) @ V.T
 
 
 def greedy_entropy(S: np.ndarray, k: int) -> SelectionResult:
@@ -163,6 +174,7 @@ def greedy_entropy(S: np.ndarray, k: int) -> SelectionResult:
     floor = DEGENERACY_REL_FLOOR * max(diag.max(), 0.0)
 
     def max_residual(d, active):
+        d = d[0]
         j = int(np.argmax(np.where(active, d, -np.inf)))  # lowest index on ties
         if np.any(d[active] < -1e-9):
             raise NumericalError("negative residual variance: input is not PSD")
@@ -170,52 +182,41 @@ def greedy_entropy(S: np.ndarray, k: int) -> SelectionResult:
             return None
         return j, 0.5 * (LOG_2PIE + math.log(d[j]))
 
-    order, gains, trace = _pivoted_cholesky(S, k, max_residual)
+    order, gains, trace = _pivoted_cholesky([S], k, max_residual)
     return SelectionResult(order, gains, trace, "entropy",
                            truncated=len(order) < k)
-
-
-def _complement_precision_diag(S_bar: np.ndarray, psd_floor: float) -> np.ndarray:
-    """Diagonal of the inverse of the complement block.
-
-    Cholesky route: P_jj = ||(L^{-1})_{:,j}||^2 from one triangular
-    solve.  Falls back to an eigendecomposition with eigenvalues
-    clamped to psd_floor when the block is not positive definite.
-    """
-    n = S_bar.shape[0]
-    try:
-        L = np.linalg.cholesky(S_bar)
-        Linv = linalg.solve_triangular(L, np.eye(n), lower=True)
-        return np.sum(Linv**2, axis=0)
-    except np.linalg.LinAlgError:
-        w, V = np.linalg.eigh(S_bar)
-        w = np.maximum(w, psd_floor)
-        return np.sum(V**2 / w, axis=1)
 
 
 def greedy_mi(S: np.ndarray, k: int, psd_floor: float = 1e-10) -> SelectionResult:
     """Greedy mutual information maximization.
 
-    Per step: fresh Cholesky of the complement block gives the precision
-    diagonal P_jj; the criterion is argmax 0.5*(log d_j + log P_jj) with
-    lowest-index tie-breaking.  The forward residual diagonal d follows
-    the entropy recursion.  Negative gains are legal (MI is non-monotone)
-    and simply recorded.
+    Pivoted Cholesky of Sigma and of P = Sigma^-1 under shared pivots: the
+    residual p_j of P is the precision diagonal of the complement block,
+    so the gain of j is 0.5*(log d_j + log p_j).  Each step takes the
+    argmax over d_j above the degeneracy floor and p_j > 0 (lowest index
+    on ties) and stops early (truncated=True) when none is left.  P comes
+    from one Cholesky, or from eigenvalues clamped to psd_floor.  Negative
+    gains are legal (MI is non-monotone) and simply recorded.
     """
     S = _check_cov(S)
     N = S.shape[0]
     if not 1 <= k <= N - 1:
         raise DataError(f"k={k} out of range [1, {N - 1}] (complement nonempty)")
+    floor = DEGENERACY_REL_FLOOR * max(np.diag(S).max(), 0.0)
 
     def max_mi(d, active):
-        comp = np.flatnonzero(active)
-        P = _complement_precision_diag(S[np.ix_(comp, comp)], psd_floor)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            crit = 0.5 * (np.log(d[comp]) + np.log(P))
+        if np.any(d[0, active] < -1e-9):
+            raise NumericalError("negative residual variance: input is not PSD")
+        cand = np.flatnonzero(active & (d[0] > floor) & (d[1] > 0))
+        if cand.size == 0:
+            return None
+        crit = 0.5 * (np.log(d[0, cand]) + np.log(d[1, cand]))
         pos = int(np.argmax(crit))
-        return int(comp[pos]), float(crit[pos])
+        return int(cand[pos]), float(crit[pos])
 
-    return SelectionResult(*_pivoted_cholesky(S, k, max_mi), "mi")
+    order, gains, trace = _pivoted_cholesky([S, _precision(S, psd_floor)], k,
+                                            max_mi)
+    return SelectionResult(order, gains, trace, "mi", truncated=len(order) < k)
 
 
 def lazy_greedy_entropy(S: np.ndarray, k: int) -> SelectionResult:
@@ -247,6 +248,7 @@ def budgeted_entropy(S: np.ndarray, cm: CostModel) -> SelectionResult:
 
     def max_ratio(d, active):
         nonlocal spent, negative_marginal
+        d = d[0]
         cand = np.flatnonzero(
             active & (cm.costs <= cm.budget - spent) & (d > floor)
         )
@@ -260,7 +262,7 @@ def budgeted_entropy(S: np.ndarray, cm: CostModel) -> SelectionResult:
         spent += float(cm.costs[j])
         return j, float(marg[pos] - shift_c)
 
-    order, gains, trace = _pivoted_cholesky(S, N, max_ratio)
+    order, gains, trace = _pivoted_cholesky([S], N, max_ratio)
     if negative_marginal:
         warnings.warn(
             "shifted marginal gain went negative; the approximation "
@@ -268,24 +270,13 @@ def budgeted_entropy(S: np.ndarray, cm: CostModel) -> SelectionResult:
             stacklevel=2,
         )
 
-    def shifted_objective(idx_set):
-        if not idx_set:
-            return 0.0
-        return entropy_value(S, idx_set) + shift_c * len(idx_set)
-
-    set_value = shifted_objective(order)
     singles = np.flatnonzero(affordable0 & (diag > floor))
     best_single = int(singles[np.argmax(diag[singles])])
-    single_value = shifted_objective([best_single])
-
-    if single_value > set_value:
-        g = 0.5 * (LOG_2PIE + math.log(diag[best_single]))
-        total = float(np.sum(diag))
-        rt = residual_trace(S, [best_single]) if N > 1 else 0.0
-        return SelectionResult(
-            (best_single,), (g,), (total, rt), "budgeted_entropy",
-            total_cost=float(cm.costs[best_single]),
-        )
+    g = 0.5 * (LOG_2PIE + math.log(diag[best_single]))
+    if g + shift_c > sum(gains) + shift_c * len(order):
+        order, gains, trace = _pivoted_cholesky(
+            [S], 1, lambda d, active: (best_single, g))
+        spent = float(cm.costs[best_single])
     return SelectionResult(order, gains, trace, "budgeted_entropy",
                            total_cost=spent)
 
@@ -301,6 +292,34 @@ def random_select(N: int, k: int,
     return SelectionResult(
         order, (math.nan,) * k, (math.nan,) * (k + 1), "random", seed=seed
     )
+
+
+def path_metrics(S: np.ndarray, order):
+    """Entropy, MI and residual trace of every prefix of `order`.
+
+    One run of greedy_mi's recursion along `order`, one downdate per
+    prefix.  Returns three arrays indexed by prefix length 0..len(order).
+    Entropy and MI are 0 for the empty prefix and NaN from the first
+    non-positive pivot on; MI of the full set is 0, as in mi_value.
+    """
+    S = _check_cov(S)
+    if len(set(order)) != len(order) or not all(0 <= j < len(S) for j in order):
+        raise DataError("order must hold distinct indices of the covariance")
+    steps = iter(order)
+
+    def follow(d, active):
+        j = next(steps)
+        return j, d[:, j].copy()
+
+    _, pivots, trace = _pivoted_cholesky([S, _precision(S, 1e-10)],
+                                         len(order), follow)
+    pivots = np.reshape(pivots, (-1, 2))
+    logs = np.log(pivots, out=np.full(pivots.shape, math.nan), where=pivots > 0)
+    entropy, mi = (np.concatenate(([0.0], np.cumsum(step))) for step in
+                   (0.5 * (LOG_2PIE + logs[:, 0]), 0.5 * logs.sum(axis=1)))
+    if len(order) == len(S):
+        mi[-1] = 0.0
+    return entropy, mi, np.asarray(trace)
 
 
 def entropy_value(S: np.ndarray, A) -> float:

@@ -81,6 +81,19 @@ class TestSelect:
         assert da["order"] == db["order"]
         assert da["gains"] == db["gains"]
 
+    def test_mi_on_a_rank_deficient_matrix(self, tmp_path):
+        # 8 complete rows of 20 benchmarks: Sigma has rank at most 7, so
+        # both objectives stop at the degeneracy floor after 7 picks.
+        rng = np.random.default_rng(0)
+        path = write_matrix(tmp_path, make_matrix(rng.normal(size=(8, 20))))
+        for objective in ("entropy", "mi"):
+            out = str(tmp_path / objective)
+            assert main(["select", path, "--objective", objective,
+                         "--k", "8", "--out", out]) == 0
+            doc = json.load(open(os.path.join(out, "selection.json")))
+            assert len(set(doc["order"])) == len(doc["order"]) == 7
+            assert doc["truncated"] is True
+
     def test_mi_zero_gain_warning(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         path = write_matrix(tmp_path, make_matrix(rng.normal(size=(4000, 4))))

@@ -334,8 +334,31 @@ class TestBatchedFold:
                 (w.method, w.holdout_p, w.fold, w.k)
             assert np.isfinite(w.r2)
             assert abs(g.r2 - w.r2) <= 1e-12
-            assert (g.residual_fraction, g.entropy, g.mi) == \
-                (w.residual_fraction, w.entropy, w.mi)
+            # The path metrics come from one downdate per prefix, the
+            # reference from fresh factorizations: equal up to rounding.
+            for a, b in ((g.residual_fraction, w.residual_fraction),
+                         (g.entropy, w.entropy), (g.mi, w.mi)):
+                assert abs(a - b) <= 1e-12
+
+
+class TestPathMetricsInCv:
+    def test_mi_cells_are_the_cumulative_greedy_gains(self, monkeypatch):
+        # Rank 3 in 30 columns: every fold's Sigma is singular.
+        rng = np.random.default_rng(4)
+        matrix = make_matrix(rng.normal(size=(24, 3)) @ rng.normal(size=(3, 30)))
+        runs = []
+
+        def recording_greedy_mi(*args):
+            runs.append(greedy_mi(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(evaluation, "greedy_mi", recording_greedy_mi)
+        report = run_cv(matrix, CvConfig(folds=2, holdout_fractions=(0.5,),
+                                         k_max=3, methods=("mi",), seed=4))
+        assert len(runs) == 2
+        for fold, r in enumerate(runs):
+            cells = [c.mi for c in report.cells if c.fold == fold]
+            assert cells == pytest.approx(np.cumsum(r.gains), rel=1e-12)
 
 
 def sparse_validation_matrix():

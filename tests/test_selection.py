@@ -20,6 +20,7 @@ from benchsel.selection import (
     greedy_mi,
     lazy_greedy_entropy,
     mi_value,
+    path_metrics,
     random_select,
     residual_trace,
     spectrum,
@@ -373,7 +374,7 @@ def greedy_cases(draw):
     k = draw(st.integers(1, N) | st.sampled_from([0, N + 1]))
     cm = CostModel(rng.uniform(0.1, 3.0, size=N), rng.uniform(0.05, 1.5 * N),
                    draw(st.none() | st.floats(0.0, 5.0)))
-    return S, k, cm
+    return S, k, cm, kind
 
 
 def outcome(fn, *args):
@@ -391,16 +392,126 @@ def outcome(fn, *args):
     return got, [(w.category, str(w.message)) for w in caught]
 
 
+def reference_mi_criteria(S, A, psd_floor=1e-10):
+    """The reference MI criterion of every element outside A: residual
+    variances from a fresh solve, the precision diagonal from a fresh
+    factorization of the complement block."""
+    comp = np.array([j for j in range(S.shape[0]) if j not in A])
+    d = np.diag(S)[comp].copy()
+    if len(A):
+        A = list(A)
+        d -= np.einsum("ij,ji->i", S[np.ix_(comp, A)],
+                       np.linalg.solve(S[np.ix_(A, A)], S[np.ix_(A, comp)]))
+    P = _reference_precision_diag(S[np.ix_(comp, comp)], psd_floor)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 0.5 * (np.log(d) + np.log(P))
+
+
+def close(a, b, rel, scale=1.0):
+    """a and b agree within rel, relative to the larger of |a|, |b| and scale."""
+    return abs(a - b) <= rel * max(abs(a), abs(b), scale)
+
+
 class TestSharedKernel:
     @settings(max_examples=300, deadline=None)
     @given(greedy_cases())
     def test_matches_the_separate_loops(self, case):
-        S, k, cm = case
+        S, k, cm, kind = case
         assert outcome(greedy_entropy, S, k) == \
             outcome(reference_greedy_entropy, S, k)
-        assert outcome(greedy_mi, S, k) == outcome(reference_greedy_mi, S, k)
-        assert outcome(budgeted_entropy, S, cm) == \
-            outcome(reference_budgeted_entropy, S, cm)
+        self.check_budgeted(S, cm)
+        if kind == "full":
+            self.check_mi(S, k)
+        else:
+            self.check_degenerate_mi(S, k)
+
+    @staticmethod
+    def check_budgeted(S, cm):
+        got, got_warned = outcome(budgeted_entropy, S, cm)
+        want, want_warned = outcome(reference_budgeted_entropy, S, cm)
+        assert got_warned == want_warned
+        if got == want:
+            return
+        # Only the singleton branch may differ: the reference takes its
+        # residual trace from a solve, the kernel from one downdate.
+        (order, gains, trace, *rest), (w_order, w_gains, w_trace, *w_rest) = \
+            got, want
+        assert (order, rest) == (w_order, w_rest) and len(order) == 1
+        total = abs(float(w_trace[0]))
+        for a, b in zip(gains + trace, w_gains + w_trace):
+            assert close(float(a), float(b), 1e-12, total)
+
+    @staticmethod
+    def check_mi(S, k):
+        if not 1 <= k < len(S):
+            assert outcome(greedy_mi, S, k) == outcome(reference_greedy_mi, S, k)
+            return
+        got, want = greedy_mi(S, k), reference_greedy_mi(S, k)
+        tol = max(1e-12, 1e-14 * np.linalg.cond(S))
+        for t, (a, b) in enumerate(zip(got.order, want.order)):
+            if a != b:
+                # A near-tie in the reference's criteria: the orders may
+                # part from here on.
+                top = np.sort(reference_mi_criteria(S, want.order[:t]))[-2:]
+                assert close(top[0], top[1], tol)
+                return
+            assert close(got.gains[t], want.gains[t], tol)
+        assert got.order == want.order
+        assert got.residual_trace == want.residual_trace
+        assert not got.truncated
+
+    @staticmethod
+    def check_degenerate_mi(S, k):
+        try:
+            r = greedy_mi(S, k)
+        except (DataError, NumericalError):
+            return
+        assert len(set(r.order)) == len(r.order) == len(r.gains) <= k
+        assert r.truncated == (len(r.order) < k)
+        assert np.isfinite(r.gains).all()
+
+
+@st.composite
+def full_rank_paths(draw):
+    """A full-rank covariance and a random order of some of its elements."""
+    N = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.normal(size=(N, N)) * rng.uniform(0.1, 10.0, size=(N, 1))
+    order = rng.permutation(N)[: draw(st.integers(0, N))].tolist()
+    return A @ A.T, order
+
+
+class TestPathMetrics:
+    @settings(max_examples=200, deadline=None)
+    @given(full_rank_paths())
+    def test_matches_the_from_scratch_values(self, case):
+        S, order = case
+        entropy, mi, trace = path_metrics(S, order)
+        assert len(entropy) == len(mi) == len(trace) == len(order) + 1
+        assert entropy[0] == mi[0] == 0.0
+        tol = max(1e-12, 1e-14 * np.linalg.cond(S))
+        for k in range(len(order) + 1):
+            A = order[:k]
+            assert close(trace[k], residual_trace(S, A), tol, trace[0])
+            if k:
+                assert close(entropy[k], entropy_value(S, A), tol)
+                assert close(mi[k], mi_value(S, A), tol)
+        if len(order) == len(S):
+            assert mi[-1] == 0.0
+
+    def test_nan_from_the_first_non_positive_pivot(self):
+        # b1 duplicates b0, so its residual after b0 is exactly 0.
+        S = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+        entropy, mi, trace = path_metrics(S, [0, 1, 2])
+        assert entropy[1] == pytest.approx(0.5 * LOG_2PIE, abs=1e-12)
+        assert np.isfinite(mi[1])
+        assert np.isnan(entropy[2:]).all() and np.isnan(mi[2])
+        assert mi[3] == 0.0
+        assert trace.tolist() == [4.0, 2.0, 2.0, 0.0]
+
+    def test_rejects_a_repeated_index(self):
+        with pytest.raises(DataError):
+            path_metrics(np.eye(3), [0, 0])
 
 
 class TestBudgeted:
