@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg
@@ -85,8 +86,12 @@ class GaussianModel:
 class EmConfig:
     """EM iteration controls.
 
-    psd_floor=None selects automatically: 1e-3 for rank-deficient
-    (M < N) or sparse (< 50% observed) inputs, 1e-10 otherwise.
+    max_iter caps the SQUAREM cycles, three EM steps each.  A fit has
+    converged when, over one cycle, both the relative Frobenius change of
+    Sigma and the relative change of the observed-data log-likelihood are
+    below rel_tol.  psd_floor=None selects automatically: 1e-3 for
+    rank-deficient (M < N) or sparse (< 50% observed) inputs, 1e-10
+    otherwise.
     """
 
     max_iter: int = 500
@@ -186,12 +191,23 @@ def to_correlation(S: np.ndarray) -> np.ndarray:
     return R
 
 
-def _missingness_patterns(m: ScoreMatrix) -> list[tuple]:
-    """Distinct mask rows, ordered by the first row that has each.
+class _Pattern(NamedTuple):
+    """One distinct mask row: its observed and missing columns, its rows in
+    file order, their observed values, and the np.ix_ gathers of its Sigma
+    blocks and of its missing cells, built once per fit."""
 
-    Each entry is (obs, mis, rows, x_obs): the observed and missing column
-    indices, the row indices in file order, and their observed values.
-    """
+    obs: np.ndarray
+    mis: np.ndarray
+    rows: np.ndarray
+    x_obs: np.ndarray
+    oo: tuple
+    mo: tuple
+    mm: tuple
+    rows_mis: tuple
+
+
+def _missingness_patterns(m: ScoreMatrix) -> list[_Pattern]:
+    """Distinct mask rows, ordered by the first row that has each."""
     patterns, first, inverse = np.unique(
         m.mask, axis=0, return_index=True, return_inverse=True
     )
@@ -199,10 +215,12 @@ def _missingness_patterns(m: ScoreMatrix) -> list[tuple]:
     out = []
     for k in np.argsort(first):
         obs = np.flatnonzero(patterns[k])
+        mis = np.flatnonzero(~patterns[k])
         rows = np.flatnonzero(inverse == k)
-        out.append(
-            (obs, np.flatnonzero(~patterns[k]), rows, m.values[np.ix_(rows, obs)])
-        )
+        out.append(_Pattern(
+            obs, mis, rows, m.values[np.ix_(rows, obs)], np.ix_(obs, obs),
+            np.ix_(mis, obs), np.ix_(mis, mis), np.ix_(rows, mis),
+        ))
     return out
 
 
@@ -242,51 +260,88 @@ def _e_step(m: ScoreMatrix, patterns, mu, Sigma, ridge):
     completed = np.where(m.mask, m.values, 0.0)
     correction = np.zeros_like(Sigma)
     loglik = 0.0
-    for obs, mis, rows, x_obs in patterns:
-        Soo = Sigma[np.ix_(obs, obs)]
-        resid = x_obs - mu[obs]
+    for pat in patterns:
+        Soo = Sigma[pat.oo]
+        resid = pat.x_obs - mu[pat.obs]
         factor, ll = _factor_loglik(Soo, resid)
         loglik += ll
-        if mis.size == 0:
+        if pat.mis.size == 0:
             continue
         if factor is None:
             try:
                 factor = linalg.cho_factor(
-                    Soo + ridge * np.eye(obs.size), lower=True,
+                    Soo + ridge * np.eye(pat.obs.size), lower=True,
                     check_finite=False,
                 )
             except np.linalg.LinAlgError:
                 raise NumericalError(
-                    f"observed block for row {m.model_names[rows[0]]!r} "
+                    f"observed block for row {m.model_names[pat.rows[0]]!r} "
                     "is singular even with ridge"
                 ) from None
-        Smo = Sigma[np.ix_(mis, obs)]
+        Smo = Sigma[pat.mo]
         gain = linalg.cho_solve(factor, Smo.T, check_finite=False).T
-        completed[np.ix_(rows, mis)] = mu[mis] + resid @ gain.T
-        cond_cov = Sigma[np.ix_(mis, mis)] - gain @ Smo.T
+        completed[pat.rows_mis] = mu[pat.mis] + resid @ gain.T
+        cond_cov = Sigma[pat.mm] - gain @ Smo.T
         cond_cov = 0.5 * (cond_cov + cond_cov.T)
-        correction[np.ix_(mis, mis)] += rows.size * cond_cov
+        correction[pat.mm] += pat.rows.size * cond_cov
     return completed, correction, loglik
 
 
+def _em_map(m: ScoreMatrix, patterns, mu, Sigma, floor, ridge):
+    """One plain EM update: E-step, completed-data moments, PSD projection.
+
+    Returns (mu', Sigma', observed-data log-likelihood at (mu, Sigma),
+    whether the projection altered the M-step's Sigma).
+    """
+    completed, correction, loglik = _e_step(m, patterns, mu, Sigma, ridge)
+    mu_new = completed.mean(axis=0)
+    Bc = completed - mu_new
+    Sigma_new = (Bc.T @ Bc + correction) / m.shape[0]
+    Sigma_new = 0.5 * (Sigma_new + Sigma_new.T)
+    projected = psd_project(Sigma_new, floor)
+    clamped = np.max(np.abs(projected - Sigma_new)) > 1e-12 * max(
+        1.0, np.max(np.abs(Sigma_new))
+    )
+    return mu_new, projected, float(loglik), bool(clamped)
+
+
 def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
-    """EM for (mu, Sigma) under MAR missingness.
+    """EM for (mu, Sigma) under MAR missingness, accelerated by SQUAREM.
 
     Initializes from mean_missing and the PSD-projected pairwise
-    covariance (identity-shrunk when M < N), then alternates conditional
-    imputation with completed-data moment updates plus the
-    conditional-covariance correction, projecting to the PSD cone each
-    iteration.  Stops on relative Frobenius change of Sigma or max_iter.
+    covariance (identity-shrunk when M < N).  The EM map `_em_map`
+    alternates conditional imputation with completed-data moment updates
+    plus the conditional-covariance correction, projecting to the PSD
+    cone.  The E-step sweeps the distinct missingness patterns, not the
+    rows: rows that miss the same cells share one Cholesky factor of their
+    observed block, which also gives the observed-data log-likelihood at
+    the map's input.
 
-    The E-step sweeps the distinct missingness patterns, not the rows:
-    rows that miss the same cells share one Cholesky factor of their
-    observed block per iteration, and all their conditional means come
-    from one matrix product.  The same factor gives the observed-data
-    log-likelihood at the E-step's inputs, so iteration t's E-step yields
-    the log-likelihood of the estimate from iteration t - 1; one last
-    E-step after the loop gives that of the returned estimate.
-    `loglik_trace[t - 1]` is the log-likelihood after iteration t, before
-    any final shrinkage.
+    Each cycle is one SQUAREM step (Varadhan & Roland 2008, scheme S3):
+    two maps from theta0 give theta1 and theta2; with r and v the first
+    and second differences of the stacked (mu, Sigma), the step length is
+    alpha = -|r|/|v|, capped at -1, and the extrapolated point
+    theta0 - 2 alpha r + alpha^2 v is projected to the PSD cone and
+    stabilized by a third map.  When the extrapolated point's
+    log-likelihood is below theta1's, the cycle falls back to theta2, the
+    second plain iterate.  Every accepted iterate is an EM map's output
+    from a point at least as likely as the cycle's start, so the
+    log-likelihood never decreases while no projection clamps.  As in
+    Varadhan's reference implementation, |alpha| is also bounded by a step
+    limit that starts at 1, grows fourfold when a step at the limit is
+    accepted and shrinks fourfold when one is rejected; without it, a
+    slowly drifting fit extrapolates too far and falls back cycle after
+    cycle.
+
+    `em_iterations` counts cycles (three EM maps each).  The fit has
+    `converged` when, over one cycle, both the relative Frobenius change
+    of Sigma and the relative change of the log-likelihood are below
+    `rel_tol`; the latter compares the cycle's start with the point its
+    accepted iterate was mapped from.  `loglik_trace[c - 1]` is the
+    log-likelihood of cycle c's accepted iterate, before any final
+    shrinkage: the next cycle's first E-step gives it, and one last
+    E-step after the loop gives that of the returned estimate.  `clamped`
+    reports projections of M-step outputs, not of extrapolated points.
     """
     M, N = m.shape
     rank_deficient = M < N
@@ -304,27 +359,38 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
     loglik_trace: list[float] = []
     clamped = False
     converged = False
+    step_max = 1.0
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        completed, correction, loglik = _e_step(m, patterns, mu, Sigma, cfg.ridge)
+        mu1, S1, ll0, c1 = _em_map(m, patterns, mu, Sigma, floor, cfg.ridge)
         if it > 1:
-            loglik_trace.append(loglik)
-
-        mu_new = completed.mean(axis=0)
-        Bc = completed - mu_new
-        Sigma_new = (Bc.T @ Bc + correction) / M
-        Sigma_new = 0.5 * (Sigma_new + Sigma_new.T)
-        projected = psd_project(Sigma_new, floor)
-        if np.max(np.abs(projected - Sigma_new)) > 1e-12 * max(
-            1.0, np.max(np.abs(Sigma_new))
-        ):
-            clamped = True
-        Sigma_new = projected
+            loglik_trace.append(ll0)
+        mu2, S2, ll1, c2 = _em_map(m, patterns, mu1, S1, floor, cfg.ridge)
+        r_mu, r_S = mu1 - mu, S1 - Sigma
+        v_mu, v_S = mu2 - mu1 - r_mu, S2 - S1 - r_S
+        nr = np.sqrt(r_mu @ r_mu + np.sum(r_S * r_S))
+        nv = np.sqrt(v_mu @ v_mu + np.sum(v_S * v_S))
+        alpha = -min(max(nr / nv, 1.0), step_max) if nv > 0 else -1.0
+        mu_x = mu - 2 * alpha * r_mu + alpha**2 * v_mu
+        S_x = Sigma - 2 * alpha * r_S + alpha**2 * v_S
+        mu3, S3, ll_x, c3 = _em_map(
+            m, patterns, mu_x, psd_project(S_x, floor), floor, cfg.ridge
+        )
+        clamped = clamped or c1 or c2 or c3
+        if ll_x >= ll1:
+            mu_new, Sigma_new, ll_new = mu3, S3, ll_x
+            if -alpha == step_max:
+                step_max *= 4.0
+        else:
+            mu_new, Sigma_new, ll_new = mu2, S2, ll1
+            if -alpha == step_max:
+                step_max = max(step_max / 4.0, 1.0)
 
         denom = np.linalg.norm(Sigma, "fro")
         change = np.linalg.norm(Sigma_new - Sigma, "fro") / max(denom, 1e-300)
+        ll_change = abs(ll_new - ll0) / max(abs(ll0), 1e-300)
         mu, Sigma = mu_new, Sigma_new
-        if change < cfg.rel_tol:
+        if change < cfg.rel_tol and ll_change < cfg.rel_tol:
             converged = True
             break
     loglik_trace.append(_e_step(m, patterns, mu, Sigma, cfg.ridge)[2])

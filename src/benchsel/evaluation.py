@@ -209,6 +209,11 @@ def _run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows, warnings_out):
                           tuple(f"r{i}" for i in range(len(tr_vals))), names)
     fit = fit_model(train_m, cfg.estimator_policy, cfg.logit_mode,
                     cfg.logit_epsilon, cfg.em)
+    if not fit.model.converged:
+        warnings_out.append(
+            f"p={p} fold={fold_idx}: EM did not converge in "
+            f"{fit.model.em_iterations} iterations"
+        )
     Sigma = fit.model.cov
     n_act = len(active)
     va_std = fit.encode(va_vals)

@@ -243,6 +243,9 @@ def budgeted_entropy(S: np.ndarray, cm: CostModel) -> SelectionResult:
 
     shift_c = cm.resolved_shift(S)
     floor = DEGENERACY_REL_FLOOR * max(diag.max(), 0.0)
+    singles = np.flatnonzero(affordable0 & (diag > floor))
+    if singles.size == 0:
+        raise DataError("no affordable element with positive variance")
     spent = 0.0
     negative_marginal = False
 
@@ -270,7 +273,6 @@ def budgeted_entropy(S: np.ndarray, cm: CostModel) -> SelectionResult:
             stacklevel=2,
         )
 
-    singles = np.flatnonzero(affordable0 & (diag > floor))
     best_single = int(singles[np.argmax(diag[singles])])
     g = 0.5 * (LOG_2PIE + math.log(diag[best_single]))
     if g + shift_c > sum(gains) + shift_c * len(order):

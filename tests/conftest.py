@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from benchsel.score_matrix import ScoreMatrix
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run and prints
+# the blob that replays a failure, so a failing property test reproduces.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def random_spd(n, seed, jitter=0.1):
@@ -37,8 +45,9 @@ def independent_matrix(M=2000, N=6, seed=0):
     return make_matrix(rng.normal(size=(M, N)))
 
 
-def mcar_matrix(M, N, missing, seed, mu=None, Sigma=None):
-    """Gaussian rows with MCAR missingness; returns (matrix, mu, Sigma)."""
+def mcar_matrix(M, N, missing, seed, mu=None, Sigma=None, complete_rows=0):
+    """Gaussian rows with MCAR missingness, except the first complete_rows
+    rows, which are fully observed; returns (matrix, mu, Sigma)."""
     rng = np.random.default_rng(seed)
     if Sigma is None:
         A = rng.normal(size=(N, N))
@@ -47,6 +56,7 @@ def mcar_matrix(M, N, missing, seed, mu=None, Sigma=None):
         mu = rng.normal(size=N)
     X = rng.multivariate_normal(mu, Sigma, size=M)
     mask = rng.random((M, N)) > missing
+    mask[:complete_rows] = True
     mask[mask.sum(axis=1) == 0, 0] = True
     for j in range(N):
         need = 2 - mask[:, j].sum()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -6,7 +7,7 @@ import pytest
 
 from benchsel import evaluation
 from benchsel.cli import main
-from benchsel.covariance import em_fit, estimate_full
+from benchsel.covariance import EmConfig, em_fit, estimate_full
 from benchsel.errors import DataError, NumericalError
 from benchsel.evaluation import (
     CvCell,
@@ -33,7 +34,7 @@ from benchsel.selection import (
     residual_trace,
 )
 
-from conftest import independent_matrix, make_matrix, rank_one_matrix
+from conftest import independent_matrix, make_matrix, mcar_matrix, rank_one_matrix
 
 
 class TestConfig:
@@ -208,6 +209,18 @@ class TestRunCv:
         # at k=1 many validation rows miss the single selected benchmark
         # and fall back to the marginal mean, so assert at k=3
         assert report.summary[("entropy", 0.2, 3)]["mean"] > 0.95
+
+    def test_unconverged_folds_are_warned(self):
+        matrix, _, _ = mcar_matrix(60, 5, 0.3, seed=24)
+        cfg = CvConfig(folds=3, holdout_fractions=(0.2,), k_max=2,
+                       methods=("entropy",), seed=4)
+        unconverged = [
+            f"p=0.2 fold={f}: EM did not converge in 1 iterations"
+            for f in range(3)
+        ]
+        capped = run_cv(matrix, dataclasses.replace(cfg, em=EmConfig(max_iter=1)))
+        assert [w for w in capped.warnings if "EM" in w] == unconverged
+        assert not any("EM" in w for w in run_cv(matrix, cfg).warnings)
 
 
 def reference_fit_training_model(values, mask, policy, em_cfg, names_rows,

@@ -171,6 +171,16 @@ class TestImputeRows:
                 assert abs(pred[i, j] - ref_pred[j]) <= 1e-12
                 assert abs(cvar[i, j] - ref_var[j]) <= 1e-12
 
+    @settings(max_examples=100, deadline=None)
+    @given(batch_cases(), st.randoms(use_true_random=False))
+    def test_row_permutation_equivariant(self, case, rnd):
+        values, mask, selected, model, ridge = case
+        perm = np.array(rnd.sample(range(len(values)), len(values)))
+        pred, cvar = impute_rows(values, mask, selected, model, ridge)
+        p_pred, p_cvar = impute_rows(values[perm], mask[perm], selected, model, ridge)
+        assert np.allclose(p_pred, pred[perm], rtol=0, atol=1e-10)
+        assert np.allclose(p_cvar, cvar[perm], rtol=0, atol=1e-10)
+
     def test_shape_mismatch(self):
         g = model_from(random_spd(3, seed=13))
         with pytest.raises(DataError):

@@ -430,6 +430,10 @@ class TestSharedKernel:
         got, got_warned = outcome(budgeted_entropy, S, cm)
         want, want_warned = outcome(reference_budgeted_entropy, S, cm)
         assert got_warned == want_warned
+        if want[0] is ValueError:
+            # The reference takes np.argmax of no affordable singleton.
+            assert got == (DataError, "no affordable element with positive variance")
+            return
         if got == want:
             return
         # Only the singleton branch may differ: the reference takes its
@@ -551,6 +555,12 @@ class TestBudgeted:
         S = np.eye(2)
         with pytest.raises(DataError):
             budgeted_entropy(S, CostModel(costs=np.array([5.0, 5.0]), budget=1.0))
+
+    def test_no_affordable_positive_variance(self):
+        # element 0 is affordable but has zero variance, element 1 is too dear
+        cm = CostModel(np.array([1.0, 5.0]), 2.0)
+        with pytest.raises(DataError, match="no affordable element with positive variance"):
+            budgeted_entropy(np.diag([0.0, 1.0]), cm)
 
     def test_cost_within_budget(self):
         rng = np.random.default_rng(8)
