@@ -13,9 +13,6 @@ from benchsel.score_matrix import (
     LogitParams,
     ScoreMatrix,
     column_stats,
-    destandardize,
-    drop_sparse_rows,
-    inverse_logit,
     load_csv,
     logit_params,
     logit_transform,
@@ -57,7 +54,7 @@ from benchsel.imputation import (
     impute_rows,
     r2_standardized,
 )
-from benchsel.evaluation import CvConfig, CvReport, compare_methods, run_cv
+from benchsel.evaluation import CvConfig, CvReport, run_cv
 from benchsel.diagnostics import (
     NormalityReport,
     benjamini_hochberg,

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -55,6 +56,23 @@ def _digest(path: str) -> str:
     return h.hexdigest()
 
 
+def _write_table(path, header, rows) -> None:
+    """CSV with floats written by repr, so they load back bit-exactly;
+    a NaN is written as an empty cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([("" if math.isnan(v) else repr(v))
+                        if isinstance(v, float) else v for v in row])
+
+
+def _write_json(path, doc, sort_keys=False) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
+
+
 def _write_manifest(out_dir, command, config, input_path, seed, extra=None):
     doc = {
         "command": command,
@@ -65,24 +83,20 @@ def _write_manifest(out_dir, command, config, input_path, seed, extra=None):
     }
     if extra:
         doc.update(extra)
-    path = os.path.join(out_dir, f"{command}_manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, f"{command}_manifest.json"), doc,
+                sort_keys=True)
 
 
 def cmd_spectrum(args) -> int:
     m = load_csv(args.input)
     rep = spectrum(to_correlation(fit_model(m, args.estimator).model.cov))
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "spectrum.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["k", "eigenvalue", "explained", "residual_fraction"])
-        for i in range(rep.eigenvalues.size):
-            w.writerow([i + 1, repr(float(rep.eigenvalues[i])),
-                        repr(float(rep.explained[i])),
-                        repr(float(rep.residual_fraction[i]))])
+    _write_table(
+        os.path.join(args.out, "spectrum.csv"),
+        ["k", "eigenvalue", "explained", "residual_fraction"],
+        zip(range(1, rep.eigenvalues.size + 1), rep.eigenvalues.tolist(),
+            rep.explained.tolist(), rep.residual_fraction.tolist()),
+    )
     thresholds = {f: rep.smallest_k(f) for f in (0.90, 0.95, 0.99)}
     _write_manifest(
         args.out, "spectrum",
@@ -138,15 +152,17 @@ def cmd_select(args) -> int:
                   file=sys.stderr)
     else:
         costs = _parse_costs(args.costs, m.benchmark_names)
-        result = budgeted_entropy(
-            Sigma, CostModel(costs, args.budget, args.shift_c)
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            result = budgeted_entropy(
+                Sigma, CostModel(costs, args.budget, args.shift_c)
+            )
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
 
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "selection.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(result.to_dict(m.benchmark_names), fh, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "selection.json"),
+                result.to_dict(m.benchmark_names))
     with open(os.path.join(args.out, "selection.txt"), "w",
               encoding="utf-8") as fh:
         fh.write(f"objective: {result.objective}\n")
@@ -209,21 +225,11 @@ def cmd_impute(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     header = ["model"] + list(m.benchmark_names)
-    with open(os.path.join(args.out, "completed.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for i, name in enumerate(m.model_names):
-            w.writerow([name] + [repr(float(v)) for v in completed[i]])
-    with open(os.path.join(args.out, "conditional_sd.csv"), "w",
-              encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for i, name in enumerate(m.model_names):
-            w.writerow(
-                [name]
-                + ["" if math.isnan(v) else repr(float(v)) for v in cond_sd[i]]
-            )
+    for name, table in (("completed.csv", completed),
+                        ("conditional_sd.csv", cond_sd)):
+        _write_table(os.path.join(args.out, name), header,
+                     ([label, *row] for label, row
+                      in zip(m.model_names, table.tolist())))
     _write_manifest(
         args.out, "impute",
         {"selected": args.selected, "ridge": args.ridge, "logit": args.logit,
@@ -250,10 +256,8 @@ def cmd_cv(args) -> int:
     with open(os.path.join(args.out, "cv_cells.csv"), "w", encoding="utf-8",
               newline="") as fh:
         report.to_csv(fh)
-    with open(os.path.join(args.out, "cv_summary.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(report.summary_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "cv_summary.json"),
+                report.summary_dict())
     _write_manifest(
         args.out, "cv",
         {"folds": args.folds, "holdout": list(args.holdout),
@@ -274,15 +278,12 @@ def cmd_normality(args) -> int:
     m = load_csv(args.input)
     rep = normality_report(m, alpha=args.alpha, correction=args.correction)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "shapiro.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["benchmark", "W", "p", "rejected"])
-        for name in m.benchmark_names:
-            if name in rep.shapiro:
-                r = rep.shapiro[name]
-                w.writerow([name, repr(r["W"]), repr(r["p"]),
-                            int(r["rejected"])])
+    _write_table(
+        os.path.join(args.out, "shapiro.csv"),
+        ["benchmark", "W", "p", "rejected"],
+        ([name, r["W"], r["p"], int(r["rejected"])]
+         for name, r in rep.shapiro.items()),
+    )
 
     mardia_doc = None
     if m.mask.all() and m.shape[0] > m.shape[1]:
@@ -300,10 +301,7 @@ def cmd_normality(args) -> int:
             mardia_doc["matrix"] = "completed-data"
         except (DataError, NumericalError):
             mardia_doc = None
-    with open(os.path.join(args.out, "mardia.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(mardia_doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(os.path.join(args.out, "mardia.json"), mardia_doc)
     _write_manifest(
         args.out, "normality",
         {"alpha": args.alpha, "correction": args.correction},

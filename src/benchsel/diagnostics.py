@@ -1,8 +1,7 @@
 """Normality diagnostics: Shapiro-Wilk, Mardia, Benjamini-Hochberg.
 
-Shapiro-Wilk uses the Royston polynomial approximation for the weights
-and the normalizing transformation of the null distribution, valid for
-3 <= n <= 5000.
+Shapiro-Wilk is scipy's implementation of Royston's algorithm AS R94
+(Royston 1995), valid for 3 <= n <= 5000.
 """
 
 from __future__ import annotations
@@ -19,10 +18,9 @@ from benchsel.errors import DataError
 
 @dataclass(frozen=True)
 class NormalityReport:
-    """Per-benchmark Shapiro-Wilk results plus an optional Mardia block."""
+    """Per-benchmark Shapiro-Wilk results."""
 
     shapiro: dict  # column name -> {"W": float, "p": float, "rejected": bool}
-    mardia: dict | None
     alpha: float
     correction: str  # {"bh", "bonferroni", "none"}
     skipped: tuple[str, ...] = ()
@@ -31,68 +29,19 @@ class NormalityReport:
 def shapiro_wilk(x) -> tuple[float, float]:
     """Shapiro-Wilk W statistic and p-value for 3 <= n <= 5000.
 
-    Weights come from the expected normal order statistics via Royston's
-    polynomial corrections; the p-value uses his normalizing transform
-    of 1 - W (exact arcsine form at n = 3).
+    A wrapper over scipy.stats.shapiro that rejects what the
+    approximation does not cover and returns Python floats.
     """
-    x = np.sort(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
     n = x.size
     if n < 3 or n > 5000:
         raise DataError(f"sample size {n} outside [3, 5000]")
-    if x[0] == x[-1]:
+    if not np.isfinite(x).all():
+        raise DataError("shapiro_wilk requires finite values")
+    if np.all(x == x.flat[0]):
         raise DataError("constant sample")
-
-    m = stats.norm.ppf((np.arange(1, n + 1) - 0.375) / (n + 0.25))
-    mm = float(m @ m)
-    a = np.empty(n)
-    u = 1.0 / math.sqrt(n)
-    c = m / math.sqrt(mm)
-    if n == 3:
-        a = np.array([-math.sqrt(0.5), 0.0, math.sqrt(0.5)])
-    else:
-        a_n = (c[-1] + 0.221157 * u - 0.147981 * u**2 - 2.071190 * u**3
-               + 4.434685 * u**4 - 2.706056 * u**5)
-        if n <= 5:
-            phi = (mm - 2 * m[-1] ** 2) / (1 - 2 * a_n**2)
-            a = m / math.sqrt(phi)
-            a[-1], a[0] = a_n, -a_n
-        else:
-            a_n1 = (c[-2] + 0.042981 * u - 0.293762 * u**2 - 1.752461 * u**3
-                    + 5.682633 * u**4 - 3.582633 * u**5)
-            phi = (mm - 2 * m[-1] ** 2 - 2 * m[-2] ** 2) / (
-                1 - 2 * a_n**2 - 2 * a_n1**2
-            )
-            a = m / math.sqrt(phi)
-            a[-1], a[0] = a_n, -a_n
-            a[-2], a[1] = a_n1, -a_n1
-
-    num = float(a @ x) ** 2
-    den = float(np.sum((x - x.mean()) ** 2))
-    W = min(num / den, 1.0)
-
-    if n == 3:
-        p = (6.0 / math.pi) * (math.asin(math.sqrt(W))
-                               - math.asin(math.sqrt(0.75)))
-        p = min(max(p, 0.0), 1.0)
-        return W, p
-    one_minus = max(1.0 - W, 1e-300)
-    if n <= 11:
-        g = -2.273 + 0.459 * n
-        mu = 0.5440 - 0.39978 * n + 0.025054 * n**2 - 0.0006714 * n**3
-        sigma = math.exp(
-            1.3822 - 0.77857 * n + 0.062767 * n**2 - 0.0020322 * n**3
-        )
-        arg = g - math.log(one_minus)
-        if arg <= 0:
-            return W, 0.0
-        z = (-math.log(arg) - mu) / sigma
-    else:
-        ln = math.log(n)
-        mu = -1.5861 - 0.31082 * ln - 0.083751 * ln**2 + 0.0038915 * ln**3
-        sigma = math.exp(-0.4803 - 0.082676 * ln + 0.0030302 * ln**2)
-        z = (math.log(one_minus) - mu) / sigma
-    p = float(stats.norm.sf(z))
-    return W, p
+    W, p = stats.shapiro(x)
+    return float(W), float(p)
 
 
 def mardia(X) -> dict:
@@ -107,8 +56,8 @@ def mardia(X) -> dict:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DataError("X must be a 2-D matrix")
-    if np.isnan(X).any():
-        raise DataError("mardia requires a fully observed matrix")
+    if not np.isfinite(X).all():
+        raise DataError("mardia requires a fully observed, finite matrix")
     M, N = X.shape
     if M <= N:
         raise DataError("mardia requires more rows than columns")
@@ -200,4 +149,4 @@ def normality_report(
         flags = [p <= alpha for p in pvals]
     for name, rej in zip(tested, flags):
         results[name]["rejected"] = bool(rej)
-    return NormalityReport(results, None, alpha, correction, tuple(skipped))
+    return NormalityReport(results, alpha, correction, tuple(skipped))

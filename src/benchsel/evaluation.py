@@ -1,4 +1,4 @@
-"""Cross-validation protocol and method comparison.
+"""Cross-validation protocol.
 
 Models are permuted into balanced folds; per fold a training subset is
 drawn from the pool at the requested holdout fraction, column stats and
@@ -252,27 +252,3 @@ def _run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows, warnings_out):
                 float(entropy[k]), float(mi[k]),
             ))
     return fold_cells, fold_orders
-
-
-def compare_methods(report: CvReport) -> list[dict]:
-    """Per (holdout_p, k): mean/std R^2 per method plus pairwise differences."""
-    methods = sorted({c.method for c in report.cells})
-    if len(methods) < 2:
-        raise DataError("comparison requires at least 2 methods")
-    keys = sorted({(c.holdout_p, c.k) for c in report.cells})
-    rows = []
-    for p, k in keys:
-        row: dict = {"holdout_p": p, "k": k}
-        means = {}
-        for method in methods:
-            s = report.summary.get((method, p, k))
-            if s is None:
-                raise DataError(f"method {method!r} missing at p={p}, k={k}")
-            row[f"{method}_mean"] = s["mean"]
-            row[f"{method}_std"] = s["std"]
-            means[method] = s["mean"]
-        for a_i, a in enumerate(methods):
-            for b in methods[a_i + 1:]:
-                row[f"{a}_minus_{b}"] = means[a] - means[b]
-        rows.append(row)
-    return rows

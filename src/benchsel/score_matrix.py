@@ -233,20 +233,6 @@ def write_csv(m: ScoreMatrix, sink) -> None:
         writer.writerow(row)
 
 
-def drop_sparse_rows(m: ScoreMatrix, min_fraction: float) -> ScoreMatrix:
-    """Keep rows whose observed fraction is >= min_fraction, order preserved."""
-    if not 0 <= min_fraction <= 1:
-        raise DataError("min_fraction must lie in [0, 1]")
-    frac = m.mask.mean(axis=1)
-    keep = frac >= min_fraction
-    return ScoreMatrix(
-        m.values[keep],
-        m.mask[keep],
-        tuple(n for n, k in zip(m.model_names, keep) if k),
-        m.benchmark_names,
-    )
-
-
 def column_stats(m: ScoreMatrix, source: str = "training") -> ColumnStats:
     """Observed-cell means and sample stds (ddof=1) per column.
 
@@ -275,27 +261,16 @@ def standardize(m: ScoreMatrix, stats: ColumnStats) -> ScoreMatrix:
     return m.with_values(vals)
 
 
-def destandardize(m: ScoreMatrix, stats: ColumnStats) -> ScoreMatrix:
-    """Inverse of standardize."""
-    if stats.means.shape[0] != m.shape[1]:
-        raise DataError("stats dimension does not match matrix width")
-    vals = m.values * stats.stds + stats.means
-    return m.with_values(vals)
-
-
 def logit_params(m: ScoreMatrix, epsilon: float = 1e-3) -> LogitParams:
     """Per-column observed maxima from training data."""
-    N = m.shape[1]
-    col_max = np.empty(N)
-    for j in range(N):
-        col = m.values[m.mask[:, j], j]
-        if np.any(col < 0):
-            raise DataError(
-                f"column {m.benchmark_names[j]!r} has negative scores; "
-                "the logit transform requires nonnegative scores"
-            )
-        col_max[j] = col.max()
-    return LogitParams(col_max, epsilon)
+    negative = np.any(m.mask & (m.values < 0), axis=0)
+    if negative.any():
+        raise DataError(
+            f"column {m.benchmark_names[int(np.argmax(negative))]!r} has "
+            "negative scores; the logit transform requires nonnegative scores"
+        )
+    return LogitParams(np.where(m.mask, m.values, -np.inf).max(axis=0),
+                       epsilon)
 
 
 def logit_transform(m: ScoreMatrix, params: LogitParams) -> ScoreMatrix:
@@ -303,10 +278,3 @@ def logit_transform(m: ScoreMatrix, params: LogitParams) -> ScoreMatrix:
     if params.col_max.shape[0] != m.shape[1]:
         raise DataError("logit params dimension does not match matrix width")
     return m.with_values(params.forward(m.values))
-
-
-def inverse_logit(m: ScoreMatrix, params: LogitParams) -> ScoreMatrix:
-    """Map each cell f -> sigmoid(f) * max_j; caps at the training maximum."""
-    if params.col_max.shape[0] != m.shape[1]:
-        raise DataError("logit params dimension does not match matrix width")
-    return m.with_values(params.inverse(m.values))

@@ -122,6 +122,22 @@ class TestSelect:
         db = json.load(open(os.path.join(b, "selection.json")))
         assert set(da["order"]) == set(db["order"])
 
+    def test_budgeted_negative_gain_warning(self, tmp_path, capsys):
+        # unit costs on a strongly correlated matrix: later shifted
+        # marginals go negative, which voids the approximation guarantee
+        matrix = rank_one_matrix(M=80, N=6, noise=0.05, seed=5)
+        path = write_matrix(tmp_path, matrix)
+        costs = tmp_path / "costs.csv"
+        costs.write_text("benchmark,cost\n" + "".join(
+            f"{n},1.0\n" for n in matrix.benchmark_names))
+        assert main(["select", path, "--objective", "budgeted",
+                     "--costs", str(costs), "--budget", "3",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == (
+            "warning: shifted marginal gain went negative; the "
+            "approximation guarantee is void\n"
+        )
+
     def test_usage_errors(self, rank1_csv, tmp_path):
         out = str(tmp_path / "out")
         assert main(["select", rank1_csv, "--objective", "budgeted",

@@ -13,7 +13,6 @@ from benchsel.evaluation import (
     CvCell,
     CvConfig,
     _balanced_folds,
-    compare_methods,
     run_cv,
     training_size,
 )
@@ -409,30 +408,6 @@ class TestLogitSparseValidation:
         rows = open(os.path.join(out, "cv_cells.csv")).read().splitlines()[1:]
         assert len(rows) == 6
         assert all(math.isfinite(float(r.split(",")[4])) for r in rows)
-
-
-class TestCompareMethods:
-    def test_basic_table(self):
-        matrix = rank_one_matrix(M=60, N=6, noise=0.05, seed=12)
-        cfg = CvConfig(folds=3, holdout_fractions=(0.2,), k_max=2,
-                       methods=("entropy", "mi"), seed=4)
-        report = run_cv(matrix, cfg)
-        table = compare_methods(report)
-        rows = {(r["holdout_p"], r["k"]): r for r in table}
-        assert set(rows) == {(0.2, 1), (0.2, 2)}
-        r = rows[(0.2, 1)]
-        assert r["entropy_mean"] == pytest.approx(
-            report.summary[("entropy", 0.2, 1)]["mean"], abs=1e-12
-        )
-        diff = r["entropy_minus_mi"]
-        assert diff == pytest.approx(r["entropy_mean"] - r["mi_mean"], abs=1e-12)
-
-    def test_single_method_rejected(self):
-        matrix = rank_one_matrix(M=60, N=6, noise=0.05, seed=12)
-        cfg = CvConfig(folds=3, holdout_fractions=(0.2,), k_max=1,
-                       methods=("entropy",), seed=4)
-        with pytest.raises(DataError):
-            compare_methods(run_cv(matrix, cfg))
 
 
 class TestCsvExport:

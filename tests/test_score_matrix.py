@@ -3,15 +3,13 @@ import io
 import numpy as np
 import pytest
 
+from benchsel.covariance import fit_model
 from benchsel.errors import DataError
 from benchsel.score_matrix import (
     ColumnStats,
     LogitParams,
     ScoreMatrix,
     column_stats,
-    destandardize,
-    drop_sparse_rows,
-    inverse_logit,
     load_csv,
     logit_params,
     logit_transform,
@@ -135,50 +133,6 @@ class TestInvariants:
         assert np.isnan(make_matrix(vals, mask).values[2, 1])
 
 
-class TestDropSparseRows:
-    def test_fully_observed_unchanged(self):
-        m = load_csv(CSV_FULL)
-        out = drop_sparse_rows(m, 0.5)
-        assert out.model_names == m.model_names
-
-    def test_sparse_row_removed(self):
-        m = load_csv(
-            "model,b0,b1,b2,b3\n"
-            "a,1,,,\n"
-            "b,2,3,4,5\n"
-            "c,6,7,8,9\n"
-        )
-        out = drop_sparse_rows(m, 0.5)
-        assert out.model_names == ("b", "c")
-
-    def test_invariant_propagation(self):
-        # removing the sparse row starves column b3
-        m = load_csv(
-            "model,b0,b1,b2,b3\n"
-            "a,,,,7\n"
-            "b,2,3,4,5\n"
-            "c,6,7,8,\n"
-        )
-        with pytest.raises(DataError):
-            drop_sparse_rows(m, 0.5)
-
-    def test_idempotent(self):
-        m = load_csv(
-            "model,b0,b1,b2,b3\n"
-            "a,1,,,\n"
-            "b,2,3,4,5\n"
-            "c,6,7,8,9\n"
-        )
-        once = drop_sparse_rows(m, 0.5)
-        twice = drop_sparse_rows(once, 0.5)
-        assert once.model_names == twice.model_names
-
-    def test_bad_fraction(self):
-        m = load_csv(CSV_FULL)
-        with pytest.raises(DataError):
-            drop_sparse_rows(m, 1.5)
-
-
 class TestStandardize:
     def test_single_value(self):
         m = make_matrix([[0.8], [0.4], [0.6]])
@@ -204,11 +158,18 @@ class TestStandardize:
         assert out.values[0, 0] == pytest.approx((0.6 - mu) / sd, abs=1e-12)
 
     def test_round_trip(self):
+        # FittedModel.decode inverts encode, NaN cells included
         rng = np.random.default_rng(7)
-        m = make_matrix(rng.normal(size=(10, 4)))
-        stats = column_stats(m)
-        back = destandardize(standardize(m, stats), stats)
-        assert np.allclose(back.values, m.values, atol=1e-12)
+        vals = rng.normal(size=(10, 4))
+        vals[3, 1] = np.nan
+        m = make_matrix(vals)
+        fit = fit_model(m)
+        z = fit.encode(m.values)
+        np.testing.assert_array_equal(
+            z, standardize(m, column_stats(m)).values)
+        back = fit.decode(z)
+        assert np.isnan(back[3, 1])
+        assert np.allclose(back[m.mask], m.values[m.mask], atol=1e-12)
 
     def test_zero_variance_rejected(self):
         m = make_matrix([[1.0, 2.0], [1.0, 3.0], [1.0, 4.0]])
@@ -238,20 +199,39 @@ class TestLogit:
         assert out.values[0, 0] == pytest.approx(6.906754778648553, abs=1e-9)
 
     def test_round_trip(self):
+        # FittedModel.decode inverts encode inside the clip band
         rng = np.random.default_rng(11)
-        vals = rng.uniform(0.05, 0.95, size=(8, 3))
-        m = make_matrix(vals)
-        p = logit_params(m)
-        back = inverse_logit(logit_transform(m, p), p)
-        inside = (m.values / p.col_max > 1e-3) & (m.values / p.col_max < 1 - 1e-3)
-        assert np.allclose(back.values[inside], m.values[inside], atol=1e-9)
+        m = make_matrix(rng.uniform(0.05, 0.95, size=(8, 3)))
+        fit = fit_model(m, logit=True)
+        p = fit.logit
+        back = fit.decode(fit.encode(m.values))
+        t = m.values / p.col_max
+        inside = (t > p.epsilon) & (t < 1 - p.epsilon)
+        assert inside.sum() == m.values.size - 3  # each column's maximum
+        assert np.allclose(back[inside], m.values[inside], atol=1e-9)
+        assert np.allclose(back[~inside], (1 - p.epsilon) * p.col_max[
+            np.nonzero(~inside)[1]], atol=1e-12)
 
     def test_inverse_midpoint_and_saturation(self):
-        m = make_matrix([[0.0], [50.0], [-50.0]])
         p = LogitParams(np.array([0.8]))
-        out = inverse_logit(m, p)
-        assert out.values[0, 0] == pytest.approx(0.4, abs=1e-12)
-        assert out.values[1, 0] == pytest.approx(0.8, abs=1e-9)
+        out = p.inverse(np.array([[0.0], [50.0], [-50.0], [-800.0]]))
+        assert out[0, 0] == pytest.approx(0.4, abs=1e-12)
+        assert out[1, 0] == pytest.approx(0.8, abs=1e-9)
+        assert out[2, 0] == pytest.approx(0.0, abs=1e-9)
+        assert out[3, 0] == 0.0  # exp overflow saturates without a warning
+
+    def test_params_match_the_column_loop(self):
+        rng = np.random.default_rng(12)
+        vals = rng.uniform(0.0, 5.0, size=(30, 6))
+        mask = rng.random(vals.shape) > 0.3
+        mask[:2] = True
+        m = make_matrix(np.where(mask, vals, np.nan), mask)
+        want = [m.values[m.mask[:, j], j].max() for j in range(6)]
+        assert logit_params(m).col_max.tolist() == want
+        # the error names the first column holding a negative score
+        vals[:, [2, 4]] = -vals[:, [2, 4]]
+        with pytest.raises(DataError, match="column 'b2'"):
+            logit_params(make_matrix(vals, mask))
 
     def test_negative_scores_rejected(self):
         m = make_matrix([[-0.1], [0.5], [0.7]])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
+from benchsel.covariance import fit_model
 from benchsel.errors import DataError, NumericalError
 from benchsel.selection import (
     DEGENERACY_REL_FLOOR,
@@ -26,7 +28,7 @@ from benchsel.selection import (
     spectrum,
 )
 
-from conftest import random_spd
+from conftest import make_matrix, random_spd
 
 
 def pivoted_cholesky_oracle(S, k):
@@ -703,3 +705,71 @@ class TestSerialization:
         assert len(d["selected"]) == 2
         assert len(d["residual_trace"]) == 3
         assert d["truncated"] is False
+
+
+def same_path(a, b, rel):
+    """a and b take the same greedy path up to ties: step by step their
+    gains agree within rel, and where the orders part the two picks had
+    equal gains, so what follows is no longer comparable."""
+    assert len(a.gains) == len(b.gains)
+    for t, (i, j) in enumerate(zip(a.order, b.order)):
+        assert close(a.gains[t], b.gains[t], rel)
+        if i != j:
+            return
+    assert a.residual_trace == pytest.approx(b.residual_trace, rel=rel,
+                                             abs=rel * a.residual_trace[0])
+
+
+@st.composite
+def permuted_covariances(draw):
+    """A full-rank covariance, a permutation of its indices and a k."""
+    N = draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.normal(size=(N, N)) * rng.uniform(0.1, 10.0, size=(N, 1))
+    return A @ A.T, rng.permutation(N), draw(st.integers(1, N - 1))
+
+
+@st.composite
+def rescaled_matrices(draw):
+    """A score matrix, complete or with MCAR holes, and a copy whose
+    columns are each scaled by a positive factor and shifted."""
+    N = draw(st.integers(2, 8))
+    M = draw(st.integers(N + 3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(M, 3)) @ rng.normal(size=(3, N))
+    X += 0.3 * rng.normal(size=(M, N))
+    mask = rng.random((M, N)) >= draw(st.sampled_from([0.0, 0.2]))
+    mask[: N + 1] = True
+    mask[mask.sum(axis=1) == 0, 0] = True
+    scale = rng.uniform(0.1, 10.0, size=N)
+    shift = rng.uniform(-10.0, 10.0, size=N)
+    m = make_matrix(np.where(mask, X, np.nan), mask)
+    return m, m.with_values(m.values * scale + shift)
+
+
+class TestInvariance:
+    @settings(max_examples=200, deadline=None)
+    @given(permuted_covariances())
+    def test_greedy_orders_are_permutation_equivariant(self, case):
+        S, perm, k = case
+        Sp = S[np.ix_(perm, perm)]
+        tol = max(1e-12, 1e-14 * np.linalg.cond(S))
+        for greedy in (greedy_entropy, greedy_mi):
+            want, got = greedy(S, k), greedy(Sp, k)
+            mapped = dataclasses.replace(
+                got, order=tuple(int(perm[j]) for j in got.order))
+            same_path(mapped, want, tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rescaled_matrices())
+    def test_select_through_fit_model_ignores_column_scale_and_shift(
+            self, case):
+        m, rescaled = case
+        S = fit_model(m).model.cov
+        Sr = fit_model(rescaled).model.cov
+        # EM may stop one cycle apart on the two inputs, which moves Sigma
+        # by up to its rel_tol.
+        tol = 1e-10 if m.mask.all() else 1e-5
+        N = S.shape[0]
+        for greedy in (greedy_entropy, greedy_mi):
+            same_path(greedy(Sr, N - 1), greedy(S, N - 1), tol)
