@@ -29,7 +29,7 @@ from benchsel.evaluation import CvConfig, run_cv
 # cli uses neither impute_row nor lazy_greedy_entropy; bench/test_bench.py
 # deletes both names from cli to test its tracer, so they stay importable.
 from benchsel.imputation import impute_row, impute_rows  # noqa: F401
-from benchsel.score_matrix import load_csv
+from benchsel.score_matrix import load_csv, write_table
 from benchsel.selection import (
     CostModel,
     budgeted_entropy,
@@ -56,17 +56,6 @@ def _digest(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_table(path, header, rows) -> None:
-    """CSV with floats written by repr, so they load back bit-exactly;
-    a NaN is written as an empty cell."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([("" if math.isnan(v) else repr(v))
-                        if isinstance(v, float) else v for v in row])
-
-
 def _write_json(path, doc, sort_keys=False) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=sort_keys)
@@ -91,7 +80,7 @@ def cmd_spectrum(args) -> int:
     m = load_csv(args.input)
     rep = spectrum(to_correlation(fit_model(m, args.estimator).model.cov))
     os.makedirs(args.out, exist_ok=True)
-    _write_table(
+    write_table(
         os.path.join(args.out, "spectrum.csv"),
         ["k", "eigenvalue", "explained", "residual_fraction"],
         zip(range(1, rep.eigenvalues.size + 1), rep.eigenvalues.tolist(),
@@ -174,7 +163,8 @@ def cmd_select(args) -> int:
     _write_manifest(
         args.out, "select",
         {"objective": args.objective, "k": args.k, "budget": args.budget,
-         "shift_c": args.shift_c, "lazy": args.lazy, "logit": args.logit},
+         "shift_c": args.shift_c, "lazy": args.lazy, "logit": args.logit,
+         "epsilon": args.epsilon},
         args.input, args.seed,
     )
     return 0
@@ -227,13 +217,13 @@ def cmd_impute(args) -> int:
     header = ["model"] + list(m.benchmark_names)
     for name, table in (("completed.csv", completed),
                         ("conditional_sd.csv", cond_sd)):
-        _write_table(os.path.join(args.out, name), header,
-                     ([label, *row] for label, row
-                      in zip(m.model_names, table.tolist())))
+        write_table(os.path.join(args.out, name), header,
+                    ([label, *row] for label, row
+                     in zip(m.model_names, table.tolist())))
     _write_manifest(
         args.out, "impute",
         {"selected": args.selected, "ridge": args.ridge, "logit": args.logit,
-         "train": bool(args.train)},
+         "epsilon": args.epsilon, "train": bool(args.train)},
         args.input, None,
     )
     return 0
@@ -278,7 +268,7 @@ def cmd_normality(args) -> int:
     m = load_csv(args.input)
     rep = normality_report(m, alpha=args.alpha, correction=args.correction)
     os.makedirs(args.out, exist_ok=True)
-    _write_table(
+    write_table(
         os.path.join(args.out, "shapiro.csv"),
         ["benchmark", "W", "p", "rejected"],
         ([name, r["W"], r["p"], int(r["rejected"])]
@@ -304,7 +294,8 @@ def cmd_normality(args) -> int:
     _write_json(os.path.join(args.out, "mardia.json"), mardia_doc)
     _write_manifest(
         args.out, "normality",
-        {"alpha": args.alpha, "correction": args.correction},
+        {"alpha": args.alpha, "correction": args.correction,
+         "ridge": args.ridge},
         args.input, None,
         extra={"skipped_columns": list(rep.skipped)},
     )

@@ -23,7 +23,7 @@ import numpy as np
 from benchsel.errors import DataError
 from benchsel.covariance import EmConfig, fit_model
 from benchsel.imputation import STANDARDIZED_CLIP, impute_rows, r2_standardized
-from benchsel.score_matrix import ScoreMatrix, column_stats
+from benchsel.score_matrix import ScoreMatrix, _column_pass, column_stats
 from benchsel.selection import greedy_entropy, greedy_mi, path_metrics, random_select
 
 VALID_METHODS = ("entropy", "mi", "random")
@@ -176,24 +176,20 @@ def _run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows, warnings_out):
     va_vals = m.values[val_rows]
     va_mask = m.mask[val_rows]
 
-    # Columns must be estimable from training data: >= 2 observations and
-    # nonzero variance; others are excluded from this fold.
-    active = []
-    for j in range(m.shape[1]):
-        col = tr_vals[tr_mask[:, j], j]
-        if col.size >= 2 and col.std(ddof=1) > 0:
-            active.append(j)
-        else:
-            warnings_out.append(
-                f"p={p} fold={fold_idx}: column {m.benchmark_names[j]!r} "
-                "excluded (too few training observations or zero variance)"
-            )
+    # Columns must be estimable from training data: observed values that
+    # are not all equal; others are excluded from this fold.
+    varies = _column_pass(tr_vals, tr_mask)[2]
+    warnings_out.extend(
+        f"p={p} fold={fold_idx}: column {m.benchmark_names[j]!r} "
+        "excluded (too few training observations or zero variance)"
+        for j in np.flatnonzero(~varies)
+    )
+    active = np.flatnonzero(varies)
     if len(active) < 2:
         warnings_out.append(
             f"p={p} fold={fold_idx}: fewer than 2 usable columns; fold skipped"
         )
         return None
-    active = np.asarray(active, dtype=int)
     names = tuple(m.benchmark_names[j] for j in active)
     tr_vals, tr_mask = tr_vals[:, active], tr_mask[:, active]
     va_vals, va_mask = va_vals[:, active], va_mask[:, active]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +87,6 @@ class ColumnStats:
 
     means: np.ndarray
     stds: np.ndarray
-    source: str = "training"
 
     def __post_init__(self):
         means = np.asarray(self.means, dtype=float)
@@ -137,8 +137,9 @@ def load_csv(source) -> ScoreMatrix:
 
     First row: label cell, then benchmark names.  Each following row:
     model name, then one cell per benchmark, each a decimal number or
-    empty (missing).  "NaN"/"NA" tokens are rejected as malformed, and so
-    are cells that parse to a non-finite number ("inf", "-nan", "1e999").
+    empty or whitespace-only (missing).  "NaN"/"NA" tokens are rejected as
+    malformed, and so are quoted cells holding a comma and cells that parse
+    to a non-finite number ("inf", "-nan", "1e999").
     `source` may be a path, a text stream, a byte stream, or the CSV text
     itself; a str or bytes is CSV text when it holds a line break.
     """
@@ -157,100 +158,102 @@ def load_csv(source) -> ScoreMatrix:
     rows = list(csv.reader(source))
     if not rows or len(rows[0]) < 2:
         raise DataError("CSV must have a header row with at least one benchmark")
-    header = rows[0]
-    benchmark_names = [c.strip() for c in header[1:]]
-    N = len(benchmark_names)
+    names = [c.strip() for c in rows[0][1:]]
 
-    model_names: list[str] = []
-    values: list[list[float]] = []
-    mask: list[list[bool]] = []
+    values, blanks = [], []
     for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != N + 1:
+        if len(row) != len(rows[0]):
             raise DataError(
-                f"line {lineno}: expected {N + 1} cells, got {len(row)}"
+                f"line {lineno}: expected {len(rows[0])} cells, got {len(row)}"
             )
-        name = row[0].strip()
-        vrow, mrow = [], []
-        for j, cell in enumerate(row[1:]):
-            cell = cell.strip()
-            if cell == "":
-                vrow.append(np.nan)
-                mrow.append(False)
-                continue
-            if "," in cell:
-                raise DataError(
-                    f"line {lineno}, column {benchmark_names[j]!r}: "
-                    "quoted comma cells are not supported"
-                )
-            if cell.lower() in ("nan", "na"):
-                raise DataError(
-                    f"line {lineno}, column {benchmark_names[j]!r}: "
-                    f"token {cell!r} is not a valid missing-cell encoding "
-                    "(use an empty cell)"
-                )
-            try:
-                vrow.append(float(cell))
-            except ValueError:
-                raise DataError(
-                    f"line {lineno}, column {benchmark_names[j]!r}: "
-                    f"cannot parse {cell!r} as a number"
-                ) from None
-            mrow.append(True)
-        model_names.append(name)
-        values.append(vrow)
-        mask.append(mrow)
-
+        cells = row[1:]
+        try:
+            values.append([float(c) if c.strip() else math.nan for c in cells])
+        except ValueError:
+            values.append(_parse_row(lineno, cells, names))
+        blanks.append(cells.count(""))
     if not values:
         raise DataError("CSV contains no data rows")
     values = np.array(values, dtype=float)
-    mask = np.array(mask, dtype=bool)
-    non_finite = np.argwhere(mask & ~np.isfinite(values))
-    if non_finite.size:
-        i, j = non_finite[0]
-        raise DataError(
-            f"line {i + 2}, column {benchmark_names[j]!r}: non-finite value "
-            f"{rows[i + 1][j + 1].strip()!r} is not a valid score"
-        )
-    return ScoreMatrix(values, mask, tuple(model_names), tuple(benchmark_names))
+    missing = np.isnan(values)
+    # Parse again the rows with an inf or a NaN that no empty cell explains.
+    for i in np.flatnonzero(np.isinf(values).any(axis=1)
+                            | (missing.sum(axis=1) > blanks)):
+        _parse_row(i + 2, rows[i + 1][1:], names)
+    return ScoreMatrix(values, ~missing,
+                       tuple(row[0].strip() for row in rows[1:]), tuple(names))
+
+
+def _parse_row(lineno, cells, names) -> list[float]:
+    """Parse stripped cells one by one; raise DataError at a bad one."""
+    out = []
+    for name, cell in zip(names, map(str.strip, cells)):
+        where = f"line {lineno}, column {name!r}: "
+        if "," in cell:
+            raise DataError(where + "quoted comma cells are not supported")
+        if cell.lower() in ("nan", "na"):
+            raise DataError(where + f"token {cell!r} is not a valid "
+                            "missing-cell encoding (use an empty cell)")
+        try:
+            out.append(float(cell) if cell else math.nan)
+        except ValueError:
+            raise DataError(where + f"cannot parse {cell!r} as a number") from None
+        if cell and not math.isfinite(out[-1]):
+            raise DataError(where + f"non-finite value {cell!r} is not a valid score")
+    return out
+
+
+def write_table(sink, header, rows) -> None:
+    """Write a CSV table to a text stream or a path.  A float NaN becomes
+    an empty cell; csv writes other floats with repr, which loads back
+    bit-exactly, and ints and strings as they are."""
+    if isinstance(sink, str):
+        with open(sink, "w", encoding="utf-8", newline="") as fh:
+            return write_table(fh, header, rows)
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(["" if isinstance(v, float) and math.isnan(v) else v
+                      for v in row] for row in rows)
 
 
 def write_csv(m: ScoreMatrix, sink) -> None:
-    """Write a ScoreMatrix in the same CSV schema load_csv reads.
+    """Write a ScoreMatrix in the CSV schema load_csv reads, bit-exactly."""
+    write_table(sink, ["model", *m.benchmark_names],
+                ([name, *row] for name, row
+                 in zip(m.model_names, m.values.tolist())))
 
-    Values are emitted with repr so load_csv(write_csv(m)) round-trips
-    bit-exactly.  `sink` is a text stream or a path.
+
+def _column_pass(values: np.ndarray, mask: np.ndarray):
+    """Observed means, ddof=1 stds (NaN below two cells) and which vary.
+
+    A column varies when its observed max exceeds its min (seven cells of
+    0.1 have a std of 1.5e-17) and its std is positive.  Sums run along the
+    rows of a contiguous transposed copy, so a fully observed column gets
+    the bits of its own mean() and std(ddof=1).
     """
-    if isinstance(sink, str):
-        with open(sink, "w", encoding="utf-8", newline="") as fh:
-            write_csv(m, fh)
-        return
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(["model"] + list(m.benchmark_names))
-    for i, name in enumerate(m.model_names):
-        row = [name]
-        for j in range(m.shape[1]):
-            row.append(repr(float(m.values[i, j])) if m.mask[i, j] else "")
-        writer.writerow(row)
+    obs = np.ascontiguousarray(mask.T)
+    X = np.where(obs, values.T, 0.0)
+    n = obs.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        means = X.sum(axis=1) / n
+        d = np.where(obs, X - means[:, None], 0.0)
+        stds = np.sqrt((d * d).sum(axis=1) / (n - 1))
+    varies = ((X.max(axis=1, initial=-np.inf, where=obs)
+               > X.min(axis=1, initial=np.inf, where=obs)) & (stds > 0))
+    return means, stds, varies
 
 
-def column_stats(m: ScoreMatrix, source: str = "training") -> ColumnStats:
+def column_stats(m: ScoreMatrix) -> ColumnStats:
     """Observed-cell means and sample stds (ddof=1) per column.
 
     Columns with zero observed variance are rejected: a constant
     benchmark carries no selection signal and breaks standardization.
     """
-    N = m.shape[1]
-    means = np.empty(N)
-    stds = np.empty(N)
-    for j in range(N):
-        col = m.values[m.mask[:, j], j]
-        means[j] = col.mean()
-        stds[j] = col.std(ddof=1) if col.size > 1 else 0.0
-        if stds[j] <= 0:
-            raise DataError(
-                f"column {m.benchmark_names[j]!r} has zero observed variance"
-            )
-    return ColumnStats(means, stds, source)
+    means, stds, varies = _column_pass(m.values, m.mask)
+    if not varies.all():
+        raise DataError(f"column {m.benchmark_names[int(np.argmin(varies))]!r} "
+                        "has zero observed variance")
+    return ColumnStats(means, stds)
 
 
 def standardize(m: ScoreMatrix, stats: ColumnStats) -> ScoreMatrix:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from benchsel.score_matrix import ScoreMatrix
+from benchsel.score_matrix import ScoreMatrix, write_csv
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run and prints
 # the blob that replays a failure, so a failing property test reproduces.
@@ -68,3 +68,13 @@ def mcar_matrix(M, N, missing, seed, mu=None, Sigma=None, complete_rows=0):
 @pytest.fixture
 def spd8():
     return random_spd(8, seed=3)
+
+
+@pytest.fixture
+def scores_csv(tmp_path):
+    """A 30x6 leaderboard with 20% holes, written to tmp_path/scores.csv."""
+    m, _, _ = mcar_matrix(30, 6, 0.2, seed=1, complete_rows=7)
+    path = tmp_path / "scores.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        write_csv(m, fh)
+    return path

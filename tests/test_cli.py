@@ -27,6 +27,21 @@ def read_all(out_dir):
     return out
 
 
+def manifest_configs(argv, flag, values, tmp_path, command):
+    """Run argv once per flag value; check the outputs differ and return
+    the value each manifest records."""
+    outs, recorded = [], []
+    for v in values:
+        out = str(tmp_path / f"{command}{v}")
+        assert main([*argv, flag, v, "--out", out]) == 0
+        files = read_all(out)
+        manifest = json.loads(files.pop(f"{command}_manifest.json"))
+        outs.append(files)
+        recorded.append(manifest["config"][flag.lstrip("-")])
+    assert outs[0] != outs[1]
+    return recorded
+
+
 @pytest.fixture()
 def diag_csv(tmp_path):
     # independent columns with strictly decreasing variances
@@ -38,6 +53,14 @@ def diag_csv(tmp_path):
 @pytest.fixture()
 def rank1_csv(tmp_path):
     return write_matrix(tmp_path, rank_one_matrix(M=80, N=6, noise=0.05, seed=1))
+
+
+@pytest.fixture()
+def unit_csv(tmp_path):
+    # rank-one scores squashed into (0, 1), as the logit transform needs
+    z = rank_one_matrix(M=80, N=6, noise=0.05, seed=1).values
+    return write_matrix(tmp_path, make_matrix(1 / (1 + np.exp(-z))),
+                        name="unit.csv")
 
 
 class TestSpectrum:
@@ -95,14 +118,14 @@ class TestSelect:
             assert doc["truncated"] is True
 
     def test_mi_zero_gain_warning(self, tmp_path, capsys):
-        rng = np.random.default_rng(1)
-        path = write_matrix(tmp_path, make_matrix(rng.normal(size=(4000, 4))))
-        out = str(tmp_path / "out")
-        assert main(["select", path, "--objective", "mi", "--k", "2",
-                     "--out", out]) == 0
-        # near-independent columns: gains tiny but typically not exactly 0,
-        # so just check the run succeeds; the warning path is covered below
-        main(["select", path, "--objective", "mi", "--k", "2", "--out", out])
+        # orthogonal +-1 columns: every sample covariance is exactly zero
+        path = tmp_path / "orth.csv"
+        path.write_text("model,b0,b1,b2\nr1,1,1,1\nr2,1,-1,-1\n"
+                        "r3,-1,1,-1\nr4,-1,-1,1\n")
+        assert main(["select", str(path), "--objective", "mi", "--k", "2",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == (
+            "warning: all MI gains are zero (independent benchmarks)\n")
 
     def test_budgeted_unit_costs(self, diag_csv, tmp_path):
         # weakly correlated data keeps the shifted marginals positive,
@@ -159,6 +182,22 @@ class TestSelect:
         assert len(json.load(open(os.path.join(out, "selection.json")))
                    ["order"]) == 2
 
+    def test_constant_column_exit_code(self, tmp_path, capsys):
+        # seven cells of 0.1: the mean does not round exactly, so the
+        # sample std is 1.5e-17, not 0
+        vals = np.random.default_rng(3).normal(size=(7, 3))
+        vals[:, 0] = 0.1
+        path = write_matrix(tmp_path, make_matrix(vals))
+        assert main(["select", path, "--k", "2",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "data error: column 'b0' has zero observed variance\n")
+
+    def test_manifest_records_epsilon(self, unit_csv, tmp_path):
+        assert manifest_configs(
+            ["select", unit_csv, "--logit", "--k", "2"], "--epsilon",
+            ("0.001", "0.1"), tmp_path, "select") == [0.001, 0.1]
+
     def test_non_finite_cell_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("model,b0,b1\na,-nan,1\nb,2,3\nc,4,5\n")
@@ -214,6 +253,17 @@ class TestImpute:
         assert (completed.values[~mask] > 0).all()
         col_max = np.broadcast_to(vals.max(axis=0), vals.shape)
         assert (completed.values[~mask] < col_max[~mask]).all()
+
+    def test_manifest_records_epsilon(self, unit_csv, tmp_path):
+        m = load_csv(unit_csv)
+        mask = np.ones(m.shape, dtype=bool)
+        mask[::2, 3:] = False
+        holes = write_matrix(tmp_path, make_matrix(
+            np.where(mask, m.values, np.nan), mask), name="holes.csv")
+        assert manifest_configs(
+            ["impute", holes, "--train", unit_csv, "--selected", "b0",
+             "--logit"], "--epsilon", ("0.001", "0.1"), tmp_path,
+            "impute") == [0.001, 0.1]
 
     def test_mutual_exclusion(self, rank1_csv, tmp_path):
         assert main(["impute", rank1_csv, "--selected", "b0",
@@ -284,6 +334,18 @@ class TestNormality:
         assert main(["normality", path, "--out", out]) == 0
         doc = json.load(open(os.path.join(out, "mardia.json")))
         assert doc["matrix"] == "completed-data"
+
+
+    def test_manifest_records_ridge(self, tmp_path):
+        # the ridge enters the EM completion before Mardia
+        full = rank_one_matrix(M=60, N=4, noise=0.1, seed=9)
+        mask = np.random.default_rng(10).random(full.shape) > 0.1
+        mask[:2] = True
+        path = write_matrix(tmp_path, make_matrix(
+            np.where(mask, full.values, np.nan), mask))
+        assert manifest_configs(["normality", path], "--ridge",
+                                ("0.01", "0.5"), tmp_path,
+                                "normality") == [0.01, 0.5]
 
 
 class TestDeterminism:

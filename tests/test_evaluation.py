@@ -221,6 +221,31 @@ class TestRunCv:
         assert [w for w in capped.warnings if "EM" in w] == unconverged
         assert not any("EM" in w for w in run_cv(matrix, cfg).warnings)
 
+    def test_constant_column_is_excluded(self):
+        # 7 training rows per fold; seven cells of 0.1 have a sample std
+        # of 1.5e-17 (eight would round to an exact 0)
+        vals = np.random.default_rng(5).normal(size=(14, 4))
+        vals[:, 0] = 0.1
+        cfg = CvConfig(folds=2, holdout_fractions=(0.5,), k_max=2,
+                       methods=("entropy",), seed=0)
+        assert training_size(0.5, 14, 7) == 7
+        report = run_cv(make_matrix(vals), cfg)
+        assert list(report.warnings) == [
+            f"p=0.5 fold={f}: column 'b0' excluded (too few training "
+            "observations or zero variance)" for f in range(2)]
+        assert all("b0" not in order
+                   for order in report.selection_orders.values())
+
+    def test_empty_training_set_skips_the_fold(self):
+        # round((1 - 0.9) * 4) = 0 training rows
+        report = run_cv(make_matrix(np.random.default_rng(0).normal(size=(4, 3))),
+                        CvConfig(folds=2, holdout_fractions=(0.9,), k_max=1,
+                                 methods=("entropy",)))
+        assert report.cells == ()
+        assert report.warnings[3::4] == tuple(
+            f"p=0.9 fold={f}: fewer than 2 usable columns; fold skipped"
+            for f in range(2))
+
 
 def reference_fit_training_model(values, mask, policy, em_cfg, names_rows,
                                  names_cols):

@@ -2,6 +2,7 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from benchsel.covariance import fit_model
 from benchsel.errors import DataError
@@ -15,6 +16,7 @@ from benchsel.score_matrix import (
     logit_transform,
     standardize,
     write_csv,
+    write_table,
 )
 
 from conftest import make_matrix
@@ -39,6 +41,22 @@ class TestLoadCsv:
             "modelC,0.4,0.5,\n"
         )
         assert m.mask[0].tolist() == [True, False, True]
+
+    def test_whitespace_only_cell_is_missing(self):
+        m = load_csv("model,b0,b1\na,1, \nb,2,3\nc,\t,5\nd,4,6\n")
+        assert m.mask.tolist() == [[True, False], [True, True],
+                                   [False, True], [True, True]]
+        assert np.isnan(m.values[0, 1]) and np.isnan(m.values[2, 0])
+
+    def test_quoted_comma_rejected(self):
+        with pytest.raises(DataError, match=r"^line 2, column 'b0': quoted "
+                           "comma cells are not supported$"):
+            load_csv('model,b0,b1\na,"1,5",2\nb,3,4\nc,5,6\n')
+
+    def test_token_reported_before_a_later_unparsable_cell(self):
+        with pytest.raises(DataError, match=r"^line 3, column 'b0': token "
+                           "'nan' is not a valid missing-cell encoding"):
+            load_csv("model,b0,b1\na,1,2\nb,nan,xx\nc,5,6\n")
 
     def test_nan_token_rejected(self):
         with pytest.raises(DataError, match="missing-cell"):
@@ -101,6 +119,40 @@ class TestLoadCsv:
         assert np.array_equal(
             m2.values[m2.mask], m.values[m.mask]
         )
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_round_trip_bit_exact_over_random_masks(self, data):
+        M = data.draw(st.integers(2, 8))
+        N = data.draw(st.integers(1, 5))
+        cells = st.one_of(
+            st.sampled_from([-0.0, 0.0, 5e-324, -5e-324,
+                             1.7976931348623157e308, -1.7976931348623157e308]),
+            st.floats(allow_nan=False, allow_infinity=False))
+        vals = np.array(data.draw(st.lists(cells, min_size=M * N,
+                                           max_size=M * N))).reshape(M, N)
+        mask = np.array(data.draw(st.lists(st.booleans(), min_size=M * N,
+                                           max_size=M * N))).reshape(M, N)
+        mask[:2] = True  # every column observed twice
+        mask[~mask.any(axis=1), 0] = True  # every row once
+        m = make_matrix(vals, mask)
+        buf = io.StringIO()
+        write_csv(m, buf)
+        back = load_csv(buf.getvalue())
+        assert back.model_names == m.model_names
+        assert back.benchmark_names == m.benchmark_names
+        assert np.array_equal(back.mask, m.mask)
+        assert back.values[mask].tobytes() == vals[mask].tobytes()
+
+
+class TestWriteTable:
+    def test_nan_is_an_empty_cell(self):
+        buf = io.StringIO()
+        write_table(buf, ["name", "k", "x", "y"],
+                    [["a", 1, 0.1, float("nan")], ["b,c", 2, -0.0, 1e300]])
+        assert buf.getvalue() == (
+            "name,k,x,y\na,1,0.1,\n\"b,c\",2,-0.0,1e+300\n")
 
 
 class TestInvariants:
@@ -175,6 +227,28 @@ class TestStandardize:
         m = make_matrix([[1.0, 2.0], [1.0, 3.0], [1.0, 4.0]])
         with pytest.raises(DataError, match="zero observed variance"):
             column_stats(m)
+        # seven cells of 0.1 have a mean that does not round exactly, and
+        # a std of 1.5e-17 > 0; the column is still constant
+        m = make_matrix(np.column_stack([np.arange(7.0), np.full(7, 0.1)]))
+        assert m.values[:, 1].std(ddof=1) > 0
+        with pytest.raises(DataError, match="column 'b1' has zero observed"):
+            column_stats(m)
+
+    def test_matches_the_column_loop(self):
+        rng = np.random.default_rng(13)
+        vals = rng.normal(2.0, 3.0, size=(300, 6))
+        mask = rng.random(vals.shape) > 0.3
+        mask[:, :3] = True
+        m = make_matrix(np.where(mask, vals, np.nan), mask)
+        stats = column_stats(m)
+        for j in range(6):
+            col = m.values[m.mask[:, j], j]
+            if j < 3:  # fully observed: the same bits
+                assert stats.means[j] == col.mean()
+                assert stats.stds[j] == col.std(ddof=1)
+            else:  # holes reorder the sums
+                assert stats.means[j] == pytest.approx(col.mean(), rel=1e-13)
+                assert stats.stds[j] == pytest.approx(col.std(ddof=1), rel=1e-13)
 
     def test_dimension_mismatch(self):
         m = load_csv(CSV_FULL)
