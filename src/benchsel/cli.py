@@ -1,7 +1,7 @@
 """Batch command-line front end.
 
 Subcommands: spectrum, select, impute, cv, normality.  Every command
-writes CSV tables plus a JSON manifest (command, resolved config, input
+writes CSV tables plus a JSON manifest (command, every parsed flag, input
 digest, tool version, seed) into the --out directory, and is
 deterministic given flags + input + seed.
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -29,7 +30,7 @@ from benchsel.evaluation import CvConfig, run_cv
 # cli uses neither impute_row nor lazy_greedy_entropy; bench/test_bench.py
 # deletes both names from cli to test its tracer, so they stay importable.
 from benchsel.imputation import impute_row, impute_rows  # noqa: F401
-from benchsel.score_matrix import load_csv, write_table
+from benchsel.score_matrix import _decimal, load_csv, write_table
 from benchsel.selection import (
     CostModel,
     budgeted_entropy,
@@ -40,12 +41,16 @@ from benchsel.selection import (
 )
 
 
+def _usage_error(message) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
 class _Parser(argparse.ArgumentParser):
     # Usage errors exit 1 per the CLI contract (argparse defaults to 2).
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"error: {message}", file=sys.stderr)
-        sys.exit(1)
+        sys.exit(_usage_error(message))
 
 
 def _digest(path: str) -> str:
@@ -62,17 +67,25 @@ def _write_json(path, doc, sort_keys=False) -> None:
         fh.write("\n")
 
 
-def _write_manifest(out_dir, command, config, input_path, seed, extra=None):
+class _File(str):
+    """A flag value that names an input file; manifests record its SHA-256."""
+
+
+def _write_manifest(args, **extra):
+    """`<command>_manifest.json` in --out: `config` holds every parsed flag
+    but the input, --out and --seed, a file flag by its SHA-256."""
+    config = {k: _digest(v) if isinstance(v, _File) else v
+              for k, v in vars(args).items()
+              if k not in ("command", "fn", "input", "out", "seed")}
     doc = {
-        "command": command,
+        "command": args.command,
         "config": config,
-        "input_digest": _digest(input_path),
+        "input_digest": _digest(args.input),
         "tool_version": benchsel.__version__,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
+        **extra,
     }
-    if extra:
-        doc.update(extra)
-    _write_json(os.path.join(out_dir, f"{command}_manifest.json"), doc,
+    _write_json(os.path.join(args.out, f"{args.command}_manifest.json"), doc,
                 sort_keys=True)
 
 
@@ -87,30 +100,38 @@ def cmd_spectrum(args) -> int:
             rep.explained.tolist(), rep.residual_fraction.tolist()),
     )
     thresholds = {f: rep.smallest_k(f) for f in (0.90, 0.95, 0.99)}
-    _write_manifest(
-        args.out, "spectrum",
-        {"estimator": args.estimator}, args.input, None,
-        extra={"explained_thresholds": {str(k): v for k, v in thresholds.items()}},
-    )
+    _write_manifest(args, explained_thresholds={
+        str(k): v for k, v in thresholds.items()})
     for f, k in thresholds.items():
         print(f"{int(f * 100)}% explained at k={k}")
     return 0
 
 
 def _parse_costs(path, benchmark_names):
-    costs = np.empty(len(benchmark_names))
-    costs[:] = np.nan
+    index = {n: j for j, n in enumerate(benchmark_names)}
+    costs = np.full(len(index), np.nan)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if [c.strip().lower() for c in header[:2]] != ["benchmark", "cost"]:
             raise DataError("costs CSV must have header 'benchmark,cost'")
-        index = {n: j for j, n in enumerate(benchmark_names)}
         for row in reader:
-            name = row[0].strip()
+            if len(row) < 2:
+                raise DataError(f"costs CSV line {reader.line_num}: "
+                                "expected 'benchmark,cost'")
+            name, cell = row[0].strip(), row[1].strip()
             if name not in index:
                 raise DataError(f"unknown benchmark {name!r} in costs CSV")
-            costs[index[name]] = float(row[1])
+            if not math.isnan(costs[index[name]]):
+                raise DataError(f"duplicate benchmark {name!r} in costs CSV")
+            try:
+                cost = _decimal(cell)
+            except ValueError:
+                cost = math.nan
+            if not math.isfinite(cost):
+                raise DataError(f"cost {cell!r} of {name!r} in costs CSV is "
+                                "not a finite number")
+            costs[index[name]] = cost
     if np.isnan(costs).any():
         missing = [n for n, j in index.items() if math.isnan(costs[j])]
         raise DataError(f"costs CSV missing benchmarks: {missing}")
@@ -119,16 +140,11 @@ def _parse_costs(path, benchmark_names):
 
 def cmd_select(args) -> int:
     if args.objective == "budgeted" and (args.costs is None or args.budget is None):
-        print("error: --objective budgeted requires --costs and --budget",
-              file=sys.stderr)
-        return 1
+        return _usage_error("--objective budgeted requires --costs and --budget")
     if args.budget is not None and args.costs is None:
-        print("error: --budget requires --costs", file=sys.stderr)
-        return 1
+        return _usage_error("--budget requires --costs")
     if args.objective != "budgeted" and args.k is None:
-        print("error: --k is required for entropy/mi objectives",
-              file=sys.stderr)
-        return 1
+        return _usage_error("--k is required for entropy/mi objectives")
 
     m = load_csv(args.input)
     Sigma = fit_model(m, logit=args.logit, epsilon=args.epsilon).model.cov
@@ -160,13 +176,7 @@ def cmd_select(args) -> int:
                 f"{rank:3d}. {m.benchmark_names[j]}  gain={g:.6f}  "
                 f"residual_trace={result.residual_trace[rank]:.6f}\n"
             )
-    _write_manifest(
-        args.out, "select",
-        {"objective": args.objective, "k": args.k, "budget": args.budget,
-         "shift_c": args.shift_c, "lazy": args.lazy, "logit": args.logit,
-         "epsilon": args.epsilon},
-        args.input, args.seed,
-    )
+    _write_manifest(args)
     return 0
 
 
@@ -185,9 +195,7 @@ def _resolve_selected(arg, benchmark_names):
 
 def cmd_impute(args) -> int:
     if (args.model is None) == (args.train is None):
-        print("error: exactly one of --model / --train is required",
-              file=sys.stderr)
-        return 1
+        return _usage_error("exactly one of --model / --train is required")
     m = load_csv(args.input)
     selected = _resolve_selected(args.selected, m.benchmark_names)
 
@@ -220,12 +228,7 @@ def cmd_impute(args) -> int:
         write_table(os.path.join(args.out, name), header,
                     ([label, *row] for label, row
                      in zip(m.model_names, table.tolist())))
-    _write_manifest(
-        args.out, "impute",
-        {"selected": args.selected, "ridge": args.ridge, "logit": args.logit,
-         "epsilon": args.epsilon, "train": bool(args.train)},
-        args.input, None,
-    )
+    _write_manifest(args)
     return 0
 
 
@@ -243,20 +246,10 @@ def cmd_cv(args) -> int:
     )
     report = run_cv(m, cfg)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "cv_cells.csv"), "w", encoding="utf-8",
-              newline="") as fh:
-        report.to_csv(fh)
+    report.to_csv(os.path.join(args.out, "cv_cells.csv"))
     _write_json(os.path.join(args.out, "cv_summary.json"),
                 report.summary_dict())
-    _write_manifest(
-        args.out, "cv",
-        {"folds": args.folds, "holdout": list(args.holdout),
-         "kmax": args.kmax, "methods": args.methods,
-         "estimator": args.estimator, "ridge": args.ridge,
-         "logit": args.logit},
-        args.input, args.seed,
-        extra={"warnings": list(report.warnings)},
-    )
+    _write_manifest(args, warnings=list(report.warnings))
     if args.verbose:
         for key in sorted(report.summary):
             s = report.summary[key]
@@ -292,33 +285,28 @@ def cmd_normality(args) -> int:
         except (DataError, NumericalError):
             mardia_doc = None
     _write_json(os.path.join(args.out, "mardia.json"), mardia_doc)
-    _write_manifest(
-        args.out, "normality",
-        {"alpha": args.alpha, "correction": args.correction,
-         "ridge": args.ridge},
-        args.input, None,
-        extra={"skipped_columns": list(rep.skipped)},
-    )
+    _write_manifest(args, skipped_columns=list(rep.skipped))
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="benchsel")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("input", type=_File)
+    common.add_argument("--out", required=True)
+    add_command = functools.partial(sub.add_parser, parents=[common])
 
-    p = sub.add_parser("spectrum", help="eigenvalue decay diagnostic")
-    p.add_argument("input")
+    p = add_command("spectrum", help="eigenvalue decay diagnostic")
     p.add_argument("--estimator", choices=("auto", "full", "em"),
                    default="auto")
-    p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_spectrum)
 
-    p = sub.add_parser("select", help="greedy benchmark selection")
-    p.add_argument("input")
+    p = add_command("select", help="greedy benchmark selection")
     p.add_argument("--objective", choices=("entropy", "mi", "budgeted"),
                    default="entropy")
     p.add_argument("--k", type=int)
-    p.add_argument("--costs")
+    p.add_argument("--costs", type=_File)
     p.add_argument("--budget", type=float)
     p.add_argument("--shift-c", dest="shift_c", type=float)
     p.add_argument("--seed", type=int, default=0)
@@ -326,23 +314,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accepted for compatibility; same as the default")
     p.add_argument("--logit", action="store_true")
     p.add_argument("--epsilon", type=float, default=1e-3)
-    p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_select)
 
-    p = sub.add_parser("impute", help="fill unobserved cells")
-    p.add_argument("input")
-    p.add_argument("--model")
-    p.add_argument("--train")
+    p = add_command("impute", help="fill unobserved cells")
+    p.add_argument("--model", type=_File)
+    p.add_argument("--train", type=_File)
     p.add_argument("--selected", required=True,
                    help="comma-separated names or @file")
     p.add_argument("--ridge", type=float, default=1e-2)
     p.add_argument("--logit", action="store_true")
     p.add_argument("--epsilon", type=float, default=1e-3)
-    p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_impute)
 
-    p = sub.add_parser("cv", help="cross-validation protocol")
-    p.add_argument("input")
+    p = add_command("cv", help="cross-validation protocol")
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--holdout", type=float, action="append",
                    default=None)
@@ -354,16 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ridge", type=float, default=1e-2)
     p.add_argument("--logit", action="store_true")
     p.add_argument("--verbose", action="store_true")
-    p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_cv)
 
-    p = sub.add_parser("normality", help="normality diagnostics")
-    p.add_argument("input")
+    p = add_command("normality", help="normality diagnostics")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--correction", choices=("bh", "bonferroni", "none"),
                    default="bh")
     p.add_argument("--ridge", type=float, default=1e-2)
-    p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_normality)
     return parser
 
@@ -375,7 +356,7 @@ def main(argv=None) -> int:
         args.holdout = [0.1, 0.2, 0.5, 0.9]
     try:
         return args.fn(args)
-    except DataError as exc:
+    except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -1,9 +1,10 @@
-"""Gaussian model estimation: closed form, pairwise-complete, and EM.
+"""Gaussian model estimation: closed form and EM.
 
 Estimates (mu, Sigma) over benchmarks from complete or incomplete score
 matrices, with PSD projection, identity shrinkage for rank-deficient
-regimes, and correlation conversion.  `fit_model` is the one path from
-raw scores to a model: (logit ->) standardize -> fit.
+regimes, and correlation conversion; EM starts from the pairwise-complete
+covariance.  `fit_model` is the one path from raw scores to a model:
+(logit ->) standardize -> fit.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from benchsel.score_matrix import (
 )
 
 _SYM_TOL = 1e-8
+# Added to an E-step's observed block when its plain Cholesky fails.
+_EM_RIDGE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,7 @@ class GaussianModel:
 
     mean: np.ndarray
     cov: np.ndarray
-    estimator: str  # {"full", "pairwise", "em"}
+    estimator: str  # {"full", "em"}
     em_iterations: int = 0
     converged: bool = True
     loglik_trace: tuple[float, ...] = ()
@@ -70,16 +73,18 @@ class GaussianModel:
 
     @classmethod
     def from_json(cls, doc: str) -> "GaussianModel":
-        d = json.loads(doc)
-        mean = np.asarray(d["mean"], dtype=float)
-        n = mean.size
-        cov = np.asarray(d["cov"], dtype=float).reshape(n, n)
-        return cls(
-            mean, cov, d["estimator"], d.get("em_iterations", 0),
-            d.get("converged", True),
-            tuple(float(x) for x in d.get("loglik_trace", ())),
-            d.get("clamped", False),
-        )
+        try:
+            d = json.loads(doc)
+            mean = np.asarray(d["mean"], dtype=float)
+            cov = np.asarray(d["cov"], dtype=float).reshape(mean.size, mean.size)
+            trace = tuple(float(x) for x in d.get("loglik_trace", ()))
+            estimator = d["estimator"]
+        except KeyError as exc:
+            raise DataError(f"model JSON has no {exc.args[0]!r} field") from None
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"malformed model JSON: {exc}") from None
+        return cls(mean, cov, estimator, d.get("em_iterations", 0),
+                   d.get("converged", True), trace, d.get("clamped", False))
 
 
 @dataclass(frozen=True)
@@ -89,28 +94,17 @@ class EmConfig:
     max_iter caps the SQUAREM cycles, three EM steps each.  A fit has
     converged when, over one cycle, both the relative Frobenius change of
     Sigma and the relative change of the observed-data log-likelihood are
-    below rel_tol.  psd_floor=None selects automatically: 1e-3 for
-    rank-deficient (M < N) or sparse (< 50% observed) inputs, 1e-10
-    otherwise.
+    below rel_tol.
     """
 
     max_iter: int = 500
     rel_tol: float = 1e-6
-    ridge: float = 1e-8
-    psd_floor: float | None = None
-    shrink: str = "auto"  # {"auto", "off"}
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise DataError("max_iter must be >= 1")
         if self.rel_tol <= 0:
             raise DataError("rel_tol must be > 0")
-        if self.ridge < 0:
-            raise DataError("ridge must be >= 0")
-        if self.psd_floor is not None and self.psd_floor <= 0:
-            raise DataError("psd_floor must be > 0")
-        if self.shrink not in ("auto", "off"):
-            raise DataError("shrink must be 'auto' or 'off'")
 
 
 def estimate_full(m: ScoreMatrix) -> GaussianModel:
@@ -249,13 +243,13 @@ def _factor_loglik(Soo: np.ndarray, resid: np.ndarray):
     return factor, -0.5 * (rows * (n * np.log(2 * np.pi) + logdet) + quad)
 
 
-def _e_step(m: ScoreMatrix, patterns, mu, Sigma, ridge):
+def _e_step(m: ScoreMatrix, patterns, mu, Sigma):
     """Conditional expectations at (mu, Sigma), one pattern at a time.
 
     Returns the completed matrix, the summed conditional covariance of the
     missing cells, and the observed-data log-likelihood at (mu, Sigma).
     The gain uses the unridged Cholesky of the observed block, retrying
-    with `ridge` on the diagonal if that fails.
+    with _EM_RIDGE on the diagonal if that fails.
     """
     completed = np.where(m.mask, m.values, 0.0)
     correction = np.zeros_like(Sigma)
@@ -270,7 +264,7 @@ def _e_step(m: ScoreMatrix, patterns, mu, Sigma, ridge):
         if factor is None:
             try:
                 factor = linalg.cho_factor(
-                    Soo + ridge * np.eye(pat.obs.size), lower=True,
+                    Soo + _EM_RIDGE * np.eye(pat.obs.size), lower=True,
                     check_finite=False,
                 )
             except np.linalg.LinAlgError:
@@ -287,13 +281,13 @@ def _e_step(m: ScoreMatrix, patterns, mu, Sigma, ridge):
     return completed, correction, loglik
 
 
-def _em_map(m: ScoreMatrix, patterns, mu, Sigma, floor, ridge):
+def _em_map(m: ScoreMatrix, patterns, mu, Sigma, floor):
     """One plain EM update: E-step, completed-data moments, PSD projection.
 
     Returns (mu', Sigma', observed-data log-likelihood at (mu, Sigma),
     whether the projection altered the M-step's Sigma).
     """
-    completed, correction, loglik = _e_step(m, patterns, mu, Sigma, ridge)
+    completed, correction, loglik = _e_step(m, patterns, mu, Sigma)
     mu_new = completed.mean(axis=0)
     Bc = completed - mu_new
     Sigma_new = (Bc.T @ Bc + correction) / m.shape[0]
@@ -309,7 +303,9 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
     """EM for (mu, Sigma) under MAR missingness, accelerated by SQUAREM.
 
     Initializes from mean_missing and the PSD-projected pairwise
-    covariance (identity-shrunk when M < N).  The EM map `_em_map`
+    covariance (identity-shrunk when M < N).  Every projection clamps
+    eigenvalues at 1e-3 for rank-deficient (M < N) or sparse (< 50%
+    observed) inputs, at 1e-10 otherwise.  The EM map `_em_map`
     alternates conditional imputation with completed-data moment updates
     plus the conditional-covariance correction, projecting to the PSD
     cone.  The E-step sweeps the distinct missingness patterns, not the
@@ -345,14 +341,11 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
     """
     M, N = m.shape
     rank_deficient = M < N
-    sparse = m.observed_fraction() < 0.5
-    floor = cfg.psd_floor
-    if floor is None:
-        floor = 1e-3 if (rank_deficient or sparse) else 1e-10
+    floor = 1e-3 if (rank_deficient or m.observed_fraction() < 0.5) else 1e-10
 
     mu = mean_missing(m)
     Sigma = psd_project(pairwise_cov(m, mu), floor)
-    if cfg.shrink == "auto" and rank_deficient:
+    if rank_deficient:
         Sigma = shrink_identity(Sigma, M, N)
 
     patterns = _missingness_patterns(m)
@@ -362,10 +355,10 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
     step_max = 1.0
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        mu1, S1, ll0, c1 = _em_map(m, patterns, mu, Sigma, floor, cfg.ridge)
+        mu1, S1, ll0, c1 = _em_map(m, patterns, mu, Sigma, floor)
         if it > 1:
             loglik_trace.append(ll0)
-        mu2, S2, ll1, c2 = _em_map(m, patterns, mu1, S1, floor, cfg.ridge)
+        mu2, S2, ll1, c2 = _em_map(m, patterns, mu1, S1, floor)
         r_mu, r_S = mu1 - mu, S1 - Sigma
         v_mu, v_S = mu2 - mu1 - r_mu, S2 - S1 - r_S
         nr = np.sqrt(r_mu @ r_mu + np.sum(r_S * r_S))
@@ -374,7 +367,7 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
         mu_x = mu - 2 * alpha * r_mu + alpha**2 * v_mu
         S_x = Sigma - 2 * alpha * r_S + alpha**2 * v_S
         mu3, S3, ll_x, c3 = _em_map(
-            m, patterns, mu_x, psd_project(S_x, floor), floor, cfg.ridge
+            m, patterns, mu_x, psd_project(S_x, floor), floor
         )
         clamped = clamped or c1 or c2 or c3
         if ll_x >= ll1:
@@ -393,9 +386,9 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
         if change < cfg.rel_tol and ll_change < cfg.rel_tol:
             converged = True
             break
-    loglik_trace.append(_e_step(m, patterns, mu, Sigma, cfg.ridge)[2])
+    loglik_trace.append(_e_step(m, patterns, mu, Sigma)[2])
 
-    if cfg.shrink == "auto" and rank_deficient:
+    if rank_deficient:
         Sigma = shrink_identity(Sigma, M, N)
 
     return GaussianModel(

@@ -15,6 +15,9 @@ from scipy import stats
 
 from benchsel.errors import DataError
 
+# The largest sample Royston's W approximation covers.
+SW_MAX_N = 5000
+
 
 @dataclass(frozen=True)
 class NormalityReport:
@@ -34,8 +37,8 @@ def shapiro_wilk(x) -> tuple[float, float]:
     """
     x = np.asarray(x, dtype=float)
     n = x.size
-    if n < 3 or n > 5000:
-        raise DataError(f"sample size {n} outside [3, 5000]")
+    if n < 3 or n > SW_MAX_N:
+        raise DataError(f"sample size {n} outside [3, {SW_MAX_N}]")
     if not np.isfinite(x).all():
         raise DataError("shapiro_wilk requires finite values")
     if np.all(x == x.flat[0]):
@@ -108,29 +111,24 @@ def benjamini_hochberg(pvals, alpha: float) -> list[bool]:
     return rejected.tolist()
 
 
-def normality_report(
-    m,
-    alpha: float = 0.05,
-    correction: str = "bh",
-    max_n: int = 5000,
-    subsample_seed: int = 0,
-) -> NormalityReport:
+def normality_report(m, alpha: float = 0.05,
+                     correction: str = "bh") -> NormalityReport:
     """Per-benchmark Shapiro-Wilk with multiple-testing correction.
 
     Columns too short (< 3 observed) or constant are skipped and listed.
-    Columns longer than max_n are tested on a seeded subsample, since
-    the W approximation is valid only up to n = 5000.
+    Columns longer than SW_MAX_N are tested on a subsample of SW_MAX_N
+    cells, drawn by a generator seeded with 0.
     """
     if correction not in ("bh", "bonferroni", "none"):
         raise DataError("correction must be bh, bonferroni, or none")
     tested: list[str] = []
     results: dict = {}
     skipped: list[str] = []
-    rng = np.random.default_rng(subsample_seed)
+    rng = np.random.default_rng(0)
     for j, name in enumerate(m.benchmark_names):
         col = m.values[m.mask[:, j], j]
-        if col.size > max_n:
-            col = rng.choice(col, size=max_n, replace=False)
+        if col.size > SW_MAX_N:
+            col = rng.choice(col, size=SW_MAX_N, replace=False)
         if col.size < 3 or np.all(col == col[0]):
             skipped.append(name)
             continue

@@ -14,16 +14,15 @@ fraction never perturbs the draws of another.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
 from benchsel.errors import DataError
 from benchsel.covariance import EmConfig, fit_model
 from benchsel.imputation import STANDARDIZED_CLIP, impute_rows, r2_standardized
-from benchsel.score_matrix import ScoreMatrix, _column_pass, column_stats
+from benchsel.score_matrix import ScoreMatrix, _column_pass, column_stats, write_table
 from benchsel.selection import greedy_entropy, greedy_mi, path_metrics, random_select
 
 VALID_METHODS = ("entropy", "mi", "random")
@@ -39,7 +38,6 @@ class CvConfig:
     estimator_policy: str = "auto"  # {"auto", "full", "em"}
     ridge: float = 1e-2
     logit_mode: bool = False
-    logit_epsilon: float = 1e-3
     em: EmConfig = field(default_factory=EmConfig)
 
     def __post_init__(self):
@@ -77,18 +75,10 @@ class CvReport:
     warnings: tuple[str, ...] = ()
 
     def to_csv(self, sink) -> None:
-        """Tidy CSV, one row per cell."""
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(
-            ["method", "holdout_p", "fold", "k",
-             "r2", "residual_fraction", "entropy", "mi"]
-        )
-        for c in self.cells:
-            writer.writerow(
-                [c.method, repr(c.holdout_p), c.fold, c.k,
-                 repr(c.r2), repr(c.residual_fraction),
-                 repr(c.entropy), repr(c.mi)]
-            )
+        """Tidy CSV, one row per cell, to a path or a text stream; a NaN
+        (an R^2 with no target cell left) is an empty cell."""
+        write_table(sink, [f.name for f in fields(CvCell)],
+                    (astuple(c) for c in self.cells))
 
     def summary_dict(self) -> dict:
         out = {"summary": [], "selection_orders": [], "warnings": list(self.warnings)}
@@ -203,8 +193,7 @@ def _run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows, warnings_out):
         tr_vals, tr_mask = tr_vals[keep], tr_mask[keep]
     train_m = ScoreMatrix(tr_vals, tr_mask,
                           tuple(f"r{i}" for i in range(len(tr_vals))), names)
-    fit = fit_model(train_m, cfg.estimator_policy, cfg.logit_mode,
-                    cfg.logit_epsilon, cfg.em)
+    fit = fit_model(train_m, cfg.estimator_policy, cfg.logit_mode, em=cfg.em)
     if not fit.model.converged:
         warnings_out.append(
             f"p={p} fold={fold_idx}: EM did not converge in "

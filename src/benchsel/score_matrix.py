@@ -67,12 +67,6 @@ class ScoreMatrix:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    def observed(self, i: int, j: int) -> float:
-        """Value at (i, j); raises if the cell is unobserved."""
-        if not self.mask[i, j]:
-            raise DataError(f"cell ({i}, {j}) is not observed")
-        return float(self.values[i, j])
-
     def observed_fraction(self) -> float:
         return float(self.mask.mean())
 
@@ -136,8 +130,8 @@ def load_csv(source) -> ScoreMatrix:
     """Parse a model-by-benchmark CSV into a ScoreMatrix.
 
     First row: label cell, then benchmark names.  Each following row:
-    model name, then one cell per benchmark, each a decimal number or
-    empty or whitespace-only (missing).  "NaN"/"NA" tokens are rejected as
+    model name, then one cell per benchmark, each an ASCII decimal number
+    or empty or whitespace-only (missing).  "NaN"/"NA" tokens are rejected as
     malformed, and so are quoted cells holding a comma and cells that parse
     to a non-finite number ("inf", "-nan", "1e999").
     `source` may be a path, a text stream, a byte stream, or the CSV text
@@ -167,7 +161,11 @@ def load_csv(source) -> ScoreMatrix:
                 f"line {lineno}: expected {len(rows[0])} cells, got {len(row)}"
             )
         cells = row[1:]
+        text = "".join(cells)
         try:
+            # what _decimal rejects, tested once per row
+            if "_" in text or not text.isascii():
+                raise ValueError(text)
             values.append([float(c) if c.strip() else math.nan for c in cells])
         except ValueError:
             values.append(_parse_row(lineno, cells, names))
@@ -184,6 +182,14 @@ def load_csv(source) -> ScoreMatrix:
                        tuple(row[0].strip() for row in rows[1:]), tuple(names))
 
 
+def _decimal(text: str) -> float:
+    """float() of ASCII decimal text; ValueError for anything else, such as
+    the '1_000' and non-ASCII digits float() accepts."""
+    if "_" in text or not text.isascii():
+        raise ValueError(text)
+    return float(text)
+
+
 def _parse_row(lineno, cells, names) -> list[float]:
     """Parse stripped cells one by one; raise DataError at a bad one."""
     out = []
@@ -195,7 +201,7 @@ def _parse_row(lineno, cells, names) -> list[float]:
             raise DataError(where + f"token {cell!r} is not a valid "
                             "missing-cell encoding (use an empty cell)")
         try:
-            out.append(float(cell) if cell else math.nan)
+            out.append(_decimal(cell) if cell else math.nan)
         except ValueError:
             raise DataError(where + f"cannot parse {cell!r} as a number") from None
         if cell and not math.isfinite(out[-1]):

@@ -26,6 +26,9 @@ LOG_2PIE = math.log(2 * math.pi * math.e)
 # the largest initial diagonal entry (numerical-rank exhaustion).
 DEGENERACY_REL_FLOOR = 1e-12
 
+# Eigenvalue clamp for the precision and log-determinants of a singular Sigma.
+PSD_FLOOR = 1e-10
+
 
 @dataclass(frozen=True)
 class SelectionResult:
@@ -43,21 +46,15 @@ class SelectionResult:
         if len(set(self.order)) != len(self.order):
             raise DataError("selection order contains duplicates")
 
-    def to_dict(self, benchmark_names=None) -> dict:
-        names = (
-            [benchmark_names[j] for j in self.order]
-            if benchmark_names is not None
-            else None
-        )
+    def to_dict(self, benchmark_names) -> dict:
         d = {
             "objective": self.objective,
             "order": list(self.order),
             "gains": list(self.gains),
             "residual_trace": list(self.residual_trace),
             "truncated": self.truncated,
+            "selected": [benchmark_names[j] for j in self.order],
         }
-        if names is not None:
-            d["selected"] = names
         if self.seed is not None:
             d["seed"] = self.seed
         if self.total_cost is not None:
@@ -147,13 +144,13 @@ def _pivoted_cholesky(mats, k: int, pivot):
     return tuple(order), tuple(gains), tuple(trace)
 
 
-def _precision(S: np.ndarray, psd_floor: float) -> np.ndarray:
-    """Inverse of S by Cholesky, or with eigenvalues clamped to psd_floor."""
+def _precision(S: np.ndarray) -> np.ndarray:
+    """Inverse of S by Cholesky, or with eigenvalues clamped to PSD_FLOOR."""
     try:
         return linalg.cho_solve(linalg.cho_factor(S, lower=True), np.eye(len(S)))
     except np.linalg.LinAlgError:
         w, V = np.linalg.eigh(S)
-        return (V / np.maximum(w, psd_floor)) @ V.T
+        return (V / np.maximum(w, PSD_FLOOR)) @ V.T
 
 
 def greedy_entropy(S: np.ndarray, k: int) -> SelectionResult:
@@ -187,7 +184,7 @@ def greedy_entropy(S: np.ndarray, k: int) -> SelectionResult:
                            truncated=len(order) < k)
 
 
-def greedy_mi(S: np.ndarray, k: int, psd_floor: float = 1e-10) -> SelectionResult:
+def greedy_mi(S: np.ndarray, k: int) -> SelectionResult:
     """Greedy mutual information maximization.
 
     Pivoted Cholesky of Sigma and of P = Sigma^-1 under shared pivots: the
@@ -195,7 +192,7 @@ def greedy_mi(S: np.ndarray, k: int, psd_floor: float = 1e-10) -> SelectionResul
     so the gain of j is 0.5*(log d_j + log p_j).  Each step takes the
     argmax over d_j above the degeneracy floor and p_j > 0 (lowest index
     on ties) and stops early (truncated=True) when none is left.  P comes
-    from one Cholesky, or from eigenvalues clamped to psd_floor.  Negative
+    from one Cholesky, or from eigenvalues clamped to PSD_FLOOR.  Negative
     gains are legal (MI is non-monotone) and simply recorded.
     """
     S = _check_cov(S)
@@ -214,8 +211,7 @@ def greedy_mi(S: np.ndarray, k: int, psd_floor: float = 1e-10) -> SelectionResul
         pos = int(np.argmax(crit))
         return int(cand[pos]), float(crit[pos])
 
-    order, gains, trace = _pivoted_cholesky([S, _precision(S, psd_floor)], k,
-                                            max_mi)
+    order, gains, trace = _pivoted_cholesky([S, _precision(S)], k, max_mi)
     return SelectionResult(order, gains, trace, "mi", truncated=len(order) < k)
 
 
@@ -313,8 +309,8 @@ def path_metrics(S: np.ndarray, order):
         j = next(steps)
         return j, d[:, j].copy()
 
-    _, pivots, trace = _pivoted_cholesky([S, _precision(S, 1e-10)],
-                                         len(order), follow)
+    _, pivots, trace = _pivoted_cholesky([S, _precision(S)], len(order),
+                                         follow)
     pivots = np.reshape(pivots, (-1, 2))
     logs = np.log(pivots, out=np.full(pivots.shape, math.nan), where=pivots > 0)
     entropy, mi = (np.concatenate(([0.0], np.cumsum(step))) for step in
@@ -339,20 +335,20 @@ def entropy_value(S: np.ndarray, A) -> float:
     return 0.5 * (idx.size * LOG_2PIE + logdet)
 
 
-def _logdet_psd(sub: np.ndarray, psd_floor: float) -> float:
+def _logdet_psd(sub: np.ndarray) -> float:
     sign, logdet = np.linalg.slogdet(sub)
     if sign > 0 and np.isfinite(logdet):
         return float(logdet)
     w = np.linalg.eigvalsh(sub)
-    return float(np.sum(np.log(np.maximum(w, psd_floor))))
+    return float(np.sum(np.log(np.maximum(w, PSD_FLOOR))))
 
 
-def mi_value(S: np.ndarray, A, psd_floor: float = 1e-10) -> float:
+def mi_value(S: np.ndarray, A) -> float:
     """Mutual information I(X_A; X_complement) in nats.
 
     Evaluated as 0.5*(logdet Sigma_AA + logdet Sigma_CC - logdet Sigma);
     empty or full A returns 0 by convention.  Singular blocks fall back
-    to clamped-eigenvalue log-determinants.
+    to log-determinants with eigenvalues clamped to PSD_FLOOR.
     """
     S = _check_cov(S)
     N = S.shape[0]
@@ -361,9 +357,9 @@ def mi_value(S: np.ndarray, A, psd_floor: float = 1e-10) -> float:
         return 0.0
     comp = np.setdiff1d(np.arange(N), idx)
     v = 0.5 * (
-        _logdet_psd(S[np.ix_(idx, idx)], psd_floor)
-        + _logdet_psd(S[np.ix_(comp, comp)], psd_floor)
-        - _logdet_psd(S, psd_floor)
+        _logdet_psd(S[np.ix_(idx, idx)])
+        + _logdet_psd(S[np.ix_(comp, comp)])
+        - _logdet_psd(S)
     )
     return float(v)
 

@@ -1,3 +1,5 @@
+import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -6,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from benchsel.cli import main
+from benchsel.cli import build_parser, main
 from benchsel.score_matrix import load_csv, write_csv
 
 from conftest import make_matrix, rank_one_matrix
@@ -300,6 +302,22 @@ class TestCv:
         for k in (1, 2):
             assert abs(means[("entropy", k)] - means[("random", k)]) <= 0.05
 
+    def test_missing_r2_is_an_empty_cell(self, tmp_path):
+        # at k = 6 of 6 columns no target cell is left, so R^2 is NaN
+        path = write_matrix(tmp_path, rank_one_matrix(M=80, N=6,
+                                                      noise=0.05, seed=5))
+        out = str(tmp_path / "out")
+        assert main(["cv", path, "--folds", "3", "--holdout", "0.2",
+                     "--kmax", "6", "--methods", "entropy",
+                     "--out", out]) == 0
+        with open(os.path.join(out, "cv_cells.csv")) as fh:
+            rows = [line.split(",") for line in fh.read().splitlines()]
+        r2 = rows[0].index("r2")
+        last = [row for row in rows[1:] if row[3] == "6"]
+        assert len(last) == 3 and all(row[r2] == "" for row in last)
+        assert all(row[r2] not in ("", "nan") for row in rows[1:]
+                   if row[3] != "6")
+
 
 class TestNormality:
     def test_gaussian_input(self, tmp_path):
@@ -375,6 +393,121 @@ class TestDeterminism:
             lambda o: ["normality", rank1_csv, "--out", o], tmp_path
         )
 
+
+# One valid call per subcommand, without --out.
+VALID_ARGV = {
+    "spectrum": lambda path: ["spectrum", path],
+    "select": lambda path: ["select", path, "--k", "2"],
+    "impute": lambda path: ["impute", path, "--train", path,
+                            "--selected", "b0"],
+    "cv": lambda path: ["cv", path, "--folds", "2", "--holdout", "0.2",
+                        "--kmax", "1", "--methods", "entropy"],
+    "normality": lambda path: ["normality", path],
+}
+
+
+def sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+class TestManifest:
+    def test_every_flag_is_recorded(self, rank1_csv, tmp_path):
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == set(VALID_ARGV)
+        for command, parser in sub.choices.items():
+            out = str(tmp_path / command)
+            assert main([*VALID_ARGV[command](rank1_csv), "--out", out]) == 0
+            with open(os.path.join(out, f"{command}_manifest.json")) as fh:
+                doc = json.load(fh)
+            dests = {a.dest for a in parser._actions if a.option_strings}
+            dests -= {"help", "out"}
+            # --seed has its own top-level field
+            missing = [d for d in dests if d not in doc["config"]
+                       and not (d == "seed" and "seed" in doc)]
+            assert missing == [], command
+
+    def test_train_file_is_recorded_by_digest(self, tmp_path):
+        inp = write_matrix(tmp_path, rank_one_matrix(M=40, N=4, seed=1),
+                           "input.csv")
+        docs = []
+        for seed in (2, 3):
+            train = write_matrix(tmp_path, rank_one_matrix(M=40, N=4,
+                                                           seed=seed),
+                                 f"train{seed}.csv")
+            out = str(tmp_path / f"out{seed}")
+            assert main(["impute", inp, "--train", train, "--selected", "b0",
+                         "--out", out]) == 0
+            doc = json.load(open(os.path.join(out, "impute_manifest.json")))
+            assert doc["config"]["train"] == sha256(train)
+            assert doc["config"]["model"] is None
+            docs.append(doc)
+        assert docs[0] != docs[1]
+
+    def test_costs_file_is_recorded_by_digest(self, rank1_csv, tmp_path):
+        docs = []
+        for name, costs in (("c1", "1,1,1,1,1,1"), ("c2", "1,2,1,2,1,2")):
+            path = tmp_path / f"{name}.csv"
+            path.write_text("benchmark,cost\n" + "".join(
+                f"b{j},{c}\n" for j, c in enumerate(costs.split(","))))
+            out = str(tmp_path / name)
+            assert main(["select", rank1_csv, "--objective", "budgeted",
+                         "--costs", str(path), "--budget", "3",
+                         "--out", out]) == 0
+            doc = json.load(open(os.path.join(out, "select_manifest.json")))
+            assert doc["config"]["costs"] == sha256(path)
+            docs.append(doc)
+        assert docs[0] != docs[1]
+
+
+class TestBadFiles:
+    """A bad input file ends in exit code 2 and one `data error:` line."""
+
+    def run(self, argv, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["input", "--train", "--model",
+                                      "--selected"])
+    def test_missing_file(self, flag, rank1_csv, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        argv = {"input": ["impute", missing, "--train", rank1_csv,
+                          "--selected", "b0"],
+                "--train": ["impute", rank1_csv, "--train", missing,
+                            "--selected", "b0"],
+                "--model": ["impute", rank1_csv, "--model", missing,
+                            "--selected", "b0"],
+                "--selected": ["impute", rank1_csv, "--train", rank1_csv,
+                               "--selected", "@" + missing]}[flag]
+        self.run(argv, tmp_path, capsys)
+
+    @pytest.mark.parametrize("body", [
+        None,                                   # no costs file
+        "",                                     # empty file
+        "benchmark,cost\nb0,abc\n",             # unparsable cost
+        "benchmark,cost\nb0\n",                 # one-cell row
+        "benchmark,cost\nb0,1\nb0,2\n",         # duplicate benchmark
+        "benchmark,cost\nb0,inf\n",             # non-finite cost
+        "benchmark,cost\nb0,1_000\n",           # not a decimal number
+    ], ids=["no-file", "empty", "abc", "one-cell", "duplicate", "inf",
+            "underscore"])
+    def test_bad_costs(self, body, rank1_csv, tmp_path, capsys):
+        path = tmp_path / "costs.csv"
+        if body:
+            # every other benchmark gets a valid cost
+            body += "".join(f"b{j},1\n" for j in range(1, 6))
+        if body is not None:
+            path.write_text(body)
+        self.run(["select", rank1_csv, "--objective", "budgeted",
+                  "--costs", str(path), "--budget", "3"], tmp_path, capsys)
+
+    def test_model_without_cov(self, rank1_csv, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"mean": [0.0] * 6, "estimator": "full"}))
+        self.run(["impute", rank1_csv, "--model", str(path),
+                  "--selected", "b0"], tmp_path, capsys)
 
 class TestEntryPoint:
     def test_usage_error_exit_1(self):

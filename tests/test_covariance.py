@@ -255,13 +255,17 @@ class TestEmFit:
         assert em_fit(matrix, EmConfig()).estimator == "em"
 
 
-def _reference_conditional_moments(mu, Sigma, obs_idx, mis_idx, x_obs, ridge, row_label):
+# The ridge em_fit's E-step retries a failed Cholesky with.
+EM_RIDGE = 1e-8
+
+
+def _reference_conditional_moments(mu, Sigma, obs_idx, mis_idx, x_obs, row_label):
     """Per-row conditional mean/cov of the missing block, ridge retry."""
     Soo = Sigma[np.ix_(obs_idx, obs_idx)]
     Smo = Sigma[np.ix_(mis_idx, obs_idx)]
     Smm = Sigma[np.ix_(mis_idx, mis_idx)]
     resid = x_obs - mu[obs_idx]
-    for eps in (0.0, ridge):
+    for eps in (0.0, EM_RIDGE):
         try:
             c, low = linalg.cho_factor(
                 Soo + eps * np.eye(len(obs_idx)), lower=True
@@ -292,15 +296,13 @@ def _reference_observed_loglik(m, mu, Sigma):
     return total
 
 
-def reference_floor(m, cfg):
-    """em_fit's automatic PSD floor."""
-    if cfg.psd_floor is not None:
-        return cfg.psd_floor
+def reference_floor(m):
+    """em_fit's PSD floor."""
     sparse = m.observed_fraction() < 0.5
     return 1e-3 if (m.shape[0] < m.shape[1] or sparse) else 1e-10
 
 
-def reference_em_map(m, mu, Sigma, floor, ridge):
+def reference_em_map(m, mu, Sigma, floor):
     """One plain EM update with a row-by-row E-step: (mu', Sigma', clamped)."""
     M, N = m.shape
     completed = np.where(m.mask, m.values, 0.0)
@@ -311,7 +313,7 @@ def reference_em_map(m, mu, Sigma, floor, ridge):
             continue
         obs = np.flatnonzero(m.mask[i])
         cond_mean, cond_cov = _reference_conditional_moments(
-            mu, Sigma, obs, mis, m.values[i, obs], ridge, m.model_names[i],
+            mu, Sigma, obs, mis, m.values[i, obs], m.model_names[i],
         )
         completed[i, mis] = cond_mean
         correction[np.ix_(mis, mis)] += cond_cov
@@ -326,11 +328,11 @@ def reference_em_map(m, mu, Sigma, floor, ridge):
     return mu_new, projected, bool(clamped)
 
 
-def reference_em_init(m, cfg):
+def reference_em_init(m):
     """em_fit's starting point."""
     mu = mean_missing(m)
-    Sigma = psd_project(pairwise_cov(m, mu), reference_floor(m, cfg))
-    if cfg.shrink == "auto" and m.shape[0] < m.shape[1]:
+    Sigma = psd_project(pairwise_cov(m, mu), reference_floor(m))
+    if m.shape[0] < m.shape[1]:
         Sigma = shrink_identity(Sigma, *m.shape)
     return mu, Sigma
 
@@ -340,11 +342,11 @@ def reference_em_fit(m, cfg):
     with a row-by-row E-step.  `loglik_trace` holds only the final
     log-likelihood, from a separate row-by-row pass."""
     M, N = m.shape
-    floor = reference_floor(m, cfg)
-    mu, Sigma = reference_em_init(m, cfg)
+    floor = reference_floor(m)
+    mu, Sigma = reference_em_init(m)
     clamped, converged = False, False
     for it in range(1, cfg.max_iter + 1):
-        mu_new, Sigma_new, c = reference_em_map(m, mu, Sigma, floor, cfg.ridge)
+        mu_new, Sigma_new, c = reference_em_map(m, mu, Sigma, floor)
         clamped = clamped or c
         change = np.linalg.norm(Sigma_new - Sigma, "fro") / max(
             np.linalg.norm(Sigma, "fro"), 1e-300
@@ -354,7 +356,7 @@ def reference_em_fit(m, cfg):
             converged = True
             break
     loglik = _reference_observed_loglik(m, mu, Sigma)
-    if cfg.shrink == "auto" and M < N:
+    if M < N:
         Sigma = shrink_identity(Sigma, M, N)
     return GaussianModel(
         mu, Sigma, "em", em_iterations=it, converged=converged,
@@ -397,17 +399,16 @@ class TestEmPatternSweep:
         # point is skipped: its PSD-projected pairwise Sigma can sit at the
         # 1e-10 floor, where summation order alone moves the
         # log-likelihood by more than the tolerance.
-        cfg = EmConfig()
-        floor = reference_floor(m, cfg)
+        floor = reference_floor(m)
         patterns = covariance._missingness_patterns(m)
-        mu, Sigma = reference_em_init(m, cfg)
+        mu, Sigma = reference_em_init(m)
         for _ in range(5):
             for _ in range(1 + stride):
-                mu, Sigma, _ = reference_em_map(m, mu, Sigma, floor, cfg.ridge)
+                mu, Sigma, _ = reference_em_map(m, mu, Sigma, floor)
             got_mu, got_S, got_ll, got_c = covariance._em_map(
-                m, patterns, mu, Sigma, floor, cfg.ridge
+                m, patterns, mu, Sigma, floor
             )
-            want_mu, want_S, want_c = reference_em_map(m, mu, Sigma, floor, cfg.ridge)
+            want_mu, want_S, want_c = reference_em_map(m, mu, Sigma, floor)
             assert got_c == want_c
             assert np.allclose(got_mu, want_mu, rtol=0, atol=1e-10)
             assert np.allclose(got_S, want_S, rtol=0, atol=1e-10)
@@ -449,15 +450,14 @@ class TestEmPatternSweep:
         pm = make_matrix(m.values[perm], m.mask[perm])
         # One EM map: permuting rows reorders the patterns and the sums
         # over them, and nothing else.
-        cfg = EmConfig()
-        floor = reference_floor(m, cfg)
-        mu, Sigma = reference_em_init(m, cfg)
-        mu, Sigma, _ = reference_em_map(m, mu, Sigma, floor, cfg.ridge)
+        floor = reference_floor(m)
+        mu, Sigma = reference_em_init(m)
+        mu, Sigma, _ = reference_em_map(m, mu, Sigma, floor)
         got = covariance._em_map(
-            pm, covariance._missingness_patterns(pm), mu, Sigma, floor, cfg.ridge
+            pm, covariance._missingness_patterns(pm), mu, Sigma, floor
         )
         want = covariance._em_map(
-            m, covariance._missingness_patterns(m), mu, Sigma, floor, cfg.ridge
+            m, covariance._missingness_patterns(m), mu, Sigma, floor
         )
         for a, b in zip(got[:2], want[:2]):
             assert np.max(np.abs(a - b)) <= 1e-10 * max(1.0, np.max(np.abs(b)))

@@ -87,6 +87,18 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="cannot parse"):
             load_csv("model,b0,b1\na,xx,2\nb,3,4\n")
 
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662", "\uff11"])
+    def test_non_decimal_text_rejected(self, cell):
+        # float() reads digit separators, Arabic-Indic and full-width digits
+        with pytest.raises(DataError, match=rf"^line 3, column 'b1': cannot "
+                           rf"parse '{cell}' as a number$"):
+            load_csv(f"model,b0,b1\na,1,2\nb,3,{cell}\nc,4,5\n")
+
+    def test_non_ascii_padding_is_stripped(self):
+        # no-break spaces around a number are whitespace, as str.strip says
+        m = load_csv("model,b0,b1\na,1,\u00a02\u00a0\nb,3,4\nc,5,\u00a0\n")
+        assert m.values[0, 1] == 2.0 and not m.mask[2, 1]
+
     def test_wrong_cell_count(self):
         with pytest.raises(DataError, match="expected"):
             load_csv("model,b0,b1\na,1\nb,3,4\n")
@@ -157,10 +169,10 @@ class TestWriteTable:
 
 class TestInvariants:
     def test_sentinel_never_read(self):
+        # an unobserved cell is masked out and holds NaN, never a score
         m = load_csv("model,b0,b1\na,1,\nb,2,3\nc,4,5\n")
-        with pytest.raises(DataError):
-            m.observed(0, 1)
-        assert m.observed(0, 0) == 1.0
+        assert not m.mask[0, 1] and np.isnan(m.values[0, 1])
+        assert m.mask[0, 0] and m.values[0, 0] == 1.0
 
     def test_values_immutable(self):
         m = load_csv(CSV_FULL)
