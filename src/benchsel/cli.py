@@ -24,13 +24,14 @@ import numpy as np
 
 import benchsel
 from benchsel.errors import DataError, NumericalError
-from benchsel.covariance import GaussianModel, fit_model, to_correlation
+from benchsel.covariance import (
+    FittedModel, GaussianModel, fit_model, to_correlation)
 from benchsel.diagnostics import mardia, normality_report
 from benchsel.evaluation import CvConfig, run_cv
 # cli uses neither impute_row nor lazy_greedy_entropy; bench/test_bench.py
 # deletes both names from cli to test its tracer, so they stay importable.
 from benchsel.imputation import impute_row, impute_rows  # noqa: F401
-from benchsel.score_matrix import _decimal, load_csv, write_table
+from benchsel.score_matrix import ColumnStats, _decimal, load_csv, write_table
 from benchsel.selection import (
     CostModel,
     budgeted_entropy,
@@ -181,8 +182,8 @@ def cmd_select(args) -> int:
 
 
 def _resolve_selected(arg, benchmark_names):
-    if arg.startswith("@"):
-        with open(arg[1:], "r", encoding="utf-8") as fh:
+    if isinstance(arg, _File):
+        with open(arg, "r", encoding="utf-8") as fh:
             names = [line.strip() for line in fh if line.strip()]
     else:
         names = [n.strip() for n in arg.split(",") if n.strip()]
@@ -204,21 +205,19 @@ def cmd_impute(args) -> int:
         if train.benchmark_names != m.benchmark_names:
             raise DataError("training CSV benchmarks do not match input")
         fit = fit_model(train, logit=args.logit, epsilon=args.epsilon)
-        model, std_vals = fit.model, fit.encode(m.values)
     else:
-        # A bare model JSON is interpreted in raw score space.
+        # A bare model JSON is in raw score space: identity transforms.
         with open(args.model, "r", encoding="utf-8") as fh:
             model = GaussianModel.from_json(fh.read())
         if model.mean.size != m.shape[1]:
             raise DataError("model dimension does not match input width")
-        fit = None
-        std_vals = m.values
+        fit = FittedModel(model, ColumnStats(np.zeros_like(model.mean),
+                                             np.ones_like(model.mean)))
 
-    pred, cvar = impute_rows(std_vals, m.mask, selected, model, args.ridge)
-    sd = np.sqrt(np.maximum(cvar, 0.0))
-    if fit is not None:
-        pred, sd = fit.decode(pred), sd * fit.stats.stds
-    completed = np.where(m.mask, m.values, pred)
+    pred, cvar = impute_rows(fit.encode(m.values), selected, fit.model,
+                             args.ridge)
+    sd = fit.decode_sd(pred, np.sqrt(np.maximum(cvar, 0.0)))
+    completed = np.where(m.mask, m.values, fit.decode(pred))
     cond_sd = np.where(m.mask, np.nan, sd)
 
     os.makedirs(args.out, exist_ok=True)
@@ -278,7 +277,7 @@ def cmd_normality(args) -> int:
             fit = fit_model(m)
             z = fit.encode(m.values)
             # Each row conditions on all it observed: one group per pattern.
-            pred = impute_rows(z, m.mask, range(m.shape[1]), fit.model,
+            pred = impute_rows(z, range(m.shape[1]), fit.model,
                                args.ridge).predicted
             mardia_doc = mardia(np.where(m.mask, z, pred))
             mardia_doc["matrix"] = "completed-data"
@@ -320,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", type=_File)
     p.add_argument("--train", type=_File)
     p.add_argument("--selected", required=True,
+                   type=lambda s: _File(s[1:]) if s.startswith("@") else s,
                    help="comma-separated names or @file")
     p.add_argument("--ridge", type=float, default=1e-2)
     p.add_argument("--logit", action="store_true")
@@ -356,7 +356,7 @@ def main(argv=None) -> int:
         args.holdout = [0.1, 0.2, 0.5, 0.9]
     try:
         return args.fn(args)
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

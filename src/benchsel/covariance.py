@@ -21,6 +21,7 @@ from benchsel.score_matrix import (
     ColumnStats,
     LogitParams,
     ScoreMatrix,
+    _row_groups,
     column_stats,
     logit_params,
     logit_transform,
@@ -202,15 +203,9 @@ class _Pattern(NamedTuple):
 
 def _missingness_patterns(m: ScoreMatrix) -> list[_Pattern]:
     """Distinct mask rows, ordered by the first row that has each."""
-    patterns, first, inverse = np.unique(
-        m.mask, axis=0, return_index=True, return_inverse=True
-    )
-    inverse = inverse.ravel()
     out = []
-    for k in np.argsort(first):
-        obs = np.flatnonzero(patterns[k])
-        mis = np.flatnonzero(~patterns[k])
-        rows = np.flatnonzero(inverse == k)
+    for pattern, rows in _row_groups(m.mask):
+        obs, mis = np.flatnonzero(pattern), np.flatnonzero(~pattern)
         out.append(_Pattern(
             obs, mis, rows, m.values[np.ix_(rows, obs)], np.ix_(obs, obs),
             np.ix_(mis, obs), np.ix_(mis, mis), np.ix_(rows, mis),
@@ -416,6 +411,15 @@ class FittedModel:
         """Model space -> raw scores: the inverse of encode."""
         raw = np.asarray(values, dtype=float) * self.stats.stds + self.stats.means
         return self.logit.inverse(raw) if self.logit is not None else raw
+
+    def decode_sd(self, values: np.ndarray, sd: np.ndarray) -> np.ndarray:
+        """Model-space sds at `values` -> raw-score sds by the delta method:
+        sd times the slope of decode at `values`."""
+        sd = np.asarray(sd, dtype=float) * self.stats.stds
+        if self.logit is not None:
+            raw = self.decode(values)
+            sd = sd * raw * (1.0 - raw / self.logit.col_max)
+        return sd
 
 
 def fit_model(m: ScoreMatrix, estimator: str = "auto", logit: bool = False,

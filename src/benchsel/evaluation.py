@@ -162,13 +162,10 @@ def run_cv(m: ScoreMatrix, cfg: CvConfig = CvConfig()) -> CvReport:
 
 def _run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows, warnings_out):
     tr_vals = m.values[train_rows]
-    tr_mask = m.mask[train_rows]
-    va_vals = m.values[val_rows]
-    va_mask = m.mask[val_rows]
 
     # Columns must be estimable from training data: observed values that
     # are not all equal; others are excluded from this fold.
-    varies = _column_pass(tr_vals, tr_mask)[2]
+    varies = _column_pass(tr_vals)[2]
     warnings_out.extend(
         f"p={p} fold={fold_idx}: column {m.benchmark_names[j]!r} "
         "excluded (too few training observations or zero variance)"
@@ -181,17 +178,16 @@ def _run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows, warnings_out):
         )
         return None
     names = tuple(m.benchmark_names[j] for j in active)
-    tr_vals, tr_mask = tr_vals[:, active], tr_mask[:, active]
-    va_vals, va_mask = va_vals[:, active], va_mask[:, active]
+    tr_vals, va_vals = tr_vals[:, active], m.values[np.ix_(val_rows, active)]
 
-    keep = tr_mask.any(axis=1)
+    keep = ~np.isnan(tr_vals).all(axis=1)
     if not keep.all():
         warnings_out.append(
             f"p={p} fold={fold_idx}: dropped {int((~keep).sum())} empty "
             "training rows"
         )
-        tr_vals, tr_mask = tr_vals[keep], tr_mask[keep]
-    train_m = ScoreMatrix(tr_vals, tr_mask,
+        tr_vals = tr_vals[keep]
+    train_m = ScoreMatrix(tr_vals, ~np.isnan(tr_vals),
                           tuple(f"r{i}" for i in range(len(tr_vals))), names)
     fit = fit_model(train_m, cfg.estimator_policy, cfg.logit_mode, em=cfg.em)
     if not fit.model.converged:
@@ -224,11 +220,11 @@ def _run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows, warnings_out):
         entropy, mi, rtrace = path_metrics(Sigma, order)
         for k in range(1, len(order) + 1):
             A = order[:k]
-            pred = impute_rows(va_std, va_mask, A, fit.model, cfg.ridge).predicted
+            pred = impute_rows(va_std, A, fit.model, cfg.ridge).predicted
             if cfg.logit_mode:
                 # standardized logit -> raw -> raw standardized
                 pred = (fit.decode(pred) - raw_stats.means) / raw_stats.stds
-            tmask = va_mask.copy()
+            tmask = ~np.isnan(va_vals)
             tmask[:, A] = False
             r2 = (r2_standardized(pred[tmask], va_z[tmask]) if tmask.any()
                   else math.nan)

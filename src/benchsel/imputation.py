@@ -15,6 +15,7 @@ from scipy import linalg
 
 from benchsel.errors import DataError, NumericalError
 from benchsel.covariance import GaussianModel
+from benchsel.score_matrix import _row_groups
 
 STANDARDIZED_CLIP = 10.0
 
@@ -40,41 +41,37 @@ class BatchImputation(NamedTuple):
 
 
 def impute_rows(
-    values, mask, selected, model: GaussianModel, ridge: float = 1e-2
+    values, selected, model: GaussianModel, ridge: float = 1e-2
 ) -> BatchImputation:
     """Conditional means and variances of every column, for every row.
 
-    Row i conditions on selected ∩ observed(i), where `mask` marks the
-    observed cells of the standardized `values`.  Rows with the same
+    Row i conditions on the selected columns it observed: a NaN in the
+    standardized `values` is an unobserved cell.  Rows with the same
     conditioning set C share one Cholesky factor of Sigma_CC + ridge*I;
     with C empty a row gets the marginal mean and variance.
     """
-    values, mask = np.asarray(values, float), np.asarray(mask, bool)
+    values = np.asarray(values, float)
     mu, Sigma = model.mean, model.cov
     N = mu.size
-    if values.ndim != 2 or values.shape != mask.shape or values.shape[1] != N:
-        raise DataError("values and mask must both be R x N")
+    if values.ndim != 2 or values.shape[1] != N:
+        raise DataError("values must be R x N")
     sel = np.unique(np.asarray(list(selected), dtype=int))
     if sel.size and (sel[0] < 0 or sel[-1] >= N):
         raise DataError("selected index out of range")
     var = np.diag(Sigma)
     predicted = np.tile(mu, (len(values), 1))
     cond_var = np.tile(var, (len(values), 1))
-    patterns, first, inverse = np.unique(
-        mask[:, sel], axis=0, return_index=True, return_inverse=True
-    )
-    for k, pattern in enumerate(patterns):
+    for pattern, rows in _row_groups(~np.isnan(values[:, sel])):
         C = sel[pattern]
         if C.size == 0:
             continue
-        rows = np.flatnonzero(inverse == k)
         try:
             factor = linalg.cho_factor(
                 Sigma[np.ix_(C, C)] + ridge * np.eye(C.size), lower=True
             )
         except np.linalg.LinAlgError:
             raise NumericalError(
-                f"conditioning block for row {int(first[k])} is singular "
+                f"conditioning block for row {int(rows[0])} is singular "
                 "even with ridge"
             ) from None
         Sxc = Sigma[:, C]
@@ -104,7 +101,7 @@ def impute_row(
         targets = [j for j in range(N) if j not in selected]
     targets = sorted(set(int(j) for j in targets))
     row = np.array([[obs.get(j, np.nan) for j in range(N)]])
-    pred, cvar = impute_rows(row, ~np.isnan(row), selected, model, ridge)
+    pred, cvar = impute_rows(row, selected, model, ridge)
     return ImputationResult(
         {j: float(pred[0, j]) for j in targets},
         {j: float(cvar[0, j]) for j in targets},

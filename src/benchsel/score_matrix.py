@@ -1,8 +1,8 @@
 """Score matrix data model: ingestion, standardization, logit transform.
 
 A score matrix holds M models by N benchmarks with an observation mask.
-Unobserved cells carry NaN internally but are only ever interpreted
-through the mask; all operations are pure and return new matrices.
+Unobserved cells hold NaN, exactly where the mask is false, so code below
+ScoreMatrix reads NaN as missing; all operations return new matrices.
 """
 
 from __future__ import annotations
@@ -229,15 +229,15 @@ def write_csv(m: ScoreMatrix, sink) -> None:
                  in zip(m.model_names, m.values.tolist())))
 
 
-def _column_pass(values: np.ndarray, mask: np.ndarray):
-    """Observed means, ddof=1 stds (NaN below two cells) and which vary.
+def _column_pass(values: np.ndarray):
+    """Non-NaN means, ddof=1 stds (NaN below two cells) and which vary.
 
     A column varies when its observed max exceeds its min (seven cells of
     0.1 have a std of 1.5e-17) and its std is positive.  Sums run along the
     rows of a contiguous transposed copy, so a fully observed column gets
     the bits of its own mean() and std(ddof=1).
     """
-    obs = np.ascontiguousarray(mask.T)
+    obs = np.ascontiguousarray(~np.isnan(values).T)
     X = np.where(obs, values.T, 0.0)
     n = obs.sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -249,13 +249,23 @@ def _column_pass(values: np.ndarray, mask: np.ndarray):
     return means, stds, varies
 
 
+def _row_groups(observed: np.ndarray):
+    """(pattern, rows) for each distinct row of a boolean matrix, in the
+    order of each pattern's first row; `rows` ascend."""
+    patterns, first, inverse = np.unique(
+        observed, axis=0, return_index=True, return_inverse=True)
+    inverse = inverse.ravel()
+    for k in np.argsort(first):
+        yield patterns[k], np.flatnonzero(inverse == k)
+
+
 def column_stats(m: ScoreMatrix) -> ColumnStats:
     """Observed-cell means and sample stds (ddof=1) per column.
 
     Columns with zero observed variance are rejected: a constant
     benchmark carries no selection signal and breaks standardization.
     """
-    means, stds, varies = _column_pass(m.values, m.mask)
+    means, stds, varies = _column_pass(m.values)
     if not varies.all():
         raise DataError(f"column {m.benchmark_names[int(np.argmin(varies))]!r} "
                         "has zero observed variance")

@@ -373,11 +373,10 @@ def spectrum(R: np.ndarray) -> SpectrumReport:
     return SpectrumReport(w, explained, 1.0 - explained)
 
 
-def residual_trace(S: np.ndarray, A, psd_floor: float | None = None) -> float:
+def residual_trace(S: np.ndarray, A) -> float:
     """Trace of the Schur complement of Sigma_AA: total residual variance.
 
-    A singular Sigma_AA raises unless psd_floor is given, in which case
-    a clamped-eigenvalue solve is used with a warning.
+    A singular Sigma_AA raises NumericalError.
     """
     S = _check_cov(S)
     N = S.shape[0]
@@ -390,17 +389,7 @@ def residual_trace(S: np.ndarray, A, psd_floor: float | None = None) -> float:
     Saa = S[np.ix_(idx, idx)]
     Sca = S[np.ix_(comp, idx)]
     try:
-        c, low = linalg.cho_factor(Saa, lower=True)
-        X = linalg.cho_solve((c, low), Sca.T)
+        X = linalg.cho_solve(linalg.cho_factor(Saa, lower=True), Sca.T)
     except np.linalg.LinAlgError:
-        if psd_floor is None:
-            raise NumericalError(
-                "Sigma_AA is singular; pass psd_floor to use a clamped solve"
-            ) from None
-        warnings.warn("Sigma_AA singular; using clamped-eigenvalue solve",
-                      stacklevel=2)
-        w, V = np.linalg.eigh(Saa)
-        w = np.maximum(w, psd_floor)
-        X = V @ ((V.T @ Sca.T) / w[:, None])
-    val = float(np.trace(S[np.ix_(comp, comp)]) - np.sum(Sca * X.T))
-    return val
+        raise NumericalError("Sigma_AA is singular") from None
+    return float(np.trace(S[np.ix_(comp, comp)]) - np.sum(Sca * X.T))

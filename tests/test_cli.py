@@ -11,7 +11,10 @@ import pytest
 from benchsel.cli import build_parser, main
 from benchsel.score_matrix import load_csv, write_csv
 
-from conftest import make_matrix, rank_one_matrix
+from benchsel.covariance import GaussianModel, estimate_full
+from benchsel.imputation import impute_rows
+
+from conftest import make_matrix, mcar_matrix, rank_one_matrix
 
 
 def write_matrix(tmp_path, matrix, name="input.csv"):
@@ -200,6 +203,13 @@ class TestSelect:
             ["select", unit_csv, "--logit", "--k", "2"], "--epsilon",
             ("0.001", "0.1"), tmp_path, "select") == [0.001, 0.1]
 
+    def test_fewer_models_than_benchmarks_with_holes(self, tmp_path):
+        # M < N and missing cells: EM with the identity shrink
+        matrix, _, _ = mcar_matrix(8, 12, 0.2, seed=25)
+        path = write_matrix(tmp_path, matrix)
+        assert main(["select", path, "--k", "3",
+                     "--out", str(tmp_path / "o")]) == 0
+
     def test_non_finite_cell_exit_code(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("model,b0,b1\na,-nan,1\nb,2,3\nc,4,5\n")
@@ -267,6 +277,38 @@ class TestImpute:
              "--logit"], "--epsilon", ("0.001", "0.1"), tmp_path,
             "impute") == [0.001, 0.1]
 
+    def test_model_imputes_in_raw_score_space(self, tmp_path):
+        # a bare model JSON conditions on raw scores, untransformed
+        full = rank_one_matrix(M=40, N=4, noise=0.1, seed=3)
+        model = estimate_full(full)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(model.to_json())
+        holed, _, _ = mcar_matrix(20, 4, 0.3, seed=4)
+        out = str(tmp_path / "out")
+        assert main(["impute", write_matrix(tmp_path, holed), "--model",
+                     str(model_path), "--selected", "b0,b2",
+                     "--out", out]) == 0
+        pred, cvar = impute_rows(holed.values, [0, 2], model)
+        completed = load_csv(os.path.join(out, "completed.csv"))
+        assert np.array_equal(completed.values,
+                              np.where(holed.mask, holed.values, pred))
+        with open(os.path.join(out, "conditional_sd.csv")) as fh:
+            sd = np.array([[float(c) if c else np.nan for c in
+                            line.split(",")[1:]]
+                           for line in fh.read().splitlines()[1:]])
+        assert np.array_equal(sd, np.where(holed.mask, np.nan, np.sqrt(cvar)),
+                              equal_nan=True)
+
+    def test_indefinite_model_exit_code(self, tmp_path, capsys):
+        # symmetric but indefinite: the conditioning block stays singular
+        model_path = tmp_path / "model.json"
+        model_path.write_text(GaussianModel(
+            np.zeros(2), [[1.0, 1.5], [1.5, 1.0]], "full").to_json())
+        path = write_matrix(tmp_path, make_matrix([[0.1, 0.2], [0.3, 0.1]]))
+        assert main(["impute", path, "--model", str(model_path),
+                     "--selected", "b0,b1", "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err.startswith("numerical error: ")
+
     def test_mutual_exclusion(self, rank1_csv, tmp_path):
         assert main(["impute", rank1_csv, "--selected", "b0",
                      "--out", str(tmp_path / "o")]) == 1
@@ -301,6 +343,17 @@ class TestCv:
         means = {(s["method"], s["k"]): s["mean"] for s in doc["summary"]}
         for k in (1, 2):
             assert abs(means[("entropy", k)] - means[("random", k)]) <= 0.05
+
+    def test_verbose_prints_each_summary_key(self, rank1_csv, tmp_path,
+                                             capsys):
+        out = str(tmp_path / "out")
+        assert main(["cv", rank1_csv, "--folds", "3", "--holdout", "0.2",
+                     "--kmax", "2", "--methods", "entropy", "--verbose",
+                     "--out", out]) == 0
+        doc = json.load(open(os.path.join(out, "cv_summary.json")))
+        assert capsys.readouterr().out.splitlines() == [
+            f"('entropy', 0.2, {s['k']}): mean={s['mean']:.4f} "
+            f"std={s['std']:.4f}" for s in doc["summary"]]
 
     def test_missing_r2_is_an_empty_cell(self, tmp_path):
         # at k = 6 of 6 columns no target cell is left, so R^2 is NaN
@@ -353,6 +406,22 @@ class TestNormality:
         doc = json.load(open(os.path.join(out, "mardia.json")))
         assert doc["matrix"] == "completed-data"
 
+
+    def test_bonferroni_and_no_correction(self, tmp_path):
+        # alpha 0.5 over 4 columns: Bonferroni tests each p against 0.125
+        rng = np.random.default_rng(8)
+        path = write_matrix(tmp_path, make_matrix(rng.normal(size=(120, 4))))
+        flags = {}
+        for correction, cut in (("bonferroni", 0.125), ("none", 0.5)):
+            out = str(tmp_path / correction)
+            assert main(["normality", path, "--alpha", "0.5",
+                         "--correction", correction, "--out", out]) == 0
+            rows = [line.split(",") for line in
+                    open(os.path.join(out, "shapiro.csv")).read().splitlines()]
+            flags[correction] = [row[3] for row in rows[1:]]
+            assert flags[correction] == [str(int(float(row[2]) <= cut))
+                                         for row in rows[1:]]
+        assert flags["bonferroni"] != flags["none"]
 
     def test_manifest_records_ridge(self, tmp_path):
         # the ridge enters the EM completion before Mardia
@@ -461,6 +530,21 @@ class TestManifest:
         assert docs[0] != docs[1]
 
 
+    def test_selected_file_is_recorded_by_digest(self, rank1_csv, tmp_path):
+        # one path, rewritten between the runs
+        path = tmp_path / "selected.txt"
+        docs = []
+        for names in ("b0\n", "b3\nb4\n"):
+            path.write_text(names)
+            out = str(tmp_path / f"out{len(docs)}")
+            assert main(["impute", rank1_csv, "--train", rank1_csv,
+                         "--selected", f"@{path}", "--out", out]) == 0
+            doc = json.load(open(os.path.join(out, "impute_manifest.json")))
+            assert doc["config"]["selected"] == sha256(path)
+            docs.append(doc)
+        assert docs[0] != docs[1]
+
+
 class TestBadFiles:
     """A bad input file ends in exit code 2 and one `data error:` line."""
 
@@ -469,19 +553,35 @@ class TestBadFiles:
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
 
+    @staticmethod
+    def argv(flag, bad, good):
+        """A call that is valid but for `bad` given as `flag`."""
+        return {"input": ["impute", bad, "--train", good, "--selected", "b0"],
+                "--train": ["impute", good, "--train", bad,
+                            "--selected", "b0"],
+                "--model": ["impute", good, "--model", bad,
+                            "--selected", "b0"],
+                "--selected": ["impute", good, "--train", good,
+                               "--selected", "@" + bad],
+                "--costs": ["select", good, "--objective", "budgeted",
+                            "--costs", bad, "--budget", "3"]}[flag]
+
     @pytest.mark.parametrize("flag", ["input", "--train", "--model",
                                       "--selected"])
     def test_missing_file(self, flag, rank1_csv, tmp_path, capsys):
         missing = str(tmp_path / "missing")
-        argv = {"input": ["impute", missing, "--train", rank1_csv,
-                          "--selected", "b0"],
-                "--train": ["impute", rank1_csv, "--train", missing,
-                            "--selected", "b0"],
-                "--model": ["impute", rank1_csv, "--model", missing,
-                            "--selected", "b0"],
-                "--selected": ["impute", rank1_csv, "--train", rank1_csv,
-                               "--selected", "@" + missing]}[flag]
-        self.run(argv, tmp_path, capsys)
+        self.run(self.argv(flag, missing, rank1_csv), tmp_path, capsys)
+
+    @pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+    @pytest.mark.parametrize("flag", ["input", "--train", "--model",
+                                      "--selected", "--costs"])
+    def test_unreadable_file(self, flag, kind, rank1_csv, tmp_path, capsys):
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"\xff\xfe" + b"model,b0\n" * 3)
+        self.run(self.argv(flag, str(bad), rank1_csv), tmp_path, capsys)
 
     @pytest.mark.parametrize("body", [
         None,                                   # no costs file

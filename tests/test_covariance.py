@@ -254,6 +254,14 @@ class TestEmFit:
         matrix, _, _ = mcar_matrix(100, 4, 0.2, seed=23)
         assert em_fit(matrix, EmConfig()).estimator == "em"
 
+    def test_rank_deficient_fit_is_shrunk_toward_the_identity(self):
+        # M = 8 < N = 12: the fit is shrunk with alpha = (N - M) / N, so
+        # every eigenvalue is at least alpha * tr(Sigma) / N
+        matrix, _, _ = mcar_matrix(8, 12, 0.2, seed=25)
+        cov = em_fit(matrix).cov
+        bound = (12 - 8) / 12 * np.trace(cov) / 12
+        assert np.linalg.eigvalsh(cov)[0] >= bound * (1 - 1e-12)
+
 
 # The ridge em_fit's E-step retries a failed Cholesky with.
 EM_RIDGE = 1e-8

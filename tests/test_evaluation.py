@@ -236,6 +236,20 @@ class TestRunCv:
         assert all("b0" not in order
                    for order in report.selection_orders.values())
 
+    def test_empty_training_row_is_dropped(self):
+        # Row 0 observes only the constant, excluded column b0, so the
+        # training set of the fold whose pool holds it loses that row.
+        vals = np.random.default_rng(6).normal(size=(12, 3))
+        vals[:, 0] = 0.1
+        vals[0, 1:] = np.nan
+        cfg = CvConfig(folds=2, holdout_fractions=(0.1,), k_max=1,
+                       methods=("entropy",))
+        report = run_cv(make_matrix(vals), cfg)
+        dropped = [w for w in report.warnings if "dropped" in w]
+        assert len(dropped) == 1
+        assert dropped[0].endswith(": dropped 1 empty training rows")
+        assert {c.fold for c in report.cells} == {0, 1}
+
     def test_empty_training_set_skips_the_fold(self):
         # round((1 - 0.9) * 4) = 0 training rows
         report = run_cv(make_matrix(np.random.default_rng(0).normal(size=(4, 3))),
@@ -339,7 +353,7 @@ def reference_run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows,
                 ent = entropy_value(Sigma, A)
             except NumericalError:
                 ent = math.nan
-            rfrac = residual_trace(Sigma, A, psd_floor=1e-10) / total_var
+            rfrac = residual_trace(Sigma, A) / total_var
             cells.append(CvCell(method, p, fold_idx, k, r2, float(rfrac),
                                 float(ent), float(mi_value(Sigma, A))))
     return cells, orders

@@ -134,7 +134,7 @@ def reference_impute_row(obs, selected, model, ridge, targets):
 
 @st.composite
 def batch_cases(draw):
-    """An SPD model, a selected set and masked rows that include one row
+    """An SPD model, a selected set and NaN-holed rows that include one row
     with an empty conditioning set and one that observes every selected
     column."""
     N = draw(st.integers(1, 7))
@@ -148,19 +148,20 @@ def batch_cases(draw):
     mask[1, selected] = True
     values = np.where(mask, rng.normal(size=(R, N)), np.nan)
     ridge = draw(st.sampled_from([0.0, 1e-2]))
-    return values, mask, selected, model, ridge
+    return values, selected, model, ridge
 
 
 class TestImputeRows:
     @settings(max_examples=200, deadline=None)
     @given(batch_cases())
     def test_matches_per_row(self, case):
-        values, mask, selected, model, ridge = case
+        values, selected, model, ridge = case
         R, N = values.shape
-        pred, cvar = impute_rows(values, mask, selected, model, ridge)
+        pred, cvar = impute_rows(values, selected, model, ridge)
         assert pred.shape == cvar.shape == (R, N)
         for i in range(R):
-            obs = {int(j): values[i, j] for j in np.flatnonzero(mask[i])}
+            obs = {int(j): values[i, j]
+                   for j in np.flatnonzero(~np.isnan(values[i]))}
             row = impute_row(obs, selected, model, ridge=ridge)
             ref_pred, ref_var = reference_impute_row(
                 obs, selected, model, ridge, sorted(row.predicted)
@@ -174,31 +175,40 @@ class TestImputeRows:
     @settings(max_examples=100, deadline=None)
     @given(batch_cases(), st.randoms(use_true_random=False))
     def test_row_permutation_equivariant(self, case, rnd):
-        values, mask, selected, model, ridge = case
+        values, selected, model, ridge = case
         perm = np.array(rnd.sample(range(len(values)), len(values)))
-        pred, cvar = impute_rows(values, mask, selected, model, ridge)
-        p_pred, p_cvar = impute_rows(values[perm], mask[perm], selected, model, ridge)
+        pred, cvar = impute_rows(values, selected, model, ridge)
+        p_pred, p_cvar = impute_rows(values[perm], selected, model, ridge)
         assert np.allclose(p_pred, pred[perm], rtol=0, atol=1e-10)
         assert np.allclose(p_cvar, cvar[perm], rtol=0, atol=1e-10)
 
     def test_shape_mismatch(self):
         g = model_from(random_spd(3, seed=13))
         with pytest.raises(DataError):
-            impute_rows(np.zeros((2, 4)), np.ones((2, 4), bool), [0], g)
+            impute_rows(np.zeros((2, 4)), [0], g)
+
+    # Columns 1 and 2 have an indefinite block that the ridge cannot
+    # repair, so every conditioning set holding both is singular.
+    SINGULAR = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 1.5], [0.0, 1.5, 1.0]])
 
     def test_singular_group_names_its_first_row(self):
-        # Columns 1 and 2 have an indefinite block that the ridge cannot
-        # repair.  Rows 2 and 4 condition on {1, 2}, whose pattern
-        # [F, T, T] sorts first in np.unique; rows 0, 1 and 3 condition on
-        # the positive definite {0, 1}.  The error names row 2.
-        cov = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 1.5], [0.0, 1.5, 1.0]])
-        g = GaussianModel(mean=np.zeros(3), cov=cov, estimator="full")
-        mask = np.array([[True, True, False], [True, True, False],
-                         [False, True, True], [True, True, False],
-                         [False, True, True]])
-        values = np.where(mask, 1.0, np.nan)
+        # Rows 2 and 4 condition on {1, 2}; rows 0, 1 and 3 on the
+        # positive definite {0, 1}.  The error names row 2.
+        observed = np.array([[1, 1, 0], [1, 1, 0], [0, 1, 1], [1, 1, 0],
+                             [0, 1, 1]], bool)
         with pytest.raises(NumericalError, match="row 2 is singular"):
-            impute_rows(values, mask, [0, 1, 2], g, ridge=1e-2)
+            impute_rows(np.where(observed, 1.0, np.nan), [0, 1, 2],
+                        model_from(self.SINGULAR), ridge=1e-2)
+
+    def test_first_singular_row_in_file_order_is_named(self):
+        # Two singular groups: {0, 1, 2} from row 1 and {1, 2} from row 2.
+        # The later one's pattern [F, T, T] sorts first in np.unique, yet
+        # the error names row 1, as em_fit's E-step would.
+        observed = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1], [0, 1, 1]],
+                            bool)
+        with pytest.raises(NumericalError, match="row 1 is singular"):
+            impute_rows(np.where(observed, 1.0, np.nan), [0, 1, 2],
+                        model_from(self.SINGULAR), ridge=1e-2)
 
 
 class TestClip:

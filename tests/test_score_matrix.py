@@ -298,6 +298,24 @@ class TestLogit:
         assert np.allclose(back[~inside], (1 - p.epsilon) * p.col_max[
             np.nonzero(~inside)[1]], atol=1e-12)
 
+    def test_decode_sd_is_the_slope_of_decode(self):
+        # decode_sd maps a model-space sd by decode's derivative: checked
+        # against a central difference, and exactly in plain mode
+        rng = np.random.default_rng(12)
+        m = make_matrix(rng.uniform(0.05, 0.95, size=(8, 3)))
+        z = rng.normal(0.0, 2.0, size=(5, 3))
+        sd = rng.uniform(0.1, 1.0, size=z.shape)
+        fit = fit_model(m, logit=True)
+        h = 1e-6
+        slope = (fit.decode(z + h) - fit.decode(z - h)) / (2 * h)
+        assert np.allclose(fit.decode_sd(z, sd), sd * slope, rtol=1e-7)
+        # far in the tails the slope underflows to 0, without a warning
+        assert (fit.decode_sd(np.array([[-800.0, 800.0, 0.0]]),
+                              np.ones((1, 3)))[0, :2] == 0).all()
+        plain = fit_model(m)
+        np.testing.assert_array_equal(plain.decode_sd(z, sd),
+                                      sd * plain.stats.stds)
+
     def test_inverse_midpoint_and_saturation(self):
         p = LogitParams(np.array([0.8]))
         out = p.inverse(np.array([[0.0], [50.0], [-50.0], [-800.0]]))

@@ -664,6 +664,10 @@ class TestResidualTrace:
             r.residual_trace[-1], abs=1e-8
         )
 
+    def test_singular_block_raises(self):
+        with pytest.raises(NumericalError, match="Sigma_AA is singular"):
+            residual_trace(np.ones((3, 3)), [0, 1])
+
     def test_eigen_tail_lower_bound(self):
         S = random_spd(8, seed=16)
         lam = np.sort(np.linalg.eigvalsh(S))[::-1]
