@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import hashlib
@@ -52,6 +53,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.exit(_usage_error(message))
+
+
+@contextlib.contextmanager
+def _warnings_to_stderr():
+    """Print each UserWarning raised in the block as one `warning:` line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        yield
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
 
 
 def _digest(path: str) -> str:
@@ -158,13 +169,10 @@ def cmd_select(args) -> int:
                   file=sys.stderr)
     else:
         costs = _parse_costs(args.costs, m.benchmark_names)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", UserWarning)
+        with _warnings_to_stderr():
             result = budgeted_entropy(
                 Sigma, CostModel(costs, args.budget, args.shift_c)
             )
-        for w in caught:
-            print(f"warning: {w.message}", file=sys.stderr)
 
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "selection.json"),
@@ -269,7 +277,8 @@ def cmd_normality(args) -> int:
 
     mardia_doc = None
     if m.mask.all() and m.shape[0] > m.shape[1]:
-        mardia_doc = mardia(m.values)
+        with _warnings_to_stderr():
+            mardia_doc = mardia(m.values)
         mardia_doc["matrix"] = "raw"
     elif m.shape[0] > m.shape[1]:
         # Mardia needs a complete matrix; fill by EM conditional means.
@@ -279,7 +288,8 @@ def cmd_normality(args) -> int:
             # Each row conditions on all it observed: one group per pattern.
             pred = impute_rows(z, range(m.shape[1]), fit.model,
                                args.ridge).predicted
-            mardia_doc = mardia(np.where(m.mask, z, pred))
+            with _warnings_to_stderr():
+                mardia_doc = mardia(np.where(m.mask, z, pred))
             mardia_doc["matrix"] = "completed-data"
         except (DataError, NumericalError):
             mardia_doc = None

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from benchsel.errors import DataError, NumericalError
 from benchsel.score_matrix import (
@@ -50,6 +50,8 @@ class GaussianModel:
         cov = np.asarray(self.cov, dtype=float)
         if cov.shape != (mean.size, mean.size):
             raise DataError("covariance shape does not match mean length")
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise DataError("mean and covariance must be finite")
         if np.max(np.abs(cov - cov.T)) > 1e-10 * max(1.0, np.max(np.abs(cov))):
             raise DataError("covariance is not symmetric")
         cov = 0.5 * (cov + cov.T)
@@ -213,6 +215,18 @@ def _missingness_patterns(m: ScoreMatrix) -> list[_Pattern]:
     return out
 
 
+def _cholesky(a: np.ndarray):
+    """Lower Cholesky factor of the finite symmetric `a` by LAPACK dpotrf,
+    or None when `a` is not positive definite.
+
+    The factor is the one scipy.linalg.cho_factor(a, lower=True) returns,
+    upper triangle left as in `a`, without its per-call checks: pass it
+    to dpotrs or dtrtrs with lower=1.
+    """
+    c, info = dpotrf(a, lower=1, clean=0)
+    return c if info == 0 else None
+
+
 def _factor_loglik(Soo: np.ndarray, resid: np.ndarray):
     """Unridged Cholesky of Soo (None if it fails) and sum of log N(r; 0, Soo).
 
@@ -220,15 +234,10 @@ def _factor_loglik(Soo: np.ndarray, resid: np.ndarray):
     comes from slogdet/solve, and is -inf when the sign is not positive.
     """
     rows, n = resid.shape
-    try:
-        factor = linalg.cho_factor(Soo, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        factor = None
+    factor = _cholesky(Soo)
     if factor is not None:
-        logdet = 2.0 * np.sum(np.log(np.diag(factor[0])))
-        z = linalg.solve_triangular(
-            factor[0], resid.T, lower=True, check_finite=False
-        )
+        logdet = 2.0 * np.sum(np.log(np.diag(factor)))
+        z = dtrtrs(factor, resid.T, lower=1)[0]
         quad = np.sum(z * z)
     else:
         sign, logdet = np.linalg.slogdet(Soo)
@@ -257,18 +266,14 @@ def _e_step(m: ScoreMatrix, patterns, mu, Sigma):
         if pat.mis.size == 0:
             continue
         if factor is None:
-            try:
-                factor = linalg.cho_factor(
-                    Soo + _EM_RIDGE * np.eye(pat.obs.size), lower=True,
-                    check_finite=False,
-                )
-            except np.linalg.LinAlgError:
-                raise NumericalError(
-                    f"observed block for row {m.model_names[pat.rows[0]]!r} "
-                    "is singular even with ridge"
-                ) from None
+            factor = _cholesky(Soo + _EM_RIDGE * np.eye(pat.obs.size))
+        if factor is None:
+            raise NumericalError(
+                f"observed block for row {m.model_names[pat.rows[0]]!r} "
+                "is singular even with ridge"
+            )
         Smo = Sigma[pat.mo]
-        gain = linalg.cho_solve(factor, Smo.T, check_finite=False).T
+        gain = dpotrs(factor, Smo.T, lower=1)[0].T
         completed[pat.rows_mis] = mu[pat.mis] + resid @ gain.T
         cond_cov = Sigma[pat.mm] - gain @ Smo.T
         cond_cov = 0.5 * (cond_cov + cond_cov.T)

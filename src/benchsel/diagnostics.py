@@ -2,6 +2,10 @@
 
 Shapiro-Wilk is scipy's implementation of Royston's algorithm AS R94
 (Royston 1995), valid for 3 <= n <= 5000.
+
+`scipy.stats` is imported inside the two functions that use it, not at
+module top: importing it takes most of a second, and every command but
+`normality` loads this module without calling them.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from benchsel.errors import DataError
 
@@ -43,6 +46,8 @@ def shapiro_wilk(x) -> tuple[float, float]:
         raise DataError("shapiro_wilk requires finite values")
     if np.all(x == x.flat[0]):
         raise DataError("constant sample")
+    from scipy import stats
+
     W, p = stats.shapiro(x)
     return float(W), float(p)
 
@@ -64,6 +69,8 @@ def mardia(X) -> dict:
     M, N = X.shape
     if M <= N:
         raise DataError("mardia requires more rows than columns")
+    from scipy import stats
+
     Xc = X - X.mean(axis=0)
     S = Xc.T @ Xc / M
     try:

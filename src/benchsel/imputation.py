@@ -11,10 +11,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg
+from scipy.linalg.lapack import dpotrs
 
 from benchsel.errors import DataError, NumericalError
-from benchsel.covariance import GaussianModel
+from benchsel.covariance import GaussianModel, _cholesky
 from benchsel.score_matrix import _row_groups
 
 STANDARDIZED_CLIP = 10.0
@@ -46,15 +46,20 @@ def impute_rows(
     """Conditional means and variances of every column, for every row.
 
     Row i conditions on the selected columns it observed: a NaN in the
-    standardized `values` is an unobserved cell.  Rows with the same
-    conditioning set C share one Cholesky factor of Sigma_CC + ridge*I;
-    with C empty a row gets the marginal mean and variance.
+    standardized `values` is an unobserved cell, an infinite one an
+    error.  Rows with the same conditioning set C share one Cholesky
+    factor of Sigma_CC + ridge*I; with C empty a row gets the marginal
+    mean and variance.
     """
     values = np.asarray(values, float)
     mu, Sigma = model.mean, model.cov
     N = mu.size
     if values.ndim != 2 or values.shape[1] != N:
         raise DataError("values must be R x N")
+    if np.isinf(values).any():
+        raise DataError("values must be finite or NaN")
+    if not 0 <= ridge < math.inf:
+        raise DataError("ridge must be finite and nonnegative")
     sel = np.unique(np.asarray(list(selected), dtype=int))
     if sel.size and (sel[0] < 0 or sel[-1] >= N):
         raise DataError("selected index out of range")
@@ -65,19 +70,16 @@ def impute_rows(
         C = sel[pattern]
         if C.size == 0:
             continue
-        try:
-            factor = linalg.cho_factor(
-                Sigma[np.ix_(C, C)] + ridge * np.eye(C.size), lower=True
-            )
-        except np.linalg.LinAlgError:
+        factor = _cholesky(Sigma[np.ix_(C, C)] + ridge * np.eye(C.size))
+        if factor is None:
             raise NumericalError(
                 f"conditioning block for row {int(rows[0])} is singular "
                 "even with ridge"
-            ) from None
+            )
         Sxc = Sigma[:, C]
-        x = linalg.cho_solve(factor, (values[np.ix_(rows, C)] - mu[C]).T)
+        x = dpotrs(factor, (values[np.ix_(rows, C)] - mu[C]).T, lower=1)[0]
         predicted[rows] = mu + (Sxc @ x).T
-        gain = linalg.cho_solve(factor, Sxc.T)  # Scc^{-1} Sigma_C.
+        gain = dpotrs(factor, Sxc.T, lower=1)[0]  # Scc^{-1} Sigma_C.
         cond_var[rows] = var - np.sum(Sxc * gain.T, axis=1)
     return BatchImputation(predicted, cond_var)
 

@@ -16,8 +16,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
+from scipy.linalg.lapack import dpotrs
 
+from benchsel.covariance import _cholesky
 from benchsel.errors import DataError, NumericalError
 
 LOG_2PIE = math.log(2 * math.pi * math.e)
@@ -108,6 +109,8 @@ def _check_cov(S: np.ndarray) -> np.ndarray:
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise DataError("covariance must be square")
+    if not np.isfinite(S).all():
+        raise DataError("covariance must be finite")
     return 0.5 * (S + S.T)
 
 
@@ -146,11 +149,12 @@ def _pivoted_cholesky(mats, k: int, pivot):
 
 def _precision(S: np.ndarray) -> np.ndarray:
     """Inverse of S by Cholesky, or with eigenvalues clamped to PSD_FLOOR."""
-    try:
-        return linalg.cho_solve(linalg.cho_factor(S, lower=True), np.eye(len(S)))
-    except np.linalg.LinAlgError:
-        w, V = np.linalg.eigh(S)
-        return (V / np.maximum(w, PSD_FLOOR)) @ V.T
+    # dpotrs rejects an empty system; eigh takes it.
+    factor = _cholesky(S) if len(S) else None
+    if factor is not None:
+        return dpotrs(factor, np.eye(len(S)), lower=1)[0]
+    w, V = np.linalg.eigh(S)
+    return (V / np.maximum(w, PSD_FLOOR)) @ V.T
 
 
 def greedy_entropy(S: np.ndarray, k: int) -> SelectionResult:
@@ -388,8 +392,8 @@ def residual_trace(S: np.ndarray, A) -> float:
     comp = np.setdiff1d(np.arange(N), idx)
     Saa = S[np.ix_(idx, idx)]
     Sca = S[np.ix_(comp, idx)]
-    try:
-        X = linalg.cho_solve(linalg.cho_factor(Saa, lower=True), Sca.T)
-    except np.linalg.LinAlgError:
-        raise NumericalError("Sigma_AA is singular") from None
+    factor = _cholesky(Saa)
+    if factor is None:
+        raise NumericalError("Sigma_AA is singular")
+    X = dpotrs(factor, Sca.T, lower=1)[0]
     return float(np.trace(S[np.ix_(comp, comp)]) - np.sum(Sca * X.T))

@@ -423,6 +423,19 @@ class TestNormality:
                                          for row in rows[1:]]
         assert flags["bonferroni"] != flags["none"]
 
+    def test_singular_mardia_warns_on_one_line(self, tmp_path, capsys):
+        # The last column is the sum of the first two; at this seed
+        # np.linalg.inv raises and mardia falls back to the pseudo-inverse.
+        vals = np.random.default_rng(2).standard_normal((30, 4))
+        vals[:, 3] = vals[:, 0] + vals[:, 1]
+        path = write_matrix(tmp_path, make_matrix(vals))
+        out = str(tmp_path / "out")
+        assert main(["normality", path, "--out", out]) == 0
+        assert capsys.readouterr().err == (
+            "warning: singular sample covariance; using pseudo-inverse\n")
+        assert json.load(open(os.path.join(out, "mardia.json")))["matrix"] \
+            == "raw"
+
     def test_manifest_records_ridge(self, tmp_path):
         # the ridge enters the EM completion before Mardia
         full = rank_one_matrix(M=60, N=4, noise=0.1, seed=9)
@@ -609,6 +622,21 @@ class TestBadFiles:
         self.run(["impute", rank1_csv, "--model", str(path),
                   "--selected", "b0"], tmp_path, capsys)
 
+    @pytest.mark.parametrize("field,index,bad", [("cov", 7, "NaN"),
+                                                 ("mean", 2, "Infinity")])
+    def test_non_finite_model(self, field, index, bad, rank1_csv, tmp_path,
+                              capsys):
+        # Python's json reads NaN and Infinity; a NaN variance used to
+        # write an empty sd cell, an infinite mean an `inf` score.
+        doc = json.loads(estimate_full(load_csv(rank1_csv)).to_json())
+        doc[field][index] = float(bad)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        assert bad in path.read_text()
+        self.run(["impute", rank1_csv, "--model", str(path),
+                  "--selected", "b0"], tmp_path, capsys)
+
+
 class TestEntryPoint:
     def test_usage_error_exit_1(self):
         proc = subprocess.run(
@@ -616,6 +644,28 @@ class TestEntryPoint:
             capture_output=True,
         )
         assert proc.returncode == 1
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, benchsel.cli; "
+             "print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout == "False\n"
+
+    def test_fresh_normality_matches_in_process(self, tmp_path):
+        # The first normality call of a process imports scipy.stats; its
+        # outputs are those of a process that had it loaded already.
+        full = rank_one_matrix(M=60, N=4, noise=0.1, seed=9)
+        mask = np.random.default_rng(10).random(full.shape) > 0.1
+        mask[:2] = True
+        path = write_matrix(tmp_path, make_matrix(
+            np.where(mask, full.values, np.nan), mask))
+        fresh, warm = str(tmp_path / "fresh"), str(tmp_path / "warm")
+        subprocess.run([sys.executable, "-m", "benchsel.cli", "normality",
+                        path, "--out", fresh], check=True)
+        assert main(["normality", path, "--out", warm]) == 0
+        assert read_all(fresh) == read_all(warm)
 
     def test_console_script_help(self):
         proc = subprocess.run(

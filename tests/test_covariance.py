@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import linalg
+from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from benchsel import covariance
 from benchsel.covariance import (
@@ -495,16 +498,12 @@ class TestEmPatternSweep:
 
         # The PSD floor keeps a fitted Sigma positive definite, so a
         # singular observed block is simulated: every 2x2 factorization fails.
-        class SingularPairs:
-            def __getattr__(self, name):
-                return getattr(linalg, name)
+        cholesky = covariance._cholesky
 
-            def cho_factor(self, a, **kw):
-                if a.shape == (2, 2):
-                    raise np.linalg.LinAlgError("not positive definite")
-                return linalg.cho_factor(a, **kw)
+        def singular_pairs(a):
+            return None if a.shape == (2, 2) else cholesky(a)
 
-        monkeypatch.setattr(covariance, "linalg", SingularPairs())
+        monkeypatch.setattr(covariance, "_cholesky", singular_pairs)
         with pytest.raises(NumericalError, match="row 'm5' is singular"):
             em_fit(m, EmConfig())
 
@@ -538,3 +537,71 @@ class TestGaussianModelJson:
             estimator="full",
         )
         assert g.cov[0, 1] == g.cov[1, 0]
+
+    @pytest.mark.parametrize("field,index", [("mean", 1), ("cov", 0),
+                                             ("cov", 1)])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, field, index, bad):
+        # A NaN compares false in the symmetry check, so it needs its own.
+        doc = {"mean": [0.0, 0.0], "cov": [1.0, 0.2, 0.2, 1.0],
+               "estimator": "full"}
+        doc[field][index] = bad
+        with pytest.raises(DataError, match="finite"):
+            GaussianModel.from_json(json.dumps(doc))
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and \
+        a.tobytes() == b.tobytes()
+
+
+@st.composite
+def factor_cases(draw):
+    """A symmetric matrix that is positive definite, near-singular (a
+    rank-deficient product plus a jitter at or below rounding) or
+    indefinite, and right-hand sides in C or Fortran order."""
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["spd", "near-singular", "indefinite"]))
+    if kind == "spd":
+        A = rng.normal(size=(n, n))
+        S = A @ A.T + draw(st.sampled_from([1e-3, 0.1, 1.0])) * np.eye(n)
+    elif kind == "near-singular":
+        B = rng.normal(size=(n, draw(st.integers(0, n))))
+        S = B @ B.T + draw(st.sampled_from([0.0, 1e-18, 1e-15])) * np.eye(n)
+    else:
+        A = rng.normal(size=(n, n))
+        v = rng.normal(size=n)
+        S = A @ A.T + 0.1 * np.eye(n) - 10.0 * (1 + v @ v) * np.outer(v, v)
+    S = 0.5 * (S + S.T)
+    nrhs = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        rhs = rng.normal(size=(n, nrhs))
+    else:
+        rhs = rng.normal(size=(nrhs, n)).T
+    return S, rhs
+
+
+class TestCholeskyHelper:
+    """`_cholesky` with dpotrs/dtrtrs gives scipy's front ends' bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(factor_cases())
+    def test_matches_scipy_bit_for_bit(self, case):
+        S, rhs = case
+        before = S.copy(), rhs.copy()
+        got = covariance._cholesky(S)
+        assert same_bits(S, before[0])
+        try:
+            want = linalg.cho_factor(S, lower=True)
+        except np.linalg.LinAlgError:
+            assert got is None
+            return
+        assert got is not None and same_bits(got, want[0])
+        assert same_bits(dpotrs(got, rhs, lower=1)[0],
+                         linalg.cho_solve(want, rhs))
+        assert same_bits(dtrtrs(got, rhs, lower=1)[0],
+                         linalg.solve_triangular(want[0], rhs, lower=True))
+        # The E-step reuses its residuals after the solves.
+        assert same_bits(rhs, before[1])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
+from benchsel import imputation
 from benchsel.covariance import GaussianModel
 from benchsel.errors import DataError, NumericalError
 from benchsel.imputation import (
@@ -209,6 +210,32 @@ class TestImputeRows:
         with pytest.raises(NumericalError, match="row 1 is singular"):
             impute_rows(np.where(observed, 1.0, np.nan), [0, 1, 2],
                         model_from(self.SINGULAR), ridge=1e-2)
+
+    def test_singular_seam_names_the_first_row(self, monkeypatch):
+        # A positive definite model whose 2x2 blocks are made to fail to
+        # factor.  Row 1 conditions on {0, 1}, row 2 on {1, 2}; [F, T, T]
+        # sorts first, but row 1 comes first in the file.
+        cholesky = imputation._cholesky
+        monkeypatch.setattr(imputation, "_cholesky", lambda a: None
+                            if a.shape == (2, 2) else cholesky(a))
+        observed = np.array([[1, 1, 1], [1, 1, 0], [0, 1, 1]], bool)
+        with pytest.raises(NumericalError, match="^conditioning block for "
+                           "row 1 is singular even with ridge$"):
+            impute_rows(np.where(observed, 1.0, np.nan), [0, 1, 2],
+                        model_from(random_spd(3, seed=4)))
+
+    def test_infinite_value_rejected(self):
+        values = np.array([[1.0, np.nan, 0.5], [np.inf, 0.2, np.nan]])
+        with pytest.raises(DataError, match="finite"):
+            impute_rows(values, [0, 1], model_from(random_spd(3, seed=5)))
+
+    @pytest.mark.parametrize("ridge", [np.nan, np.inf, -0.5])
+    def test_bad_ridge_rejected(self, ridge):
+        # LAPACK's dpotrf can factor a NaN block without reporting it, and
+        # a negative ridge is no ridge.
+        with pytest.raises(DataError, match="ridge"):
+            impute_rows(np.ones((1, 3)), [0],
+                        model_from(random_spd(3, seed=6)), ridge)
 
 
 class TestClip:

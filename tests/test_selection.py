@@ -519,6 +519,10 @@ class TestPathMetrics:
         with pytest.raises(DataError):
             path_metrics(np.eye(3), [0, 0])
 
+    def test_empty_covariance(self):
+        assert [a.tolist() for a in path_metrics(np.zeros((0, 0)), [])] == \
+            [[0.0], [0.0], [0.0]]
+
 
 class TestBudgeted:
     def test_unit_costs_match_greedy(self):
@@ -674,6 +678,29 @@ class TestResidualTrace:
         for k in range(1, 8):
             for A in itertools.combinations(range(8), k):
                 assert residual_trace(S, list(A)) >= lam[k:].sum() - 1e-8
+
+
+class TestNonFiniteCovariance:
+    # No LAPACK call checks its input, so every entry point checks once.
+    CALLS = {
+        "greedy_entropy": lambda S: greedy_entropy(S, 1),
+        "greedy_mi": lambda S: greedy_mi(S, 1),
+        "budgeted_entropy": lambda S: budgeted_entropy(
+            S, CostModel(np.ones(3), 2.0)),
+        "path_metrics": lambda S: path_metrics(S, [0, 1]),
+        "residual_trace": lambda S: residual_trace(S, [0]),
+        "entropy_value": lambda S: entropy_value(S, [0]),
+        "mi_value": lambda S: mi_value(S, [0]),
+        "spectrum": spectrum,
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejected(self, name, bad):
+        S = random_spd(3, seed=17)
+        S[2, 1] = S[1, 2] = bad
+        with pytest.raises(DataError, match="finite"):
+            self.CALLS[name](S)
 
 
 class TestSubmodularity:
