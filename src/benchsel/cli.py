@@ -291,8 +291,8 @@ def cmd_normality(args) -> int:
             with _warnings_to_stderr():
                 mardia_doc = mardia(np.where(m.mask, z, pred))
             mardia_doc["matrix"] = "completed-data"
-        except (DataError, NumericalError):
-            mardia_doc = None
+        except (DataError, NumericalError) as exc:
+            print(f"warning: Mardia skipped: {exc}", file=sys.stderr)
     _write_json(os.path.join(args.out, "mardia.json"), mardia_doc)
     _write_manifest(args, skipped_columns=list(rep.skipped))
     return 0

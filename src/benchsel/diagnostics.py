@@ -58,8 +58,9 @@ def mardia(X) -> dict:
     Requires a fully observed M x N matrix with M > N.  The skewness
     statistic M*b1/6 is referred to chi^2 with N(N+1)(N+2)/6 degrees of
     freedom; kurtosis is a z-score against mean N(N+2) and variance
-    8 N(N+2)/M.  A singular sample covariance falls back to the
-    pseudo-inverse with a warning.
+    8 N(N+2)/M.  A sample covariance that is singular, or whose 1-norm
+    condition number exceeds 1/(N eps), falls back to the pseudo-inverse
+    with a warning.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -75,7 +76,14 @@ def mardia(X) -> dict:
     S = Xc.T @ Xc / M
     try:
         Sinv = np.linalg.inv(S)
+        # inv raises only on exact singularity; past a 1-norm condition
+        # number of 1/(N eps) its result has no correct digit.  NaN fails
+        # the test too.
+        singular = not (np.linalg.norm(S, 1) * np.linalg.norm(Sinv, 1)
+                        <= 1.0 / (N * np.finfo(float).eps))
     except np.linalg.LinAlgError:
+        singular = True
+    if singular:
         warnings.warn("singular sample covariance; using pseudo-inverse",
                       stacklevel=2)
         Sinv = np.linalg.pinv(S)
@@ -129,7 +137,7 @@ def normality_report(m, alpha: float = 0.05,
     if correction not in ("bh", "bonferroni", "none"):
         raise DataError("correction must be bh, bonferroni, or none")
     tested: list[str] = []
-    results: dict = {}
+    cols: list[np.ndarray] = []
     skipped: list[str] = []
     rng = np.random.default_rng(0)
     for j, name in enumerate(m.benchmark_names):
@@ -139,10 +147,20 @@ def normality_report(m, alpha: float = 0.05,
         if col.size < 3 or np.all(col == col[0]):
             skipped.append(name)
             continue
-        W, p = shapiro_wilk(col)
-        results[name] = {"W": W, "p": p}
         tested.append(name)
+        cols.append(col)
 
+    results: dict = {}
+    if tested:
+        from scipy import stats
+
+        # One call tests every column; NaN pads the shorter ones.
+        X = np.full((max(c.size for c in cols), len(cols)), np.nan)
+        for k, col in enumerate(cols):
+            X[:col.size, k] = col
+        W, p = stats.shapiro(X, axis=0, nan_policy="omit")
+        results = {name: {"W": float(w), "p": float(q)}
+                   for name, w, q in zip(tested, W, p)}
     pvals = [results[n]["p"] for n in tested]
     if not tested:
         flags = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,6 +127,14 @@ class LogitParams:
             return 1.0 / (1.0 + np.exp(-values)) * self.col_max
 
 
+# Every character a plain numeric cell may hold: ASCII digits, sign,
+# point, exponent and blanks.  No NaN or inf token, digit separator or
+# non-ASCII digit gets through, so a NaN from the C reader marks a cell
+# left empty, and float() and the C reader (both PyOS_string_to_double)
+# read each cell to the same bits.
+_PLAIN_CELLS = re.compile(r"[0-9eE+\-. \t,\n]*")
+
+
 def load_csv(source) -> ScoreMatrix:
     """Parse a model-by-benchmark CSV into a ScoreMatrix.
 
@@ -133,23 +142,77 @@ def load_csv(source) -> ScoreMatrix:
     model name, then one cell per benchmark, each an ASCII decimal number
     or empty or whitespace-only (missing).  "NaN"/"NA" tokens are rejected as
     malformed, and so are quoted cells holding a comma and cells that parse
-    to a non-finite number ("inf", "-nan", "1e999").
+    to a non-finite number ("inf", "-nan", "1e999").  Lines may end in LF
+    or CRLF.
     `source` may be a path, a text stream, a byte stream, or the CSV text
     itself; a str or bytes is CSV text when it holds a line break.
+
+    Two readers share this grammar.  Plain numeric text (no quote, cells
+    that are numbers or empty) goes to numpy's C reader in one call.  The
+    csv module reads everything else, cell by cell, and reports the first
+    fault; a file the fast reader cannot take whole goes to it unchanged.
     """
+    text = _read_text(source)
+    parsed = _parse_plain(text)
+    if parsed is None:
+        parsed = _parse_rows(text)
+    values, models, names = parsed
+    return ScoreMatrix(values, ~np.isnan(values), models, names)
+
+
+def _read_text(source) -> str:
+    """The whole text of a path, a text or byte stream, or CSV text."""
     if isinstance(source, (str, bytes)):
         breaks = ("\n", "\r") if isinstance(source, str) else (b"\n", b"\r")
         if not any(b in source for b in breaks):
             with open(source, "r", encoding="utf-8", newline="") as fh:
-                return load_csv(fh)
-    if isinstance(source, bytes):
-        source = io.StringIO(source.decode("utf-8"), newline="")
-    elif isinstance(source, str):
-        source = io.StringIO(source, newline="")
-    elif hasattr(source, "read") and isinstance(source.read(0), bytes):
+                return fh.read()
+        return source if isinstance(source, str) else source.decode("utf-8")
+    if isinstance(source.read(0), bytes):
         source = io.TextIOWrapper(source, encoding="utf-8")
+    return source.read()
 
-    rows = list(csv.reader(source))
+
+def _parse_plain(text: str):
+    """(values, model names, benchmark names) of plain numeric CSV text,
+    read by np.loadtxt; None when the text is anything else."""
+    if '"' in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < 2:
+        return None
+    header = lines[0].split(",")
+    models, rests = [], []
+    for line in lines[1:]:
+        model, comma, rest = line.partition(",")
+        if not comma:  # a blank line or a row of one cell
+            return None
+        models.append(model.strip())
+        rests.append(rest)
+    if not _PLAIN_CELLS.fullmatch("\n".join(rests)):
+        return None
+    # Each empty cell, the first and last of a line too, becomes "nan".
+    rests = [f",{rest},".replace(",,", ",nan,").replace(",,", ",nan,")[1:-1]
+             for rest in rests]
+    try:
+        values = np.loadtxt(rests, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if values.shape != (len(rests), len(header) - 1) or np.isinf(values).any():
+        return None
+    return values, tuple(models), tuple(c.strip() for c in header[1:])
+
+
+def _parse_rows(text: str):
+    """(values, model names, benchmark names) read by the csv module, cell
+    by cell; DataError at the first fault."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows or len(rows[0]) < 2:
         raise DataError("CSV must have a header row with at least one benchmark")
     names = [c.strip() for c in rows[0][1:]]
@@ -161,11 +224,11 @@ def load_csv(source) -> ScoreMatrix:
                 f"line {lineno}: expected {len(rows[0])} cells, got {len(row)}"
             )
         cells = row[1:]
-        text = "".join(cells)
+        joined = "".join(cells)
         try:
             # what _decimal rejects, tested once per row
-            if "_" in text or not text.isascii():
-                raise ValueError(text)
+            if "_" in joined or not joined.isascii():
+                raise ValueError(joined)
             values.append([float(c) if c.strip() else math.nan for c in cells])
         except ValueError:
             values.append(_parse_row(lineno, cells, names))
@@ -178,8 +241,7 @@ def load_csv(source) -> ScoreMatrix:
     for i in np.flatnonzero(np.isinf(values).any(axis=1)
                             | (missing.sum(axis=1) > blanks)):
         _parse_row(i + 2, rows[i + 1][1:], names)
-    return ScoreMatrix(values, ~missing,
-                       tuple(row[0].strip() for row in rows[1:]), tuple(names))
+    return values, tuple(row[0].strip() for row in rows[1:]), tuple(names)
 
 
 def _decimal(text: str) -> float:

@@ -436,6 +436,21 @@ class TestNormality:
         assert json.load(open(os.path.join(out, "mardia.json")))["matrix"] \
             == "raw"
 
+    def test_failed_completion_warns(self, tmp_path, capsys):
+        # A negative ridge fails the EM completion: Mardia is skipped with
+        # a warning line, mardia.json is null and the command succeeds.
+        full = rank_one_matrix(M=60, N=4, noise=0.1, seed=9)
+        mask = np.random.default_rng(10).random(full.shape) > 0.1
+        mask[:2] = True
+        path = write_matrix(tmp_path, make_matrix(
+            np.where(mask, full.values, np.nan), mask))
+        out = str(tmp_path / "out")
+        assert main(["normality", path, "--ridge", "-0.5",
+                     "--out", out]) == 0
+        assert capsys.readouterr().err == (
+            "warning: Mardia skipped: ridge must be finite and nonnegative\n")
+        assert json.load(open(os.path.join(out, "mardia.json"))) is None
+
     def test_manifest_records_ridge(self, tmp_path):
         # the ridge enters the EM completion before Mardia
         full = rank_one_matrix(M=60, N=4, noise=0.1, seed=9)

@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from benchsel.diagnostics import (
+    SW_MAX_N,
     benjamini_hochberg,
     mardia,
     normality_report,
@@ -108,6 +109,16 @@ class TestMardia:
         assert 0 <= out["p_skew"] <= 1
         assert 0 <= out["p_kurt"] <= 1
 
+    def test_near_singular_covariance_uses_pseudo_inverse(self):
+        # The last column is the sum of the first two: cond(S) is about
+        # 4e16 and inv returns without raising, but its beta2 was 13.76.
+        X = np.random.default_rng(0).standard_normal((30, 4))
+        X[:, 3] = X[:, 0] + X[:, 1]
+        with pytest.warns(UserWarning, match="pseudo-inverse"):
+            out = mardia(X)
+        assert out["beta2"] == pytest.approx(mardia(X[:, :3])["beta2"],
+                                             rel=1e-12)
+
     def test_m_le_n_rejected(self):
         with pytest.raises(DataError):
             mardia(np.random.default_rng(6).normal(size=(3, 3)))
@@ -188,6 +199,30 @@ class TestNormalityReport:
         b = normality_report(m)
         names = m.benchmark_names
         assert all(a.shapiro[n] == b.shapiro[n] for n in names)
+
+    def test_matches_the_column_loop(self):
+        # Holes, a constant column, a column of two cells and more rows
+        # than Shapiro-Wilk takes, against one shapiro_wilk call a column.
+        rng = np.random.default_rng(14)
+        vals = rng.normal(size=(SW_MAX_N + 700, 5))
+        vals[rng.random(vals.shape) < 0.3] = np.nan
+        vals[:, 1] = 2.5
+        vals[2:, 2] = np.nan
+        vals[:, 4] = rng.exponential(size=vals.shape[0])
+        m = make_matrix(vals)
+        rep = normality_report(m)
+        sample = np.random.default_rng(0)
+        expected = {}
+        for j, name in enumerate(m.benchmark_names):
+            col = m.values[m.mask[:, j], j]
+            if col.size > SW_MAX_N:
+                col = sample.choice(col, size=SW_MAX_N, replace=False)
+            if col.size >= 3 and not np.all(col == col[0]):
+                W, p = shapiro_wilk(col)
+                expected[name] = {"W": W, "p": p}
+        assert rep.skipped == ("b1", "b2")
+        assert {n: {"W": r["W"], "p": r["p"]}
+                for n, r in rep.shapiro.items()} == expected
 
     def test_bad_correction(self):
         m = make_matrix(np.random.default_rng(13).normal(size=(30, 2)))

@@ -1,9 +1,11 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from benchsel import score_matrix
 from benchsel.covariance import fit_model
 from benchsel.errors import DataError
 from benchsel.score_matrix import (
@@ -156,6 +158,86 @@ class TestLoadCsv:
         assert back.benchmark_names == m.benchmark_names
         assert np.array_equal(back.mask, m.mask)
         assert back.values[mask].tobytes() == vals[mask].tobytes()
+
+
+# Cells for the reader comparison: mostly numbers, then blanks and the
+# tokens each reader must treat alike.
+_NUMBER_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-999, 999).map(str),
+    st.floats(-1e3, 1e3).map(lambda v: f" {v:.3f}\t"))
+_ODD_CELLS = st.sampled_from([
+    "", "", "", " ", "\t ", "1_000", "\u0661\u0662", "nan", "NA", "inf",
+    "1e999", "-1e999", "+.5e-3", "-0", "1.", "4.9e-324", "1e", ".", "1 2",
+    '"1,5"', '"2"', "\u00a0"])
+
+
+def _load_outcome(text):
+    """load_csv's matrix as bytes and names, or its DataError message."""
+    try:
+        m = load_csv(io.StringIO(text, newline=""))
+    except DataError as exc:
+        return str(exc)
+    return (m.values.tobytes(), m.mask.tobytes(), m.model_names,
+            m.benchmark_names)
+
+
+class TestCsvReaders:
+    """load_csv reads plain numeric text with np.loadtxt and the rest with
+    the csv module; both must read every file alike."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.data())
+    def test_the_readers_agree(self, data):
+        N = data.draw(st.integers(1, 4))
+        M = data.draw(st.integers(0, 5))
+        cell = st.integers(0, 19).flatmap(
+            lambda k: _ODD_CELLS if k == 0 else _NUMBER_CELLS)
+        name = st.sampled_from(["a", " b ", "a", "c", "a", " d", '"q"',
+                                '"r,s"', "x\ry"])
+        rows = []
+        for i in range(M):
+            width = max(N + data.draw(st.sampled_from([0] * 18 + [-1, 1])), 0)
+            rows.append([data.draw(name) if i == 0 else f"m{i}",
+                         *data.draw(st.lists(cell, min_size=width,
+                                             max_size=width))])
+        # A third of the files get one odd cell in otherwise plain text.
+        if rows and data.draw(st.sampled_from([False, False, True])):
+            row = rows[data.draw(st.integers(0, M - 1))]
+            if len(row) > 1:
+                row[data.draw(st.integers(1, len(row) - 1))] = \
+                    data.draw(_ODD_CELLS)
+        lines = ["model," + ",".join(f"b{j}" for j in range(N)),
+                 *(",".join(row) for row in rows)]
+        if data.draw(st.sampled_from([False] * 5 + [True])):
+            lines.insert(data.draw(st.integers(1, len(lines))), "")
+        eol = data.draw(st.sampled_from(["\n", "\r\n"]))
+        text = eol.join(lines) + data.draw(st.sampled_from(["", eol]))
+
+        fast = _load_outcome(text)
+        with mock.patch.object(score_matrix, "_parse_plain",
+                               return_value=None):
+            assert _load_outcome(text) == fast
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    @pytest.mark.parametrize("holes", [0.0, 0.5])
+    def test_plain_numeric_text_skips_the_cell_loop(self, eol, holes):
+        rng = np.random.default_rng(3)
+        mask = rng.random((40, 12)) >= holes
+        mask[:2] = True
+        mask[~mask.any(axis=1), 0] = True
+        assert mask.all() == (holes == 0)
+        m = make_matrix(np.where(mask, rng.normal(50, 10, mask.shape), np.nan),
+                        mask)
+        buf = io.StringIO()
+        write_csv(m, buf)
+        with mock.patch.object(score_matrix, "_parse_rows",
+                               side_effect=AssertionError("csv reader ran")):
+            back = load_csv(buf.getvalue().replace("\n", eol))
+        assert back.values.tobytes() == m.values.tobytes()
+        assert np.array_equal(back.mask, m.mask)
+        assert back.model_names == m.model_names
+        assert back.benchmark_names == m.benchmark_names
 
 
 class TestWriteTable:
