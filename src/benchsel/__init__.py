@@ -29,7 +29,6 @@ from benchsel.covariance import (
     mean_missing,
     pairwise_cov,
     psd_project,
-    shrink_identity,
     to_correlation,
 )
 from benchsel.selection import (

@@ -1,10 +1,11 @@
 """Gaussian model estimation: closed form and EM.
 
 Estimates (mu, Sigma) over benchmarks from complete or incomplete score
-matrices, with PSD projection, identity shrinkage for rank-deficient
-regimes, and correlation conversion; EM starts from the pairwise-complete
-covariance.  `fit_model` is the one path from raw scores to a model:
-(logit ->) standardize -> fit.
+matrices, with PSD projection and correlation conversion.  EM starts from
+the pairwise-complete covariance and finds the posterior mode under a
+conjugate prior on Sigma, which keeps every covariance it touches
+positive definite.  `fit_model` is the one path from raw scores to a
+model: (logit ->) standardize -> fit.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from benchsel.score_matrix import (
 )
 
 _SYM_TOL = 1e-8
-# Added to an E-step's observed block when its plain Cholesky fails.
-_EM_RIDGE = 1e-8
+# Weight of em_fit's prior on Sigma, in pseudo-observations.
+_PRIOR_NU = 1.0
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class GaussianModel:
     em_iterations: int = 0
     converged: bool = True
     loglik_trace: tuple[float, ...] = ()
-    clamped: bool = False  # whether PSD projection altered eigenvalues
+    clamped: bool = False  # read from a loaded model; no fit sets it
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
@@ -96,7 +97,7 @@ class EmConfig:
 
     max_iter caps the SQUAREM cycles, three EM steps each.  A fit has
     converged when, over one cycle, both the relative Frobenius change of
-    Sigma and the relative change of the observed-data log-likelihood are
+    Sigma and the relative change of em_fit's penalized objective are
     below rel_tol.
     """
 
@@ -162,19 +163,6 @@ def psd_project(S: np.ndarray, floor: float) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def shrink_identity(S: np.ndarray, M: int, N: int) -> np.ndarray:
-    """Linear shrinkage toward (tr(S)/N) I with alpha = (N - M)/N.
-
-    alpha is clamped to [0, 1]; the trace is preserved by construction.
-    """
-    S = np.asarray(S, dtype=float)
-    alpha = min(max((N - M) / N, 0.0), 1.0)
-    if alpha == 0.0:
-        return S.copy()
-    target = (np.trace(S) / N) * np.eye(N)
-    return (1 - alpha) * S + alpha * target
-
-
 def to_correlation(S: np.ndarray) -> np.ndarray:
     """Convert a covariance to a correlation matrix D^{-1/2} S D^{-1/2}."""
     S = np.asarray(S, dtype=float)
@@ -227,24 +215,11 @@ def _cholesky(a: np.ndarray):
     return c if info == 0 else None
 
 
-def _factor_loglik(Soo: np.ndarray, resid: np.ndarray):
-    """Unridged Cholesky of Soo (None if it fails) and sum of log N(r; 0, Soo).
-
-    `resid` holds one residual per row.  Without a factor the log-density
-    comes from slogdet/solve, and is -inf when the sign is not positive.
-    """
-    rows, n = resid.shape
-    factor = _cholesky(Soo)
-    if factor is not None:
-        logdet = 2.0 * np.sum(np.log(np.diag(factor)))
-        z = dtrtrs(factor, resid.T, lower=1)[0]
-        quad = np.sum(z * z)
-    else:
-        sign, logdet = np.linalg.slogdet(Soo)
-        if sign <= 0:
-            return None, -np.inf
-        quad = np.sum(resid.T * np.linalg.solve(Soo, resid.T))
-    return factor, -0.5 * (rows * (n * np.log(2 * np.pi) + logdet) + quad)
+def _logdet_quad(factor: np.ndarray, rhs: np.ndarray):
+    """log det S and the sum of r' S^-1 r over the columns r of `rhs`,
+    from the lower Cholesky factor of S."""
+    z = dtrtrs(factor, rhs, lower=1)[0]
+    return 2.0 * np.sum(np.log(np.diag(factor))), np.sum(z * z)
 
 
 def _e_step(m: ScoreMatrix, patterns, mu, Sigma):
@@ -252,26 +227,26 @@ def _e_step(m: ScoreMatrix, patterns, mu, Sigma):
 
     Returns the completed matrix, the summed conditional covariance of the
     missing cells, and the observed-data log-likelihood at (mu, Sigma).
-    The gain uses the unridged Cholesky of the observed block, retrying
-    with _EM_RIDGE on the diagonal if that fails.
+    An observed block that fails Cholesky raises NumericalError naming
+    the first row, in file order, that observes it.
     """
     completed = np.where(m.mask, m.values, 0.0)
     correction = np.zeros_like(Sigma)
     loglik = 0.0
     for pat in patterns:
-        Soo = Sigma[pat.oo]
-        resid = pat.x_obs - mu[pat.obs]
-        factor, ll = _factor_loglik(Soo, resid)
-        loglik += ll
-        if pat.mis.size == 0:
-            continue
-        if factor is None:
-            factor = _cholesky(Soo + _EM_RIDGE * np.eye(pat.obs.size))
+        factor = _cholesky(Sigma[pat.oo])
         if factor is None:
             raise NumericalError(
                 f"observed block for row {m.model_names[pat.rows[0]]!r} "
-                "is singular even with ridge"
+                "is singular"
             )
+        resid = pat.x_obs - mu[pat.obs]
+        logdet, quad = _logdet_quad(factor, resid.T)
+        loglik -= 0.5 * (
+            pat.rows.size * (pat.obs.size * np.log(2 * np.pi) + logdet) + quad
+        )
+        if pat.mis.size == 0:
+            continue
         Smo = Sigma[pat.mo]
         gain = dpotrs(factor, Smo.T, lower=1)[0].T
         completed[pat.rows_mis] = mu[pat.mis] + resid @ gain.T
@@ -281,84 +256,95 @@ def _e_step(m: ScoreMatrix, patterns, mu, Sigma):
     return completed, correction, loglik
 
 
-def _em_map(m: ScoreMatrix, patterns, mu, Sigma, floor):
-    """One plain EM update: E-step, completed-data moments, PSD projection.
+def _log_prior(Sigma: np.ndarray, D: np.ndarray) -> float:
+    """The prior's term -nu/2 (log det Sigma + tr(Sigma^-1 diag(D))), from
+    one Cholesky of Sigma."""
+    factor = _cholesky(Sigma)
+    if factor is None:
+        raise NumericalError("EM covariance is singular")
+    logdet, trace = _logdet_quad(factor, np.diag(np.sqrt(D)))
+    return -0.5 * _PRIOR_NU * (logdet + trace)
 
-    Returns (mu', Sigma', observed-data log-likelihood at (mu, Sigma),
-    whether the projection altered the M-step's Sigma).
+
+def _em_map(m: ScoreMatrix, patterns, mu, Sigma, D):
+    """One EM update under the prior: E-step, then the posterior-mode
+    M-step Sigma' = (scatter + correction + nu diag(D)) / (M + nu).
+
+    Returns (mu', Sigma', penalized objective at (mu, Sigma)).
     """
     completed, correction, loglik = _e_step(m, patterns, mu, Sigma)
     mu_new = completed.mean(axis=0)
     Bc = completed - mu_new
-    Sigma_new = (Bc.T @ Bc + correction) / m.shape[0]
-    Sigma_new = 0.5 * (Sigma_new + Sigma_new.T)
-    projected = psd_project(Sigma_new, floor)
-    clamped = np.max(np.abs(projected - Sigma_new)) > 1e-12 * max(
-        1.0, np.max(np.abs(Sigma_new))
-    )
-    return mu_new, projected, float(loglik), bool(clamped)
+    Sigma_new = Bc.T @ Bc + correction + np.diag(_PRIOR_NU * D)
+    Sigma_new /= m.shape[0] + _PRIOR_NU
+    return (mu_new, 0.5 * (Sigma_new + Sigma_new.T),
+            float(loglik + _log_prior(Sigma, D)))
 
 
 def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
-    """EM for (mu, Sigma) under MAR missingness, accelerated by SQUAREM.
+    """EM for the posterior mode of (mu, Sigma) under MAR missingness,
+    accelerated by SQUAREM.
 
-    Initializes from mean_missing and the PSD-projected pairwise
-    covariance (identity-shrunk when M < N).  Every projection clamps
-    eigenvalues at 1e-3 for rank-deficient (M < N) or sparse (< 50%
-    observed) inputs, at 1e-10 otherwise.  The EM map `_em_map`
-    alternates conditional imputation with completed-data moment updates
-    plus the conditional-covariance correction, projecting to the PSD
-    cone.  The E-step sweeps the distinct missingness patterns, not the
-    rows: rows that miss the same cells share one Cholesky factor of their
-    observed block, which also gives the observed-data log-likelihood at
-    the map's input.
+    mu has a flat prior; Sigma has the conjugate (inverse-Wishart-type)
+    prior p(Sigma) ~ exp(-nu/2 (log det Sigma + tr(Sigma^-1 diag(D)))),
+    with nu = 1 pseudo-observation and D the diagonal of the starting
+    pairwise covariance: the identity on standardized data, and a target
+    that scales with the columns on raw data.  The fit maximizes the
+    penalized objective, the observed-data log-likelihood plus that log
+    prior; unlike the likelihood alone, it is bounded above however few
+    cells the rows observe (Fraley & Raftery 2007; Schafer 1997, ch. 5).
+
+    The fit starts from mean_missing and the pairwise covariance, PSD-
+    projected to the floor nu min(D) / (M + nu).  The EM map `_em_map`
+    alternates conditional imputation with the M-step
+    Sigma' = (scatter + correction + nu diag(D)) / (M + nu), whose
+    eigenvalues are all at least that floor, so every covariance EM
+    touches is positive definite.  The E-step sweeps the distinct
+    missingness patterns, not the rows: rows that miss the same cells
+    share one Cholesky factor of their observed block, which also gives
+    the observed-data log-likelihood at the map's input.
 
     Each cycle is one SQUAREM step (Varadhan & Roland 2008, scheme S3):
     two maps from theta0 give theta1 and theta2; with r and v the first
     and second differences of the stacked (mu, Sigma), the step length is
     alpha = -|r|/|v|, capped at -1, and the extrapolated point
-    theta0 - 2 alpha r + alpha^2 v is projected to the PSD cone and
-    stabilized by a third map.  When the extrapolated point's
-    log-likelihood is below theta1's, the cycle falls back to theta2, the
-    second plain iterate.  Every accepted iterate is an EM map's output
-    from a point at least as likely as the cycle's start, so the
-    log-likelihood never decreases while no projection clamps.  As in
-    Varadhan's reference implementation, |alpha| is also bounded by a step
-    limit that starts at 1, grows fourfold when a step at the limit is
-    accepted and shrinks fourfold when one is rejected; without it, a
-    slowly drifting fit extrapolates too far and falls back cycle after
-    cycle.
+    theta0 - 2 alpha r + alpha^2 v is projected to the floor and
+    stabilized by a third map.  When the extrapolated point's objective
+    is below theta1's, the cycle falls back to theta2, the second plain
+    iterate.  Every accepted iterate is an EM map's output from a point
+    at least as good as the cycle's start, so the objective never
+    decreases.  As in Varadhan's reference implementation, |alpha| is
+    also bounded by a step limit that starts at 1, grows fourfold when a
+    step at the limit is accepted and shrinks fourfold when one is
+    rejected; without it, a slowly drifting fit extrapolates too far and
+    falls back cycle after cycle.
 
     `em_iterations` counts cycles (three EM maps each).  The fit has
     `converged` when, over one cycle, both the relative Frobenius change
-    of Sigma and the relative change of the log-likelihood are below
+    of Sigma and the relative change of the objective are below
     `rel_tol`; the latter compares the cycle's start with the point its
     accepted iterate was mapped from.  `loglik_trace[c - 1]` is the
-    log-likelihood of cycle c's accepted iterate, before any final
-    shrinkage: the next cycle's first E-step gives it, and one last
-    E-step after the loop gives that of the returned estimate.  `clamped`
-    reports projections of M-step outputs, not of extrapolated points.
+    penalized objective of cycle c's accepted iterate: the next cycle's
+    first E-step gives it, and one last E-step after the loop gives that
+    of the returned estimate.  A complete matrix gives the closed form
+    (Bc'Bc + nu diag(D)) / (M + nu) in at most two cycles.
     """
-    M, N = m.shape
-    rank_deficient = M < N
-    floor = 1e-3 if (rank_deficient or m.observed_fraction() < 0.5) else 1e-10
-
     mu = mean_missing(m)
-    Sigma = psd_project(pairwise_cov(m, mu), floor)
-    if rank_deficient:
-        Sigma = shrink_identity(Sigma, M, N)
+    Sigma = pairwise_cov(m, mu)
+    D = np.diag(Sigma).copy()
+    floor = _PRIOR_NU * D.min() / (m.shape[0] + _PRIOR_NU)
+    Sigma = psd_project(Sigma, floor)
 
     patterns = _missingness_patterns(m)
     loglik_trace: list[float] = []
-    clamped = False
     converged = False
     step_max = 1.0
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        mu1, S1, ll0, c1 = _em_map(m, patterns, mu, Sigma, floor)
+        mu1, S1, ll0 = _em_map(m, patterns, mu, Sigma, D)
         if it > 1:
             loglik_trace.append(ll0)
-        mu2, S2, ll1, c2 = _em_map(m, patterns, mu1, S1, floor)
+        mu2, S2, ll1 = _em_map(m, patterns, mu1, S1, D)
         r_mu, r_S = mu1 - mu, S1 - Sigma
         v_mu, v_S = mu2 - mu1 - r_mu, S2 - S1 - r_S
         nr = np.sqrt(r_mu @ r_mu + np.sum(r_S * r_S))
@@ -366,10 +352,7 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
         alpha = -min(max(nr / nv, 1.0), step_max) if nv > 0 else -1.0
         mu_x = mu - 2 * alpha * r_mu + alpha**2 * v_mu
         S_x = Sigma - 2 * alpha * r_S + alpha**2 * v_S
-        mu3, S3, ll_x, c3 = _em_map(
-            m, patterns, mu_x, psd_project(S_x, floor), floor
-        )
-        clamped = clamped or c1 or c2 or c3
+        mu3, S3, ll_x = _em_map(m, patterns, mu_x, psd_project(S_x, floor), D)
         if ll_x >= ll1:
             mu_new, Sigma_new, ll_new = mu3, S3, ll_x
             if -alpha == step_max:
@@ -386,14 +369,13 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
         if change < cfg.rel_tol and ll_change < cfg.rel_tol:
             converged = True
             break
-    loglik_trace.append(_e_step(m, patterns, mu, Sigma)[2])
-
-    if rank_deficient:
-        Sigma = shrink_identity(Sigma, M, N)
+    loglik_trace.append(
+        _e_step(m, patterns, mu, Sigma)[2] + _log_prior(Sigma, D)
+    )
 
     return GaussianModel(
         mu, Sigma, "em", em_iterations=it, converged=converged,
-        loglik_trace=tuple(loglik_trace), clamped=clamped,
+        loglik_trace=tuple(loglik_trace),
     )
 
 

@@ -3,7 +3,7 @@
 Shapiro-Wilk is scipy's implementation of Royston's algorithm AS R94
 (Royston 1995), valid for 3 <= n <= 5000.
 
-`scipy.stats` is imported inside the two functions that use it, not at
+`scipy.stats` is imported inside the functions that use it, not at
 module top: importing it takes most of a second, and every command but
 `normality` loads this module without calling them.
 """
@@ -109,21 +109,16 @@ def mardia(X) -> dict:
 
 
 def benjamini_hochberg(pvals, alpha: float) -> list[bool]:
-    """BH step-up: reject ranks up to the largest i with p_(i) <= i*alpha/m."""
+    """BH step-up: reject ranks up to the largest i with p_(i) <= i*alpha/m,
+    that is, where scipy's BH-adjusted p-value is at most alpha."""
     pvals = np.asarray(pvals, dtype=float)
-    if np.any((pvals < 0) | (pvals > 1)):
+    if not np.all((pvals >= 0) & (pvals <= 1)):
         raise DataError("p-values must lie in [0, 1]")
     if not 0 < alpha < 1:
         raise DataError("alpha must lie in (0, 1)")
-    m = pvals.size
-    order = np.argsort(pvals, kind="stable")
-    ranked = pvals[order]
-    thresholds = (np.arange(1, m + 1) / m) * alpha
-    passing = np.nonzero(ranked <= thresholds)[0]
-    rejected = np.zeros(m, dtype=bool)
-    if passing.size:
-        rejected[order[: passing[-1] + 1]] = True
-    return rejected.tolist()
+    from scipy import stats
+
+    return (stats.false_discovery_control(pvals) <= alpha).tolist()
 
 
 def normality_report(m, alpha: float = 0.05,

@@ -68,9 +68,6 @@ class ScoreMatrix:
     def shape(self) -> tuple[int, int]:
         return self.values.shape
 
-    def observed_fraction(self) -> float:
-        return float(self.mask.mean())
-
     def with_values(self, values: np.ndarray) -> "ScoreMatrix":
         """New matrix with the same mask and labels but different values."""
         return ScoreMatrix(values, self.mask, self.model_names, self.benchmark_names)

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 from scipy.linalg.lapack import dpotrs, dtrtrs
@@ -16,10 +16,10 @@ from benchsel.covariance import (
     mean_missing,
     pairwise_cov,
     psd_project,
-    shrink_identity,
     to_correlation,
 )
 from benchsel.errors import DataError, NumericalError
+from benchsel.score_matrix import column_stats, standardize
 
 from conftest import make_matrix, mcar_matrix, random_spd
 
@@ -143,22 +143,6 @@ class TestPsdProject:
             psd_project(np.array([[1.0, 2.0], [0.0, 1.0]]), 1e-6)
 
 
-class TestShrinkIdentity:
-    def test_m_ge_n_noop(self):
-        S = random_spd(4, seed=1)
-        assert np.allclose(shrink_identity(S, M=10, N=4), S, atol=1e-12)
-
-    def test_m_zero_full_shrink(self):
-        S = random_spd(4, seed=2)
-        out = shrink_identity(S, M=0, N=4)
-        assert np.allclose(out, np.eye(4) * np.trace(S) / 4, atol=1e-12)
-
-    def test_trace_preserved(self):
-        S = random_spd(6, seed=3)
-        out = shrink_identity(S, M=2, N=6)
-        assert np.trace(out) == pytest.approx(np.trace(S), abs=1e-9)
-
-
 class TestToCorrelation:
     def test_diagonal(self):
         assert np.allclose(to_correlation(np.diag([4.0, 9.0])), np.eye(2), atol=1e-12)
@@ -181,7 +165,9 @@ class TestToCorrelation:
 
 
 class TestEmFit:
-    def test_fully_observed_fast_and_matches_1_over_m(self):
+    def test_fully_observed_fast_and_matches_the_map_closed_form(self):
+        # (Bc'Bc + nu diag(D)) / (M + nu), where D, the pairwise diagonal,
+        # is that of the 1/(M-1) covariance on a complete matrix
         rng = np.random.default_rng(12)
         vals = rng.normal(size=(40, 4))
         m = make_matrix(vals)
@@ -190,8 +176,10 @@ class TestEmFit:
         assert g.em_iterations <= 3
         full = estimate_full(m)
         M = 40
+        want = (full.cov * (M - 1) + PRIOR_NU * np.diag(np.diag(full.cov))) \
+            / (M + PRIOR_NU)
         assert np.allclose(g.mean, full.mean, atol=1e-8)
-        assert np.allclose(g.cov, full.cov * (M - 1) / M, atol=1e-8)
+        assert np.allclose(g.cov, want, atol=1e-8)
 
     def test_single_missing_cell_bivariate_fill(self):
         # E-step fill for one missing cell must match the closed-form
@@ -221,26 +209,23 @@ class TestEmFit:
     def test_loglik_nondecreasing_when_unclamped(self):
         matrix, _, _ = mcar_matrix(300, 5, 0.15, seed=21)
         g = em_fit(matrix, EmConfig())
-        if not g.clamped:
-            diffs = np.diff(g.loglik_trace)
-            assert (diffs >= -1e-8).all()
+        assert not g.clamped
+        assert (np.diff(g.loglik_trace) >= -1e-8).all()
 
     def test_slow_mcar_fit_converges_to_its_optimum(self):
-        # Seven complete rows keep the likelihood bounded; the other rows
-        # miss 60% of their cells.  Plain EM ends unconverged after 500
-        # iterations at -467.567143269574, and needs 1355 to stop at
-        # rel_tol=1e-10, at -467.5671330929.
+        # Seven complete rows; the other rows miss 60% of their cells.
+        # Plain EM under the prior (reference_em_fit) stops at the default
+        # rel_tol after 121 iterations at -489.70725136279873, and needs
+        # 264 to stop at rel_tol=1e-10, at -489.70725135552493.
         m, _, _ = mcar_matrix(80, 6, 0.6, seed=3, complete_rows=7)
         g = em_fit(m, EmConfig())
         assert g.converged
-        assert g.loglik_trace[-1] > -467.567143269574
-        assert g.loglik_trace[-1] >= -467.5671330929 * (1 + 1e-8)
+        assert g.loglik_trace[-1] > -489.70725136279873
+        assert g.loglik_trace[-1] >= -489.70725135552493 * (1 + 1e-8)
 
     def test_does_not_stop_while_the_loglik_moves(self):
-        # With no complete rows this likelihood is unbounded: the smallest
-        # eigenvalue of Sigma drifts toward the PSD floor while Sigma's
-        # relative change per cycle is already below rel_tol.  The
-        # log-likelihood rule keeps the fit going until the drift settles.
+        # No complete rows: a fit stops only once the penalized objective,
+        # too, has settled to rel_tol.
         m, _, _ = mcar_matrix(40, 8, 0.4, seed=0)
         g = em_fit(m, EmConfig())
         last, prev = g.loglik_trace[-2:]
@@ -258,42 +243,37 @@ class TestEmFit:
         assert em_fit(matrix, EmConfig()).estimator == "em"
 
     def test_rank_deficient_fit_is_shrunk_toward_the_identity(self):
-        # M = 8 < N = 12: the fit is shrunk with alpha = (N - M) / N, so
-        # every eigenvalue is at least alpha * tr(Sigma) / N
-        matrix, _, _ = mcar_matrix(8, 12, 0.2, seed=25)
-        cov = em_fit(matrix).cov
-        bound = (12 - 8) / 12 * np.trace(cov) / 12
-        assert np.linalg.eigvalsh(cov)[0] >= bound * (1 - 1e-12)
+        # M = 8 < N = 12, standardized, so the prior's target diag(D) is
+        # about the identity; every M-step adds nu diag(D) / (M + nu) to a
+        # PSD matrix, so no eigenvalue is below nu min(D) / (M + nu)
+        raw, _, _ = mcar_matrix(8, 12, 0.2, seed=25)
+        matrix = standardize(raw, column_stats(raw))
+        D = np.diag(pairwise_cov(matrix, mean_missing(matrix)))
+        assert np.allclose(D, 1.0, atol=1e-12)
+        g = em_fit(matrix)
+        assert g.converged
+        bound = PRIOR_NU * D.min() / (8 + PRIOR_NU)
+        assert np.linalg.eigvalsh(g.cov)[0] >= bound * (1 - 1e-12)
 
 
-# The ridge em_fit's E-step retries a failed Cholesky with.
-EM_RIDGE = 1e-8
+# The weight, in pseudo-observations, of em_fit's prior on Sigma.
+PRIOR_NU = 1.0
 
 
-def _reference_conditional_moments(mu, Sigma, obs_idx, mis_idx, x_obs, row_label):
-    """Per-row conditional mean/cov of the missing block, ridge retry."""
+def _reference_conditional_moments(mu, Sigma, obs_idx, mis_idx, x_obs):
+    """Per-row conditional mean/cov of the missing block."""
     Soo = Sigma[np.ix_(obs_idx, obs_idx)]
     Smo = Sigma[np.ix_(mis_idx, obs_idx)]
     Smm = Sigma[np.ix_(mis_idx, mis_idx)]
-    resid = x_obs - mu[obs_idx]
-    for eps in (0.0, EM_RIDGE):
-        try:
-            c, low = linalg.cho_factor(
-                Soo + eps * np.eye(len(obs_idx)), lower=True
-            )
-        except np.linalg.LinAlgError:
-            continue
-        gain = linalg.cho_solve((c, low), Smo.T).T
-        cond_mean = mu[mis_idx] + gain @ resid
-        cond_cov = Smm - gain @ Smo.T
-        return cond_mean, 0.5 * (cond_cov + cond_cov.T)
-    raise NumericalError(
-        f"observed block for row {row_label!r} is singular even with ridge"
-    )
+    c, low = linalg.cho_factor(Soo, lower=True)
+    gain = linalg.cho_solve((c, low), Smo.T).T
+    cond_cov = Smm - gain @ Smo.T
+    return mu[mis_idx] + gain @ (x_obs - mu[obs_idx]), 0.5 * (cond_cov + cond_cov.T)
 
 
-def _reference_observed_loglik(m, mu, Sigma):
-    """Per-row sum of log N(x_obs; mu_obs, Sigma_obs_obs) by slogdet/solve."""
+def _reference_observed_loglik(m, mu, Sigma, D):
+    """Per-row sum of log N(x_obs; mu_obs, Sigma_obs_obs) by slogdet/solve,
+    plus the log prior -nu/2 (log det Sigma + tr(Sigma^-1 diag(D)))."""
     total = 0.0
     for i in range(m.shape[0]):
         obs = np.flatnonzero(m.mask[i])
@@ -304,17 +284,13 @@ def _reference_observed_loglik(m, mu, Sigma):
             return -np.inf
         alpha = np.linalg.solve(Soo, resid)
         total += -0.5 * (len(obs) * np.log(2 * np.pi) + logdet + resid @ alpha)
-    return total
+    sign, logdet = np.linalg.slogdet(Sigma)
+    trace = np.trace(np.linalg.solve(Sigma, np.diag(D)))
+    return total - 0.5 * PRIOR_NU * (logdet + trace)
 
 
-def reference_floor(m):
-    """em_fit's PSD floor."""
-    sparse = m.observed_fraction() < 0.5
-    return 1e-3 if (m.shape[0] < m.shape[1] or sparse) else 1e-10
-
-
-def reference_em_map(m, mu, Sigma, floor):
-    """One plain EM update with a row-by-row E-step: (mu', Sigma', clamped)."""
+def reference_em_map(m, mu, Sigma, D):
+    """One EM update under the prior, with a row-by-row E-step."""
     M, N = m.shape
     completed = np.where(m.mask, m.values, 0.0)
     correction = np.zeros((N, N))
@@ -324,41 +300,32 @@ def reference_em_map(m, mu, Sigma, floor):
             continue
         obs = np.flatnonzero(m.mask[i])
         cond_mean, cond_cov = _reference_conditional_moments(
-            mu, Sigma, obs, mis, m.values[i, obs], m.model_names[i],
+            mu, Sigma, obs, mis, m.values[i, obs],
         )
         completed[i, mis] = cond_mean
         correction[np.ix_(mis, mis)] += cond_cov
     mu_new = completed.mean(axis=0)
     Bc = completed - mu_new
-    Sigma_new = (Bc.T @ Bc + correction) / M
-    Sigma_new = 0.5 * (Sigma_new + Sigma_new.T)
-    projected = psd_project(Sigma_new, floor)
-    clamped = np.max(np.abs(projected - Sigma_new)) > 1e-12 * max(
-        1.0, np.max(np.abs(Sigma_new))
-    )
-    return mu_new, projected, bool(clamped)
+    Sigma_new = (Bc.T @ Bc + correction + PRIOR_NU * np.diag(D)) / (M + PRIOR_NU)
+    return mu_new, 0.5 * (Sigma_new + Sigma_new.T)
 
 
 def reference_em_init(m):
-    """em_fit's starting point."""
+    """em_fit's starting point and the prior's diagonal D."""
     mu = mean_missing(m)
-    Sigma = psd_project(pairwise_cov(m, mu), reference_floor(m))
-    if m.shape[0] < m.shape[1]:
-        Sigma = shrink_identity(Sigma, *m.shape)
-    return mu, Sigma
+    S = pairwise_cov(m, mu)
+    D = np.diag(S).copy()
+    return mu, psd_project(S, PRIOR_NU * D.min() / (m.shape[0] + PRIOR_NU)), D
 
 
 def reference_em_fit(m, cfg):
-    """Plain EM, stopped by the relative Frobenius change of Sigma alone,
-    with a row-by-row E-step.  `loglik_trace` holds only the final
-    log-likelihood, from a separate row-by-row pass."""
-    M, N = m.shape
-    floor = reference_floor(m)
-    mu, Sigma = reference_em_init(m)
-    clamped, converged = False, False
+    """Plain EM under the prior, stopped by the relative Frobenius change
+    of Sigma alone, with a row-by-row E-step.  `loglik_trace` holds only
+    the final penalized objective, from a separate row-by-row pass."""
+    mu, Sigma, D = reference_em_init(m)
+    converged = False
     for it in range(1, cfg.max_iter + 1):
-        mu_new, Sigma_new, c = reference_em_map(m, mu, Sigma, floor)
-        clamped = clamped or c
+        mu_new, Sigma_new = reference_em_map(m, mu, Sigma, D)
         change = np.linalg.norm(Sigma_new - Sigma, "fro") / max(
             np.linalg.norm(Sigma, "fro"), 1e-300
         )
@@ -366,13 +333,24 @@ def reference_em_fit(m, cfg):
         if change < cfg.rel_tol:
             converged = True
             break
-    loglik = _reference_observed_loglik(m, mu, Sigma)
-    if M < N:
-        Sigma = shrink_identity(Sigma, M, N)
     return GaussianModel(
         mu, Sigma, "em", em_iterations=it, converged=converged,
-        loglik_trace=(loglik,), clamped=clamped,
+        loglik_trace=(_reference_observed_loglik(m, mu, Sigma, D),),
     )
+
+
+def _no_complete_rows_example():
+    """A fixed 24x5 mask with no complete row: row i misses column i % 5,
+    and 30% of the other cells are missing at random."""
+    rng = np.random.default_rng(5)
+    M, N = 24, 5
+    mask = rng.random((M, N)) > 0.3
+    mask[np.arange(M), np.arange(M) % N] = False
+    empty = np.flatnonzero(~mask.any(axis=1))
+    mask[empty, (empty + 1) % N] = True
+    A = rng.normal(size=(N, N))
+    X = rng.multivariate_normal(np.zeros(N), A @ A.T + np.eye(N), size=M)
+    return make_matrix(np.where(mask, X, np.nan), mask)
 
 
 @st.composite
@@ -380,13 +358,14 @@ def em_matrices(draw):
     """Gaussian scores under block, MCAR or mixed (block plus MCAR) masks.
 
     Block masks give few distinct patterns, MCAR masks mostly one per row.
-    The first N + 1 rows are fully observed, which keeps the fitted Sigma
-    well conditioned: on a near-singular Sigma, reordered sums alone move
-    the log-likelihood by more than the comparison tolerance.
+    Half the draws have their first N + 1 rows fully observed; in the
+    other half any row may miss cells, and many draws have no complete
+    row, where only the prior keeps the objective bounded.
     """
     N = draw(st.integers(2, 6))
     M = draw(st.integers(3 * N, 6 * N))
     regime = draw(st.sampled_from(["block", "mcar", "mixed"]))
+    complete_rows = draw(st.sampled_from([0, N + 1]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     mask = np.ones((M, N), dtype=bool)
     if regime in ("block", "mixed"):
@@ -394,8 +373,10 @@ def em_matrices(draw):
         mask = suites[rng.integers(0, len(suites), size=M)]
     if regime in ("mcar", "mixed"):
         mask = mask & (rng.random((M, N)) > 0.25)
-    mask[: N + 1] = True
+    mask[:complete_rows] = True
     mask[~mask.any(axis=1), 0] = True
+    for j in np.flatnonzero(mask.sum(axis=0) < 2):
+        mask[rng.choice(M, size=2, replace=False), j] = True
     A = rng.normal(size=(N, N))
     X = rng.multivariate_normal(rng.normal(size=N), A @ A.T + np.eye(N), size=M)
     return make_matrix(np.where(mask, X, np.nan), mask)
@@ -405,33 +386,32 @@ class TestEmPatternSweep:
     @settings(max_examples=30, deadline=None)
     @given(em_matrices(), st.integers(0, 3))
     def test_matches_per_row_reference(self, m, stride):
-        # One EM map at several iterates of plain EM: the pattern-grouped
-        # E-step and M-step against the row-by-row ones.  The starting
-        # point is skipped: its PSD-projected pairwise Sigma can sit at the
-        # 1e-10 floor, where summation order alone moves the
-        # log-likelihood by more than the tolerance.
-        floor = reference_floor(m)
+        # One EM map at the start and at several iterates of plain EM: the
+        # pattern-grouped E-step and M-step against the row-by-row ones.
         patterns = covariance._missingness_patterns(m)
-        mu, Sigma = reference_em_init(m)
-        for _ in range(5):
-            for _ in range(1 + stride):
-                mu, Sigma, _ = reference_em_map(m, mu, Sigma, floor)
-            got_mu, got_S, got_ll, got_c = covariance._em_map(
-                m, patterns, mu, Sigma, floor
+        mu, Sigma, D = reference_em_init(m)
+        for step in range(5):
+            for _ in range(stride if step else 0):
+                mu, Sigma = reference_em_map(m, mu, Sigma, D)
+            got_mu, got_S, got_ll = covariance._em_map(
+                m, patterns, mu, Sigma, D
             )
-            want_mu, want_S, want_c = reference_em_map(m, mu, Sigma, floor)
-            assert got_c == want_c
+            want_mu, want_S = reference_em_map(m, mu, Sigma, D)
             assert np.allclose(got_mu, want_mu, rtol=0, atol=1e-10)
             assert np.allclose(got_S, want_S, rtol=0, atol=1e-10)
-            want_ll = _reference_observed_loglik(m, mu, Sigma)
+            want_ll = _reference_observed_loglik(m, mu, Sigma, D)
             assert got_ll == pytest.approx(want_ll, rel=1e-10, abs=1e-10)
+            mu, Sigma = want_mu, want_S
 
     @settings(max_examples=50, deadline=None)
     @given(em_matrices())
+    @example(_no_complete_rows_example())
     def test_loglik_nondecreasing(self, m):
-        g = em_fit(m, EmConfig(max_iter=100))
-        # the PSD projection is not an M-step, so only unclamped fits qualify
-        assume(not g.clamped)
+        # A block draw whose columns are never observed together converges
+        # slowest: there only the prior pins their covariance.  Over 3000
+        # draws the slowest took 141 cycles, the median 7.
+        g = em_fit(m, EmConfig(max_iter=1000))
+        assert g.converged and not g.clamped
         assert len(g.loglik_trace) == g.em_iterations
         assert (np.diff(g.loglik_trace) >= -1e-8).all()
 
@@ -441,18 +421,13 @@ class TestEmPatternSweep:
         cfg = EmConfig(rel_tol=1e-10, max_iter=20000)
         g = em_fit(m, cfg)
         ref = reference_em_fit(m, cfg)
-        # A draw whose complete rows are nearly coplanar puts an eigenvalue
-        # of the optimum at the PSD floor; there rounding alone moves the
-        # log-likelihood by more than the tolerance.
-        assume(np.linalg.cond(ref.cov) < 1e6)
         # Plain EM may still be short of the optimum after max_iter; it
         # only climbs, so SQUAREM must be above it all the same.
         assert g.converged
         assert g.loglik_trace[-1] >= ref.loglik_trace[-1] - 1e-8 * abs(
             ref.loglik_trace[-1]
         )
-        if not g.clamped:
-            assert (np.diff(g.loglik_trace) >= -1e-8).all()
+        assert (np.diff(g.loglik_trace) >= -1e-8).all()
 
     @settings(max_examples=30, deadline=None)
     @given(em_matrices(), st.randoms(use_true_random=False))
@@ -461,14 +436,13 @@ class TestEmPatternSweep:
         pm = make_matrix(m.values[perm], m.mask[perm])
         # One EM map: permuting rows reorders the patterns and the sums
         # over them, and nothing else.
-        floor = reference_floor(m)
-        mu, Sigma = reference_em_init(m)
-        mu, Sigma, _ = reference_em_map(m, mu, Sigma, floor)
+        mu, Sigma, D = reference_em_init(m)
+        mu, Sigma = reference_em_map(m, mu, Sigma, D)
         got = covariance._em_map(
-            pm, covariance._missingness_patterns(pm), mu, Sigma, floor
+            pm, covariance._missingness_patterns(pm), mu, Sigma, D
         )
         want = covariance._em_map(
-            m, covariance._missingness_patterns(m), mu, Sigma, floor
+            m, covariance._missingness_patterns(m), mu, Sigma, D
         )
         for a, b in zip(got[:2], want[:2]):
             assert np.max(np.abs(a - b)) <= 1e-10 * max(1.0, np.max(np.abs(b)))
@@ -496,7 +470,7 @@ class TestEmPatternSweep:
         mask[[6, 7], :2] = False
         m = make_matrix(np.where(mask, vals, np.nan), mask)
 
-        # The PSD floor keeps a fitted Sigma positive definite, so a
+        # The prior keeps every Sigma EM touches positive definite, so a
         # singular observed block is simulated: every 2x2 factorization fails.
         cholesky = covariance._cholesky
 

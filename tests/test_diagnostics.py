@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from benchsel.diagnostics import (
@@ -136,7 +138,42 @@ class TestMardia:
             mardia(X)
 
 
+def reference_benjamini_hochberg(pvals, alpha):
+    """The BH step-up rule: reject the ranks up to the largest i with
+    p_(i) <= i * alpha / m."""
+    pvals = np.asarray(pvals, dtype=float)
+    m = pvals.size
+    order = np.argsort(pvals, kind="stable")
+    thresholds = (np.arange(1, m + 1) / m) * alpha
+    passing = np.nonzero(pvals[order] <= thresholds)[0]
+    rejected = np.zeros(m, dtype=bool)
+    if passing.size:
+        rejected[order[: passing[-1] + 1]] = True
+    return rejected.tolist()
+
+
 class TestBenjaminiHochberg:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), max_size=40),
+           st.floats(0.001, 0.999))
+    def test_matches_the_step_up_rule(self, pvals, alpha):
+        # p * m / i <= alpha and p <= i * alpha / m round differently only
+        # within a few ulps of the threshold
+        m = len(pvals)
+        ranked = np.sort(pvals)
+        thresholds = np.arange(1, m + 1) / m * alpha
+        assume(not np.any(np.abs(ranked - thresholds) <= 1e-12 * alpha))
+        assert benjamini_hochberg(pvals, alpha) == \
+            reference_benjamini_hochberg(pvals, alpha)
+
+    @pytest.mark.parametrize("pvals,alpha", [
+        ([0.5, -0.1], 0.05), ([1.5], 0.05), ([0.5, np.nan], 0.05),
+        ([0.5], 0.0), ([0.5], 1.0), ([0.5], np.nan),
+    ])
+    def test_bad_input_rejected(self, pvals, alpha):
+        with pytest.raises(DataError, match="must lie in"):
+            benjamini_hochberg(pvals, alpha)
+
     def test_all_zero(self):
         assert benjamini_hochberg([0.0, 0.0, 0.0], 0.05) == [True] * 3
 

@@ -221,6 +221,24 @@ class TestRunCv:
         assert [w for w in capped.warnings if "EM" in w] == unconverged
         assert not any("EM" in w for w in run_cv(matrix, cfg).warnings)
 
+    def test_block_folds_at_p09_converge(self):
+        # At p=0.9 a fold trains on 4 rows of 8 columns, drawn from four
+        # leaderboard suites that each ran a fixed set of benchmarks.
+        # Without a prior on Sigma that likelihood is unbounded, and three
+        # of these five folds ended unconverged after 500 cycles.
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(40, 3)) @ rng.normal(size=(3, 8)) \
+            + 0.5 * rng.normal(size=(40, 8))
+        suites = rng.random((4, 8)) < 0.6
+        suites[0] = True
+        mask = suites[rng.integers(0, 4, size=40)]
+        mask[~mask.any(axis=1), 0] = True
+        cfg = CvConfig(folds=5, holdout_fractions=(0.9,), k_max=2,
+                       methods=("entropy",), seed=0)
+        report = run_cv(make_matrix(np.where(mask, X, np.nan), mask), cfg)
+        assert report.cells
+        assert not any("EM did not converge" in w for w in report.warnings)
+
     def test_constant_column_is_excluded(self):
         # 7 training rows per fold; seven cells of 0.1 have a sample std
         # of 1.5e-17 (eight would round to an exact 0)
