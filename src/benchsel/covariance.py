@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from benchsel.errors import DataError, NumericalError
 from benchsel.score_matrix import (
@@ -203,22 +202,36 @@ def _missingness_patterns(m: ScoreMatrix) -> list[_Pattern]:
     return out
 
 
+# scipy.linalg.lapack, bound by the first _cholesky call: importing it
+# takes most of `import benchsel`, and dpotrs and dtrtrs only ever run on
+# a factor that _cholesky returned.
+_lapack = None
+
+
 def _cholesky(a: np.ndarray):
     """Lower Cholesky factor of the finite symmetric `a` by LAPACK dpotrf,
     or None when `a` is not positive definite.
 
     The factor is the one scipy.linalg.cho_factor(a, lower=True) returns,
     upper triangle left as in `a`, without its per-call checks: pass it
-    to dpotrs or dtrtrs with lower=1.
+    to _cho_solve or _logdet_quad.
     """
-    c, info = dpotrf(a, lower=1, clean=0)
+    global _lapack
+    if _lapack is None:
+        from scipy.linalg import lapack as _lapack
+    c, info = _lapack.dpotrf(a, lower=1, clean=0)
     return c if info == 0 else None
+
+
+def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """S^-1 rhs by LAPACK dpotrs, from the lower Cholesky factor of S."""
+    return _lapack.dpotrs(factor, rhs, lower=1)[0]
 
 
 def _logdet_quad(factor: np.ndarray, rhs: np.ndarray):
     """log det S and the sum of r' S^-1 r over the columns r of `rhs`,
     from the lower Cholesky factor of S."""
-    z = dtrtrs(factor, rhs, lower=1)[0]
+    z = _lapack.dtrtrs(factor, rhs, lower=1)[0]
     return 2.0 * np.sum(np.log(np.diag(factor))), np.sum(z * z)
 
 
@@ -248,7 +261,7 @@ def _e_step(m: ScoreMatrix, patterns, mu, Sigma):
         if pat.mis.size == 0:
             continue
         Smo = Sigma[pat.mo]
-        gain = dpotrs(factor, Smo.T, lower=1)[0].T
+        gain = _cho_solve(factor, Smo.T).T
         completed[pat.rows_mis] = mu[pat.mis] + resid @ gain.T
         cond_cov = Sigma[pat.mm] - gain @ Smo.T
         cond_cov = 0.5 * (cond_cov + cond_cov.T)

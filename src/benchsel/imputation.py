@@ -11,10 +11,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from benchsel.errors import DataError, NumericalError
-from benchsel.covariance import GaussianModel, _cholesky
+from benchsel.covariance import GaussianModel, _cho_solve, _cholesky
 from benchsel.score_matrix import _row_groups
 
 STANDARDIZED_CLIP = 10.0
@@ -77,9 +76,9 @@ def impute_rows(
                 "even with ridge"
             )
         Sxc = Sigma[:, C]
-        x = dpotrs(factor, (values[np.ix_(rows, C)] - mu[C]).T, lower=1)[0]
+        x = _cho_solve(factor, (values[np.ix_(rows, C)] - mu[C]).T)
         predicted[rows] = mu + (Sxc @ x).T
-        gain = dpotrs(factor, Sxc.T, lower=1)[0]  # Scc^{-1} Sigma_C.
+        gain = _cho_solve(factor, Sxc.T)  # Scc^{-1} Sigma_C.
         cond_var[rows] = var - np.sum(Sxc * gain.T, axis=1)
     return BatchImputation(predicted, cond_var)
 

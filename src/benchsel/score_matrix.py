@@ -269,16 +269,51 @@ def _parse_row(lineno, cells, names) -> list[float]:
 
 
 def write_table(sink, header, rows) -> None:
-    """Write a CSV table to a text stream or a path.  A float NaN becomes
-    an empty cell; csv writes other floats with repr, which loads back
-    bit-exactly, and ints and strings as they are."""
+    """Write a CSV table to a text stream or a path, with LF line ends.
+
+    The header row is as csv.writer writes it.  In each data row (a
+    sequence) a float NaN or None is an empty cell and every other cell is
+    its str(): repr for a float, which loads back bit-exactly.  A row of
+    floats, ints, bools and strs is one join of its cells when no str holds
+    a comma, a quote or a character repr() escapes.  csv.writer writes
+    every other row, so quoting follows the running Python's csv module.
+    Rows are streamed, never held as one string.
+    """
     if isinstance(sink, str):
         with open(sink, "w", encoding="utf-8", newline="") as fh:
             return write_table(fh, header, rows)
-    writer = csv.writer(sink, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(["" if isinstance(v, float) and math.isnan(v) else v
-                      for v in row] for row in rows)
+    csv_line = csv.writer(_Echo(), lineterminator="\n").writerow
+    sink.write(csv_line(header))
+    sink.writelines(_table_line(csv_line, row) for row in rows)
+
+
+class _Echo:
+    """A csv.writer target whose write returns the line it is given."""
+
+    def write(self, line: str) -> str:
+        return line
+
+
+# The cell types whose repr() is their str(), apart from a str's quotes.
+_PLAIN_TYPES = frozenset((float, int, bool, str))
+
+
+def _table_line(csv_line, row) -> str:
+    if _PLAIN_TYPES.issuperset(map(type, row)):
+        # repr() is faster than str() and sets the strs apart: each is
+        # 'text', so a cell that starts with nan is a float NaN.  With no "
+        # or \ in the join, no text holds a quote or a character repr()
+        # escapes, and the comma count finds a comma inside one.
+        text = ",".join(map(repr, row)).replace(",nan", ",")
+        if text.startswith("nan"):
+            text = text[3:]
+        if ('"' not in text and "\\" not in text
+                and text.count(",") == len(row) - 1):
+            text = text.replace("'", "")
+            if text:  # csv writes a lone empty cell as ""
+                return text + "\n"
+    return csv_line(["" if isinstance(v, float) and math.isnan(v) else v
+                     for v in row])
 
 
 def write_csv(m: ScoreMatrix, sink) -> None:

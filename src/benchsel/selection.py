@@ -16,9 +16,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
-from benchsel.covariance import _cholesky
+from benchsel.covariance import _cho_solve, _cholesky
 from benchsel.errors import DataError, NumericalError
 
 LOG_2PIE = math.log(2 * math.pi * math.e)
@@ -152,7 +151,7 @@ def _precision(S: np.ndarray) -> np.ndarray:
     # dpotrs rejects an empty system; eigh takes it.
     factor = _cholesky(S) if len(S) else None
     if factor is not None:
-        return dpotrs(factor, np.eye(len(S)), lower=1)[0]
+        return _cho_solve(factor, np.eye(len(S)))
     w, V = np.linalg.eigh(S)
     return (V / np.maximum(w, PSD_FLOOR)) @ V.T
 
@@ -395,5 +394,5 @@ def residual_trace(S: np.ndarray, A) -> float:
     factor = _cholesky(Saa)
     if factor is None:
         raise NumericalError("Sigma_AA is singular")
-    X = dpotrs(factor, Sca.T, lower=1)[0]
+    X = _cho_solve(factor, Sca.T)
     return float(np.trace(S[np.ix_(comp, comp)]) - np.sum(Sca * X.T))

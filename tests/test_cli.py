@@ -1,9 +1,11 @@
 import argparse
+import csv
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from benchsel.covariance import GaussianModel, estimate_full
 from benchsel.imputation import impute_rows
 
 from conftest import make_matrix, mcar_matrix, rank_one_matrix
+from test_score_matrix import reference_write_table
 
 
 def write_matrix(tmp_path, matrix, name="input.csv"):
@@ -265,6 +268,43 @@ class TestImpute:
         assert (completed.values[~mask] > 0).all()
         col_max = np.broadcast_to(vals.max(axis=0), vals.shape)
         assert (completed.values[~mask] < col_max[~mask]).all()
+
+    def test_quoted_model_names(self, tmp_path):
+        # Names the csv module must quote, or that hold the text "nan",
+        # come out as csv.writer alone would write them and read back.
+        full = rank_one_matrix(M=40, N=5, noise=0.1, seed=4)
+        train = write_matrix(tmp_path, full, "train.csv")
+        names = ["a,b", 'say "hi"', "nan-model", " lead", "plain"]
+        rng = np.random.default_rng(5)
+        test = tmp_path / "test.csv"
+        with open(test, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, quoting=csv.QUOTE_NONNUMERIC)
+            writer.writerow(["model", *full.benchmark_names])
+            for name, row in zip(names, full.values[:5].tolist()):
+                row = [v if rng.random() < 0.6 else "" for v in row]
+                writer.writerow([name, *row])
+        assert '"a,b"' in test.read_text()
+        argv = ["impute", str(test), "--train", train, "--selected", "b0"]
+        written = {}
+
+        def reference(sink, header, rows):
+            written[os.path.basename(sink)] = rows = [list(r) for r in rows]
+            reference_write_table(sink, header, rows)
+
+        out, ref = str(tmp_path / "out"), str(tmp_path / "ref")
+        assert main([*argv, "--out", out]) == 0
+        with mock.patch("benchsel.cli.write_table", reference):
+            assert main([*argv, "--out", ref]) == 0
+        got, want = read_all(out), read_all(ref)
+        for name in ("completed.csv", "conditional_sd.csv"):
+            assert got[name] == want[name]
+        back = load_csv(os.path.join(out, "completed.csv"))
+        rows = written["completed.csv"]
+        assert back.model_names == ("a,b", 'say "hi"', "nan-model", "lead",
+                                    "plain")
+        assert [[name] for name in back.model_names] == [r[:1] for r in rows]
+        assert (back.values.tobytes()
+                == np.array([r[1:] for r in rows]).tobytes())
 
     def test_manifest_records_epsilon(self, unit_csv, tmp_path):
         m = load_csv(unit_csv)
@@ -667,6 +707,28 @@ class TestEntryPoint:
             capture_output=True, text=True, check=True,
         )
         assert proc.stdout == "False\n"
+
+    def test_import_leaves_scipy_linalg_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, benchsel.cli; "
+             "print('scipy.linalg' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout == "False\n"
+
+    def test_fresh_select_mi_matches_in_process(self, tmp_path, capsys):
+        # The first Cholesky of a process loads LAPACK; its outputs are
+        # those of a process that had it loaded already.
+        path = write_matrix(tmp_path, rank_one_matrix(M=60, N=8, noise=0.1,
+                                                      seed=9))
+        argv = ["select", path, "--objective", "mi", "--k", "4"]
+        fresh, warm = str(tmp_path / "fresh"), str(tmp_path / "warm")
+        proc = subprocess.run([sys.executable, "-m", "benchsel.cli", *argv,
+                               "--out", fresh],
+                              capture_output=True, text=True, check=True)
+        assert main([*argv, "--out", warm]) == 0
+        assert capsys.readouterr().out == proc.stdout
+        assert read_all(fresh) == read_all(warm)
 
     def test_fresh_normality_matches_in_process(self, tmp_path):
         # The first normality call of a process imports scipy.stats; its

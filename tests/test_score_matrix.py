@@ -1,9 +1,11 @@
+import csv
 import io
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from benchsel import score_matrix
 from benchsel.covariance import fit_model
@@ -240,6 +242,40 @@ class TestCsvReaders:
         assert back.benchmark_names == m.benchmark_names
 
 
+def reference_write_table(sink, header, rows) -> None:
+    """write_table as csv.writer alone renders it, cell by cell."""
+    if isinstance(sink, str):
+        with open(sink, "w", encoding="utf-8", newline="") as fh:
+            return reference_write_table(fh, header, rows)
+    writer = csv.writer(sink, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(["" if isinstance(v, float) and math.isnan(v) else v
+                      for v in row] for row in rows)
+
+
+def _rendering(writer, header, rows):
+    """The text `writer` gives, or the type of the error it raises."""
+    buf = io.StringIO()
+    try:
+        writer(buf, header, rows)
+    except csv.Error as e:  # Python 3.10's csv rejects a NUL in a cell
+        return type(e)
+    return buf.getvalue()
+
+
+_SPECIAL_FLOATS = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, 1e16,
+                   1e-5, 0.1 + 0.2]
+_floats = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
+_texts = st.text(alphabet=st.sampled_from(
+    ',"\n\r\0 abné\u4e2d\u2028No0.-'), max_size=8) | st.sampled_from(
+    ["a,b", 'q"q', "l\nf", "c\rr", "", " lead", "trail ", "\u00e9t\u00e9",
+     "nan", "nan-model", "banana", "None", "r\r\n"])
+_cells = (_floats | _floats.map(np.float64)
+          | st.floats(width=32).map(np.float32) | _texts | st.integers()
+          | st.booleans() | st.none())
+_rows = st.lists(_cells, max_size=6) | st.lists(_cells, max_size=6).map(tuple)
+
+
 class TestWriteTable:
     def test_nan_is_an_empty_cell(self):
         buf = io.StringIO()
@@ -247,6 +283,20 @@ class TestWriteTable:
                     [["a", 1, 0.1, float("nan")], ["b,c", 2, -0.0, 1e300]])
         assert buf.getvalue() == (
             "name,k,x,y\na,1,0.1,\n\"b,c\",2,-0.0,1e+300\n")
+
+    def test_header_nan_and_one_empty_cell(self):
+        buf = io.StringIO()
+        write_table(buf, ["k", math.nan], [[math.nan], [None], [""], [1, 2]])
+        assert buf.getvalue() == 'k,nan\n""\n""\n""\n1,2\n'
+
+    @settings(max_examples=300)
+    @given(st.lists(_cells, max_size=4), st.lists(_rows, max_size=6))
+    @example([math.nan], [[np.float32("nan"), 1.0], ("nan", math.nan),
+                          [np.float64("nan")], ["banana", -0.0, math.nan],
+                          ['q"q', 1], ["it's", 'both"\'', 2]])
+    def test_matches_csv_writer(self, header, rows):
+        assert (_rendering(write_table, header, rows)
+                == _rendering(reference_write_table, header, rows))
 
 
 class TestInvariants:
