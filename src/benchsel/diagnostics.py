@@ -131,6 +131,8 @@ def normality_report(m, alpha: float = 0.05,
     """
     if correction not in ("bh", "bonferroni", "none"):
         raise DataError("correction must be bh, bonferroni, or none")
+    if not 0 < alpha < 1:
+        raise DataError("alpha must lie in (0, 1)")
     tested: list[str] = []
     cols: list[np.ndarray] = []
     skipped: list[str] = []

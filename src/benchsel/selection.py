@@ -90,6 +90,8 @@ class CostModel:
             raise DataError("costs must be positive")
         if self.budget <= 0:
             raise DataError("budget must be positive")
+        if self.shift_c is not None and not math.isfinite(self.shift_c):
+            raise DataError("shift_c must be finite")
         costs.setflags(write=False)
         object.__setattr__(self, "costs", costs)
 
@@ -285,8 +287,8 @@ def budgeted_entropy(S: np.ndarray, cm: CostModel) -> SelectionResult:
 def random_select(N: int, k: int,
                   seed: int | np.random.SeedSequence) -> SelectionResult:
     """First k elements of a seeded uniform permutation of range(N)."""
-    if k > N:
-        raise DataError(f"k={k} exceeds N={N}")
+    if not 0 <= k <= N:
+        raise DataError(f"k={k} out of range [0, {N}]")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(N)
     order = tuple(int(j) for j in perm[:k])

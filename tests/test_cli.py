@@ -169,6 +169,19 @@ class TestSelect:
             "approximation guarantee is void\n"
         )
 
+    @pytest.mark.parametrize("shift_c", ["nan", "inf", "-inf"])
+    def test_non_finite_shift_c_rejected(self, rank1_csv, tmp_path, capsys,
+                                         shift_c):
+        costs = tmp_path / "costs.csv"
+        costs.write_text("benchmark,cost\n" + "".join(
+            f"b{j},1\n" for j in range(6)))
+        out = str(tmp_path / "out")
+        assert main(["select", rank1_csv, "--objective", "budgeted",
+                     "--costs", str(costs), "--budget", "3",
+                     f"--shift-c={shift_c}", "--out", out]) == 2
+        assert capsys.readouterr().err == "data error: shift_c must be finite\n"
+        assert not os.path.exists(out)
+
     def test_usage_errors(self, rank1_csv, tmp_path):
         out = str(tmp_path / "out")
         assert main(["select", rank1_csv, "--objective", "budgeted",
@@ -462,6 +475,18 @@ class TestNormality:
             assert flags[correction] == [str(int(float(row[2]) <= cut))
                                          for row in rows[1:]]
         assert flags["bonferroni"] != flags["none"]
+
+    @pytest.mark.parametrize("correction", ["bh", "bonferroni", "none"])
+    @pytest.mark.parametrize("alpha", ["0", "1", "1.5", "nan"])
+    def test_alpha_outside_the_unit_interval_rejected(
+            self, tmp_path, capsys, correction, alpha):
+        rng = np.random.default_rng(8)
+        path = write_matrix(tmp_path, make_matrix(rng.normal(size=(30, 3))))
+        out = str(tmp_path / "out")
+        assert main(["normality", path, "--alpha", alpha, "--correction",
+                     correction, "--out", out]) == 2
+        assert capsys.readouterr().err == "data error: alpha must lie in (0, 1)\n"
+        assert not os.path.exists(os.path.join(out, "shapiro.csv"))
 
     def test_singular_mardia_warns_on_one_line(self, tmp_path, capsys):
         # The last column is the sum of the first two; at this seed

@@ -562,6 +562,11 @@ class TestBudgeted:
         with pytest.raises(DataError):
             budgeted_entropy(S, CostModel(costs=np.array([5.0, 5.0]), budget=1.0))
 
+    @pytest.mark.parametrize("shift_c", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shift_c_rejected(self, shift_c):
+        with pytest.raises(DataError, match="shift_c must be finite"):
+            CostModel(np.ones(2), 1.0, shift_c)
+
     def test_no_affordable_positive_variance(self):
         # element 0 is affordable but has zero variance, element 1 is too dear
         cm = CostModel(np.array([1.0, 5.0]), 2.0)
@@ -597,6 +602,14 @@ class TestRandomSelect:
     def test_k_too_big(self):
         with pytest.raises(DataError):
             random_select(3, 4, seed=0)
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(DataError, match="out of range"):
+            random_select(5, -2, seed=0)
+
+    def test_k_zero_selects_nothing(self):
+        r = random_select(5, 0, seed=0)
+        assert r.order == () and r.gains == ()
 
 
 class TestValues:
