@@ -49,6 +49,7 @@ from benchsel.selection import (
 from benchsel.imputation import (
     ImputationResult,
     clip_standardized,
+    impute_prefixes,
     impute_row,
     impute_rows,
     r2_standardized,

@@ -15,13 +15,14 @@ fraction never perturbs the draws of another.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 import numpy as np
 
 from benchsel.errors import DataError
 from benchsel.covariance import EmConfig, fit_model
-from benchsel.imputation import STANDARDIZED_CLIP, impute_rows, r2_standardized
+from benchsel.imputation import STANDARDIZED_CLIP, impute_prefixes
 from benchsel.score_matrix import ScoreMatrix, _column_pass, column_stats, write_table
 from benchsel.selection import greedy_entropy, greedy_mi, path_metrics, random_select
 
@@ -51,6 +52,11 @@ class CvConfig:
         for m in self.methods:
             if m not in VALID_METHODS:
                 raise DataError(f"unknown method {m!r}")
+        # A repeat would score its folds twice and count each twice in n.
+        if len(set(self.methods)) < len(self.methods):
+            raise DataError("methods repeat a method")
+        if len(set(self.holdout_fractions)) < len(self.holdout_fractions):
+            raise DataError("holdout fractions repeat a fraction")
         if self.estimator_policy not in ("auto", "full", "em"):
             raise DataError("estimator_policy must be auto, full, or em")
 
@@ -77,8 +83,8 @@ class CvReport:
     def to_csv(self, sink) -> None:
         """Tidy CSV, one row per cell, to a path or a text stream; a NaN
         (an R^2 with no target cell left) is an empty cell."""
-        write_table(sink, [f.name for f in fields(CvCell)],
-                    (astuple(c) for c in self.cells))
+        header = [f.name for f in fields(CvCell)]
+        write_table(sink, header, map(attrgetter(*header), self.cells))
 
     def summary_dict(self) -> dict:
         out = {"summary": [], "selection_orders": [], "warnings": list(self.warnings)}
@@ -218,18 +224,34 @@ def _run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows, warnings_out):
         fold_orders[(method, p, fold_idx)] = tuple(names[j] for j in order)
 
         entropy, mi, rtrace = path_metrics(Sigma, order)
-        for k in range(1, len(order) + 1):
-            A = order[:k]
-            pred = impute_rows(va_std, A, fit.model, cfg.ridge).predicted
-            if cfg.logit_mode:
-                # standardized logit -> raw -> raw standardized
-                pred = (fit.decode(pred) - raw_stats.means) / raw_stats.stds
-            tmask = ~np.isnan(va_vals)
-            tmask[:, A] = False
-            r2 = (r2_standardized(pred[tmask], va_z[tmask]) if tmask.any()
-                  else math.nan)
-            fold_cells.append(CvCell(
-                method, p, fold_idx, k, r2, float(rtrace[k] / rtrace[0]),
-                float(entropy[k]), float(mi[k]),
-            ))
+        pred = impute_prefixes(va_std, order, fit.model, cfg.ridge)
+        if cfg.logit_mode:
+            # standardized logit -> raw -> raw standardized
+            pred = (fit.decode(pred) - raw_stats.means) / raw_stats.stds
+        r2 = _prefix_r2(pred, order, va_z)
+        fold_cells.extend(
+            CvCell(method, p, fold_idx, k, float(r2[k - 1]),
+                   float(rtrace[k] / rtrace[0]), float(entropy[k]),
+                   float(mi[k]))
+            for k in range(1, len(order) + 1)
+        )
     return fold_cells, fold_orders
+
+
+def _prefix_r2(pred, order, va_z) -> np.ndarray:
+    """r2_standardized of each prefix's (R, N) predictions pred[k-1]
+    against the observed cells of `va_z` outside order[:k]; NaN where
+    those targets are missing or all zero."""
+    observed = ~np.isnan(va_z)
+    z = np.where(observed, va_z, 0.0)
+    err = np.where(observed, pred - z, 0.0)
+    sse, z2 = np.sum(err * err, axis=1), np.sum(z * z, axis=0)
+    # Column order[t] is a target of the prefixes k <= t only.
+    step = np.full(z.shape[1], len(order))
+    step[order] = np.arange(len(order))
+    target = step > np.arange(len(order))[:, None]
+    denom = target @ z2
+    r2 = np.full(len(order), math.nan)
+    ok = denom > 0
+    r2[ok] = 1.0 - np.sum(sse * target, axis=1)[ok] / denom[ok]
+    return r2

@@ -50,18 +50,9 @@ def impute_rows(
     factor of Sigma_CC + ridge*I; with C empty a row gets the marginal
     mean and variance.
     """
-    values = np.asarray(values, float)
+    values, sel = _checked(values, selected, model, ridge)
     mu, Sigma = model.mean, model.cov
-    N = mu.size
-    if values.ndim != 2 or values.shape[1] != N:
-        raise DataError("values must be R x N")
-    if np.isinf(values).any():
-        raise DataError("values must be finite or NaN")
-    if not 0 <= ridge < math.inf:
-        raise DataError("ridge must be finite and nonnegative")
-    sel = np.unique(np.asarray(list(selected), dtype=int))
-    if sel.size and (sel[0] < 0 or sel[-1] >= N):
-        raise DataError("selected index out of range")
+    sel = np.unique(sel)
     var = np.diag(Sigma)
     predicted = np.tile(mu, (len(values), 1))
     cond_var = np.tile(var, (len(values), 1))
@@ -81,6 +72,66 @@ def impute_rows(
         gain = _cho_solve(factor, Sxc.T)  # Scc^{-1} Sigma_C.
         cond_var[rows] = var - np.sum(Sxc * gain.T, axis=1)
     return BatchImputation(predicted, cond_var)
+
+
+def impute_prefixes(values, order, model: GaussianModel,
+                    ridge: float = 1e-2) -> np.ndarray:
+    """Conditional means of every column for each prefix of `order`.
+
+    Returns a (K, R, N) array whose out[k-1] is
+    impute_rows(values, order[:k], model, ridge).predicted, from one pass.
+    Conditioning on the pivots one at a time is the Cholesky of
+    Sigma_CC + ridge*I in pivot order, so each group of rows that observes
+    the same pivots keeps only the N x c factor columns: a pivot j takes
+    col = Sigma[:, j] - L L[j]' and s = col[j] + ridge, and moves the
+    group's means by (x_j - pred_j) / s * col.
+    """
+    values, order = _checked(values, order, model, ridge)
+    if np.unique(order).size != order.size:
+        raise DataError("order repeats an index")
+    mu, Sigma = model.mean, model.cov
+    K, N = order.size, mu.size
+    out = np.tile(mu, (K, len(values), 1))
+    failed = []  # (pivot position, first row) of each singular group
+    for pattern, rows in _row_groups(~np.isnan(values[:, order])):
+        steps = np.flatnonzero(pattern)
+        x = values[np.ix_(rows, order[steps])]
+        pred = np.tile(mu, (rows.size, 1))
+        L = np.empty((N, steps.size))
+        # Pivot order[t] serves the prefixes up to the group's next pivot.
+        for c, (t, end) in enumerate(zip(steps, [*steps[1:], K])):
+            j = order[t]
+            col = Sigma[:, j] - L[:, :c] @ L[j, :c]
+            s = col[j] + ridge
+            if not s > 0:
+                failed.append((t, int(rows[0])))
+                break
+            L[:, c] = col / math.sqrt(s)
+            pred += np.outer((x[:, c] - pred[:, j]) / s, col)
+            out[t:end, rows] = pred
+    if failed:
+        raise NumericalError(
+            f"conditioning block for row {min(failed)[1]} is singular "
+            "even with ridge"
+        )
+    return out
+
+
+def _checked(values, selected, model: GaussianModel, ridge: float):
+    """`values` as an R x N float array and `selected` as an index array,
+    after the input checks that impute_rows and impute_prefixes share."""
+    values = np.asarray(values, float)
+    N = model.mean.size
+    if values.ndim != 2 or values.shape[1] != N:
+        raise DataError("values must be R x N")
+    if np.isinf(values).any():
+        raise DataError("values must be finite or NaN")
+    if not 0 <= ridge < math.inf:
+        raise DataError("ridge must be finite and nonnegative")
+    sel = np.asarray(list(selected), dtype=int)
+    if sel.size and (sel.min() < 0 or sel.max() >= N):
+        raise DataError("selected index out of range")
+    return values, sel
 
 
 def impute_row(

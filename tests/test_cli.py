@@ -424,6 +424,20 @@ class TestCv:
         assert all(row[r2] not in ("", "nan") for row in rows[1:]
                    if row[3] != "6")
 
+    @pytest.mark.parametrize("flags", [
+        ["--holdout", "0.5", "--methods", "entropy,entropy"],
+        ["--holdout", "0.5", "--holdout", "0.5", "--methods", "entropy"],
+    ])
+    def test_repeated_method_or_holdout_exits_2(self, rank1_csv, tmp_path,
+                                               capsys, flags):
+        # Each repeat used to score its folds twice and report n = 4 from
+        # two folds.
+        out = tmp_path / "out"
+        assert main(["cv", rank1_csv, "--folds", "2", "--kmax", "2",
+                     *flags, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not (out / "cv_cells.csv").exists()
+
 
 class TestNormality:
     def test_gaussian_input(self, tmp_path):

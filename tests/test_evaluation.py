@@ -53,6 +53,12 @@ class TestConfig:
         with pytest.raises(DataError):
             CvConfig(methods=("bogus",))
 
+    def test_repeats_rejected(self):
+        with pytest.raises(DataError, match="method"):
+            CvConfig(methods=("entropy", "mi", "entropy"))
+        with pytest.raises(DataError, match="fraction"):
+            CvConfig(holdout_fractions=(0.5, 0.2, 0.5))
+
 
 class TestFoldMechanics:
     def test_fold_sizes_118_models(self):
@@ -408,6 +414,27 @@ class TestBatchedFold:
             for a, b in ((g.residual_fraction, w.residual_fraction),
                          (g.entropy, w.entropy), (g.mi, w.mi)):
                 assert abs(a - b) <= 1e-12
+
+
+class TestPrefixR2:
+    def test_matches_r2_standardized(self):
+        # Column 2's observed targets are all zero, so the k = 3 prefix,
+        # which leaves only column 2, has a zero denominator and a nonzero
+        # SSE; k = 4 leaves no target at all.  Both are NaN.
+        rng = np.random.default_rng(8)
+        va_z = rng.normal(size=(5, 4))
+        va_z[:, 2] = 0.0
+        va_z[[1, 3], 1] = va_z[0, 3] = np.nan
+        order = [3, 1, 0, 2]
+        pred = rng.normal(size=(4, 5, 4))
+        got = evaluation._prefix_r2(pred, order, va_z)
+        for k in (1, 2, 3, 4):
+            tmask = ~np.isnan(va_z)
+            tmask[:, order[:k]] = False
+            want = (r2_standardized(pred[k - 1][tmask], va_z[tmask])
+                    if tmask.any() else math.nan)
+            assert got[k - 1] == pytest.approx(want, rel=1e-12, nan_ok=True)
+        assert np.isfinite(got[:2]).all() and np.isnan(got[2:]).all()
 
 
 class TestPathMetricsInCv:

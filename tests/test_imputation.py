@@ -12,6 +12,7 @@ from benchsel.errors import DataError, NumericalError
 from benchsel.imputation import (
     STANDARDIZED_CLIP,
     clip_standardized,
+    impute_prefixes,
     impute_row,
     impute_rows,
     r2_standardized,
@@ -236,6 +237,80 @@ class TestImputeRows:
         with pytest.raises(DataError, match="ridge"):
             impute_rows(np.ones((1, 3)), [0],
                         model_from(random_spd(3, seed=6)), ridge)
+
+
+def singular_name(fn):
+    """The NumericalError message of fn(), or None when it succeeds."""
+    try:
+        fn()
+    except NumericalError as exc:
+        return str(exc)
+    return None
+
+
+class TestImputePrefixes:
+    @settings(max_examples=200, deadline=None)
+    @given(batch_cases(), st.randoms(use_true_random=False))
+    def test_every_prefix_matches_impute_rows(self, case, rnd):
+        values, selected, model, ridge = case
+        order = rnd.sample(selected, len(selected))
+        out = impute_prefixes(values, order, model, ridge)
+        assert out.shape == (len(order),) + values.shape
+        for k in range(1, len(order) + 1):
+            want = impute_rows(values, order[:k], model, ridge).predicted
+            assert np.abs(out[k - 1] - want).max() <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(batch_cases(), st.randoms(use_true_random=False))
+    def test_row_permutation_equivariant(self, case, rnd):
+        values, selected, model, ridge = case
+        order = rnd.sample(selected, len(selected))
+        perm = np.array(rnd.sample(range(len(values)), len(values)))
+        out = impute_prefixes(values, order, model, ridge)
+        p_out = impute_prefixes(values[perm], order, model, ridge)
+        assert np.allclose(p_out, out[:, perm], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("observed", [
+        [[1, 1, 0], [1, 1, 0], [0, 1, 1], [1, 1, 0], [0, 1, 1]],
+        [[1, 1, 0], [1, 1, 1], [0, 1, 1], [0, 1, 1]],
+    ])
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_singular_names_the_row_of_the_per_k_loop(self, observed, order):
+        values = np.where(np.array(observed, bool), 1.0, np.nan)
+        model = model_from(TestImputeRows.SINGULAR)
+
+        def per_k():
+            for k in range(1, 4):
+                impute_rows(values, order[:k], model, ridge=1e-2)
+
+        want = singular_name(per_k)
+        assert want is not None
+        assert singular_name(lambda: impute_prefixes(
+            values, order, model, ridge=1e-2)) == want
+
+    def test_smallest_failing_prefix_is_named_first(self):
+        # Two indefinite pairs, {0, 1} and {2, 3}.  Row 0 observes the
+        # second, which fails at k = 4; row 1 the first, which fails at
+        # k = 2, so the per-k loop stops at row 1.
+        pair = TestImputeRows.SINGULAR[1:, 1:]
+        model = model_from(linalg.block_diag(pair, pair))
+        values = np.array([[np.nan, np.nan, 1.0, 1.0],
+                           [1.0, 1.0, np.nan, np.nan]])
+        with pytest.raises(NumericalError, match="row 1 is singular"):
+            impute_prefixes(values, [0, 1, 2, 3], model, ridge=1e-2)
+
+    @pytest.mark.parametrize("order, match", [
+        ([0, 2, 0], "repeats"), ([0, 3], "range"), ([-1, 1], "range"),
+    ])
+    def test_bad_order_rejected(self, order, match):
+        with pytest.raises(DataError, match=match):
+            impute_prefixes(np.ones((2, 3)), order,
+                            model_from(random_spd(3, seed=7)))
+
+    def test_empty_order(self):
+        out = impute_prefixes(np.ones((2, 3)), [],
+                              model_from(random_spd(3, seed=8)))
+        assert out.shape == (0, 2, 3)
 
 
 class TestClip:
