@@ -88,7 +88,9 @@ def mardia(X) -> dict:
                       stacklevel=2)
         Sinv = np.linalg.pinv(S)
     D = Xc @ Sinv @ Xc.T  # d_ij Mahalanobis kernel
-    beta1 = float(np.sum(D**3)) / M**2
+    cube = D * D
+    cube *= D  # D**3 calls pow once per cell, and D * D * D keeps two copies
+    beta1 = float(np.sum(cube)) / M**2
     beta2 = float(np.sum(np.diag(D) ** 2)) / M
 
     skew_stat = M * beta1 / 6.0

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,12 +123,12 @@ class LogitParams:
             return 1.0 / (1.0 + np.exp(-values)) * self.col_max
 
 
-# Every character a plain numeric cell may hold: ASCII digits, sign,
-# point, exponent and blanks.  No NaN or inf token, digit separator or
-# non-ASCII digit gets through, so a NaN from the C reader marks a cell
-# left empty, and float() and the C reader (both PyOS_string_to_double)
-# read each cell to the same bits.
-_PLAIN_CELLS = re.compile(r"[0-9eE+\-. \t,\n]*")
+# Every byte a plain numeric cell may hold: ASCII digits, sign, point,
+# exponent and blanks.  No NaN or inf token, digit separator or non-ASCII
+# digit gets through, so a NaN from the C reader marks a cell left empty,
+# and float() and the C reader (both PyOS_string_to_double) read each cell
+# to the same bits.
+_PLAIN_BYTES = b"0123456789eE+-. \t,\n"
 
 
 def load_csv(source) -> ScoreMatrix:
@@ -144,10 +143,15 @@ def load_csv(source) -> ScoreMatrix:
     `source` may be a path, a text stream, a byte stream, or the CSV text
     itself; a str or bytes is CSV text when it holds a line break.
 
-    Two readers share this grammar.  Plain numeric text (no quote, cells
-    that are numbers or empty) goes to numpy's C reader in one call.  The
-    csv module reads everything else, cell by cell, and reports the first
-    fault; a file the fast reader cannot take whole goes to it unchanged.
+    Two readers share this grammar.  Plain numeric text goes to numpy's C
+    reader in one call: every cell after the model name is an ASCII number
+    or empty, a model name may be quoted ("a,b" reads as a,b) if it holds no
+    quote itself, and a header line with quotes is read by the csv module.
+    The C reader first reads the cells as they are; only when that fails,
+    or a data row is a lone empty cell, does every empty cell become "nan"
+    for a second read.  The csv module reads every other file, cell by
+    cell, and reports the first fault; a file the fast reader cannot take
+    whole goes to it unchanged.
     """
     text = _read_text(source)
     parsed = _parse_plain(text)
@@ -173,8 +177,6 @@ def _read_text(source) -> str:
 def _parse_plain(text: str):
     """(values, model names, benchmark names) of plain numeric CSV text,
     read by np.loadtxt; None when the text is anything else."""
-    if '"' in text:
-        return None
     if "\r" in text:
         text = text.replace("\r\n", "\n")
         if "\r" in text:
@@ -184,26 +186,48 @@ def _parse_plain(text: str):
         lines.pop()
     if len(lines) < 2:
         return None
-    header = lines[0].split(",")
+    reader = csv.reader(lines)  # reads a header line that holds a quote
+    header = next(reader) if '"' in lines[0] else lines[0].split(",")
+    if reader.line_num > 1:  # a quoted cell holds a line break
+        return None
     models, rests = [], []
     for line in lines[1:]:
-        model, comma, rest = line.partition(",")
-        if not comma:  # a blank line or a row of one cell
-            return None
+        if line.startswith('"'):
+            # A quoted name ends at the first '",' unless it holds a quote.
+            end = line.find('",', 1)
+            model, rest = line[1:end], line[end + 2:]
+            if end < 0 or '"' in model:
+                return None
+        else:
+            # csv reads a quote after a name's first character as text
+            model, comma, rest = line.partition(",")
+            if not comma:  # a blank line or a row of one cell
+                return None
         models.append(model.strip())
         rests.append(rest)
-    if not _PLAIN_CELLS.fullmatch("\n".join(rests)):
+    # What is left once the plain bytes go; a non-ASCII character as "?".
+    if ("\n".join(rests).encode("ascii", "replace")
+            .translate(None, _PLAIN_BYTES)):
         return None
-    # Each empty cell, the first and last of a line too, becomes "nan".
-    rests = [f",{rest},".replace(",,", ",nan,").replace(",,", ",nan,")[1:-1]
-             for rest in rests]
-    try:
-        values = np.loadtxt(rests, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if values.shape != (len(rests), len(header) - 1) or np.isinf(values).any():
+    # loadtxt skips a blank line, so a row of one empty cell takes the
+    # second read, as does every empty cell the first read rejects.
+    values = None if "" in rests else _loadtxt(rests)
+    if values is None:
+        # Each empty cell, the first and last of a line too, becomes "nan".
+        values = _loadtxt([f",{rest},".replace(",,", ",nan,")
+                           .replace(",,", ",nan,")[1:-1] for rest in rests])
+    if (values is None or values.shape != (len(rests), len(header) - 1)
+            or np.isinf(values).any()):
         return None
     return values, tuple(models), tuple(c.strip() for c in header[1:])
+
+
+def _loadtxt(lines):
+    """np.loadtxt of comma-separated numeric lines; None on a ValueError."""
+    try:
+        return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
 
 
 def _parse_rows(text: str):

@@ -86,9 +86,10 @@ class CostModel:
 
     def __post_init__(self):
         costs = np.asarray(self.costs, dtype=float)
-        if np.any(costs <= 0):
+        # not (x > 0) rejects NaN too; an infinite budget stays valid
+        if not np.all(costs > 0):
             raise DataError("costs must be positive")
-        if self.budget <= 0:
+        if not self.budget > 0:
             raise DataError("budget must be positive")
         if self.shift_c is not None and not math.isfinite(self.shift_c):
             raise DataError("shift_c must be finite")

@@ -182,6 +182,17 @@ class TestSelect:
         assert capsys.readouterr().err == "data error: shift_c must be finite\n"
         assert not os.path.exists(out)
 
+    def test_nan_budget_rejected(self, rank1_csv, tmp_path, capsys):
+        costs = tmp_path / "costs.csv"
+        costs.write_text("benchmark,cost\n" + "".join(
+            f"b{j},1\n" for j in range(6)))
+        out = str(tmp_path / "out")
+        assert main(["select", rank1_csv, "--objective", "budgeted",
+                     "--costs", str(costs), "--budget", "nan",
+                     "--out", out]) == 2
+        assert capsys.readouterr().err == "data error: budget must be positive\n"
+        assert not os.path.exists(out)
+
     def test_usage_errors(self, rank1_csv, tmp_path):
         out = str(tmp_path / "out")
         assert main(["select", rank1_csv, "--objective", "budgeted",

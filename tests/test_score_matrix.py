@@ -241,6 +241,115 @@ class TestCsvReaders:
         assert back.model_names == m.model_names
         assert back.benchmark_names == m.benchmark_names
 
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    @pytest.mark.parametrize("rows", [
+        # first cell empty, last empty, both with one observed cell
+        [[math.nan, 1.0, 2.0], [3.0, 4.0, math.nan], [5.0, math.nan, 6.0],
+         [math.nan, 7.5, math.nan]],
+        [[0.1, -2e-300, 3e10], [4.0, 5e-324, -6.0]],  # complete
+        [[1.0], [-0.0], [2.5]],  # one column
+    ], ids=["holes", "complete", "one-column"])
+    def test_edge_rows_skip_the_cell_loop(self, eol, rows):
+        m = make_matrix(rows)
+        buf = io.StringIO()
+        write_csv(m, buf)
+        with mock.patch.object(score_matrix, "_parse_rows",
+                               side_effect=AssertionError("csv reader ran")):
+            back = load_csv(buf.getvalue().replace("\n", eol))
+        assert back.values.tobytes() == m.values.tobytes()
+        assert np.array_equal(back.mask, m.mask)
+        assert back.model_names == m.model_names
+        assert back.benchmark_names == m.benchmark_names
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_row_of_one_empty_cell(self, eol):
+        # loadtxt would skip the blank line, and warn on a file of them
+        text = eol.join(["model,b0", "m0,1", "m1,", "m2,2", ""])
+        with mock.patch.object(score_matrix, "_parse_rows",
+                               side_effect=AssertionError("csv reader ran")):
+            with pytest.raises(DataError,
+                               match="^row 'm1' has no observed entries$"):
+                load_csv(text)
+            with pytest.raises(DataError,
+                               match="^row 'm0' has no observed entries$"):
+                load_csv(eol.join(["model,b0", "m0,", "m1,", ""]))
+
+    @pytest.mark.parametrize("cell,message", [
+        ("nan", "token 'nan' is not a valid missing-cell encoding (use an "
+         "empty cell)"),
+        ("inf", "non-finite value 'inf' is not a valid score"),
+        ("1_000", "cannot parse '1_000' as a number")])
+    def test_odd_cell_in_plain_text_gets_the_csv_readers_error(self, cell,
+                                                              message):
+        text = "model,b0,b1,b2\na,1,,2\nb,3,4,5\nc,,6,7\n"
+        with pytest.raises(DataError) as exc:
+            load_csv(text.replace("4", cell))
+        assert str(exc.value) == "line 3, column 'b1': " + message
+
+    @pytest.mark.parametrize("text", [
+        'model,"b0\nm0,1\nm1,2\n',  # a quote left open in the header
+        'model,"b\n0",b1\nm0,1,2\nm1,3,4\n',
+        'model,b0\n"m\n0",1\nm1,2\nm2,3\n',
+        'model,b0\n"m0\n",1\nm1,2\nm2,3\n',
+        'model,b0\n"m0,1\nm1",2\nm2,3\n',
+        'model,b0\n",1\nm1,2\nm2,3\n',  # a quote opened before a comma
+        'model,b0\n"m""0",1\nm1,2\n'])  # csv reads "" as one quote
+    def test_quoted_line_breaks(self, text):
+        fast = _load_outcome(text)
+        with mock.patch.object(score_matrix, "_parse_plain",
+                               return_value=None):
+            assert _load_outcome(text) == fast
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_quoted_names_and_header(self, data):
+        """Names and header cells quoted or not, holding commas, quotes and
+        line breaks, with blanks inside and outside the quotes: the readers
+        agree, and the csv reader runs only for a cell the fast one leaves
+        to it."""
+        N = data.draw(st.integers(1, 3))
+        M = data.draw(st.integers(2, 4))
+        # distinct labels, so that most files load
+        header = [_draw_label(data, True, "" if j == 0 else f"b{j}")
+                  for j in range(N + 1)]
+        names = [_draw_label(data, False, f"m{i}") for i in range(M)]
+        cell = st.integers(0, 3).flatmap(
+            lambda k: st.just("") if k == 0 else _NUMBER_CELLS)
+        lines = [",".join(c for c, _ in header)] + [
+            ",".join([name, *data.draw(st.lists(cell, min_size=N,
+                                                max_size=N))])
+            for name, _ in names]
+        eol = data.draw(st.sampled_from(["\n", "\r\n"]))
+        text = eol.join(lines) + eol
+
+        fast = _load_outcome(text)
+        with mock.patch.object(score_matrix, "_parse_plain",
+                               return_value=None):
+            assert _load_outcome(text) == fast
+        if all(fits for _, fits in header + names):
+            with mock.patch.object(score_matrix, "_parse_rows",
+                                   side_effect=AssertionError("csv reader ran")):
+                assert _load_outcome(text) == fast
+
+
+def _draw_label(data, header, tag):
+    """A name ending in `tag` as written in a CSV cell, and whether the fast
+    reader reads it: quoted or not, with a blank outside the quotes or none."""
+    form = data.draw(st.sampled_from(["quoted", "quoted", "bare", "bare",
+                                      "raw"]))
+    alphabet = 'ab "' if form == "bare" else 'ab ,"\n'
+    text = data.draw(st.text(st.sampled_from(alphabet), max_size=4)) + tag
+    if form != "quoted":
+        # csv reads a quote after the first character as text
+        return text, not ("," in text or "\n" in text or text[:1] == '"')
+    before, after = data.draw(st.sampled_from(
+        [("", ""), ("", ""), (" ", ""), ("", " ")]))
+    # csv reads "" inside quotes as one quote, and the header line is read
+    # by csv, but a quote in a data line's name is left to the csv reader.
+    return (before + '"' + text.replace('"', '""') + '"' + after,
+            not before and not after and "\n" not in text
+            and (header or '"' not in text))
+
 
 def reference_write_table(sink, header, rows) -> None:
     """write_table as csv.writer alone renders it, cell by cell."""

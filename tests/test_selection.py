@@ -567,6 +567,19 @@ class TestBudgeted:
         with pytest.raises(DataError, match="shift_c must be finite"):
             CostModel(np.ones(2), 1.0, shift_c)
 
+    @pytest.mark.parametrize("costs,budget,message", [
+        ([1.0, np.nan, 1.0], 2.0, "costs must be positive"),
+        ([1.0, 1.0, 1.0], np.nan, "budget must be positive")])
+    def test_nan_cost_or_budget_rejected(self, costs, budget, message):
+        # NaN fails every comparison, so a test of <= 0 lets it through
+        with pytest.raises(DataError, match=f"^{message}$"):
+            CostModel(np.array(costs), budget)
+
+    def test_infinite_budget_takes_everything(self):
+        b = budgeted_entropy(random_spd(4, seed=9),
+                             CostModel(np.ones(4), np.inf))
+        assert sorted(b.order) == [0, 1, 2, 3]
+
     def test_no_affordable_positive_variance(self):
         # element 0 is affordable but has zero variance, element 1 is too dear
         cm = CostModel(np.array([1.0, 5.0]), 2.0)
