@@ -103,7 +103,7 @@ def _write_manifest(args, **extra):
 
 def cmd_spectrum(args) -> int:
     m = load_csv(args.input)
-    rep = spectrum(to_correlation(fit_model(m, args.estimator).model.cov))
+    rep = spectrum(to_correlation(fit_model(m).model.cov))
     os.makedirs(args.out, exist_ok=True)
     write_table(
         os.path.join(args.out, "spectrum.csv"),
@@ -122,28 +122,31 @@ def cmd_spectrum(args) -> int:
 def _parse_costs(path, benchmark_names):
     index = {n: j for j, n in enumerate(benchmark_names)}
     costs = np.full(len(index), np.nan)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        if [c.strip().lower() for c in header[:2]] != ["benchmark", "cost"]:
-            raise DataError("costs CSV must have header 'benchmark,cost'")
-        for row in reader:
-            if len(row) < 2:
-                raise DataError(f"costs CSV line {reader.line_num}: "
-                                "expected 'benchmark,cost'")
-            name, cell = row[0].strip(), row[1].strip()
-            if name not in index:
-                raise DataError(f"unknown benchmark {name!r} in costs CSV")
-            if not math.isnan(costs[index[name]]):
-                raise DataError(f"duplicate benchmark {name!r} in costs CSV")
-            try:
-                cost = _decimal(cell)
-            except ValueError:
-                cost = math.nan
-            if not math.isfinite(cost):
-                raise DataError(f"cost {cell!r} of {name!r} in costs CSV is "
-                                "not a finite number")
-            costs[index[name]] = cost
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = [c.strip().lower() for c in next(reader, [])[:2]]
+            if header != ["benchmark", "cost"]:
+                raise DataError("costs CSV must have header 'benchmark,cost'")
+            for row in reader:
+                if len(row) < 2:
+                    raise DataError(f"costs CSV line {reader.line_num}: "
+                                    "expected 'benchmark,cost'")
+                name, cell = row[0].strip(), row[1].strip()
+                if name not in index:
+                    raise DataError(f"unknown benchmark {name!r} in costs CSV")
+                if not math.isnan(costs[index[name]]):
+                    raise DataError(f"duplicate benchmark {name!r} in costs CSV")
+                try:
+                    cost = _decimal(cell)
+                except ValueError:
+                    cost = math.nan
+                if not math.isfinite(cost):
+                    raise DataError(f"cost {cell!r} of {name!r} in costs "
+                                    "CSV is not a finite number")
+                costs[index[name]] = cost
+    except csv.Error as exc:  # such as a cell over csv's field size limit
+        raise DataError(f"costs CSV: {exc}") from None
     if np.isnan(costs).any():
         missing = [n for n, j in index.items() if math.isnan(costs[j])]
         raise DataError(f"costs CSV missing benchmarks: {missing}")
@@ -247,7 +250,6 @@ def cmd_cv(args) -> int:
         k_max=args.kmax,
         methods=tuple(args.methods.split(",")),
         seed=args.seed,
-        estimator_policy=args.estimator,
         ridge=args.ridge,
         logit_mode=args.logit,
     )
@@ -265,6 +267,8 @@ def cmd_cv(args) -> int:
 
 
 def cmd_normality(args) -> int:
+    if not 0 <= args.ridge < math.inf:  # checked even when no fill needs it
+        raise DataError("ridge must be finite and nonnegative")
     m = load_csv(args.input)
     rep = normality_report(m, alpha=args.alpha, correction=args.correction)
     os.makedirs(args.out, exist_ok=True)
@@ -307,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_command = functools.partial(sub.add_parser, parents=[common])
 
     p = add_command("spectrum", help="eigenvalue decay diagnostic")
-    p.add_argument("--estimator", choices=("auto", "full", "em"),
-                   default="auto")
     p.set_defaults(fn=cmd_spectrum)
 
     p = add_command("select", help="greedy benchmark selection")
@@ -318,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--costs", type=_File)
     p.add_argument("--budget", type=float)
     p.add_argument("--shift-c", dest="shift_c", type=float)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lazy", action="store_true",
                    help="accepted for compatibility; same as the default")
     p.add_argument("--logit", action="store_true")
@@ -343,8 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=15)
     p.add_argument("--methods", default="entropy,mi,random")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--estimator", choices=("auto", "full", "em"),
-                   default="auto")
     p.add_argument("--ridge", type=float, default=1e-2)
     p.add_argument("--logit", action="store_true")
     p.add_argument("--verbose", action="store_true")

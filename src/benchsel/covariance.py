@@ -408,24 +408,13 @@ class FittedModel:
         return sd
 
 
-def fit_model(m: ScoreMatrix, estimator: str = "auto", logit: bool = False,
-              epsilon: float = 1e-3, em: EmConfig = EmConfig()) -> FittedModel:
-    """(logit ->) standardize -> fit, with every transform taken from `m`.
-
-    estimator "auto" uses the closed form on a complete matrix and EM
-    otherwise; "full" requires a complete matrix; "em" always runs EM.
-    """
-    if estimator not in ("auto", "full", "em"):
-        raise DataError("estimator must be auto, full, or em")
+def fit_model(m: ScoreMatrix, *, logit: bool = False, epsilon: float = 1e-3,
+              em: EmConfig = EmConfig()) -> FittedModel:
+    """(logit ->) standardize -> fit, with every transform taken from `m`:
+    the closed form on a complete matrix and EM otherwise."""
     lp = logit_params(m, epsilon) if logit else None
     work = logit_transform(m, lp) if logit else m
     stats = column_stats(work)
     std = standardize(work, stats)
-    complete = bool(std.mask.all())
-    if estimator == "full" or (estimator == "auto" and complete):
-        if not complete:
-            raise DataError("estimator 'full' requires a complete matrix")
-        model = estimate_full(std)
-    else:
-        model = em_fit(std, em)
+    model = estimate_full(std) if std.mask.all() else em_fit(std, em)
     return FittedModel(model, stats, lp)

@@ -36,7 +36,6 @@ class CvConfig:
     k_max: int = 15
     methods: tuple[str, ...] = ("entropy", "mi", "random")
     seed: int = 0
-    estimator_policy: str = "auto"  # {"auto", "full", "em"}
     ridge: float = 1e-2
     logit_mode: bool = False
     em: EmConfig = field(default_factory=EmConfig)
@@ -57,8 +56,6 @@ class CvConfig:
             raise DataError("methods repeat a method")
         if len(set(self.holdout_fractions)) < len(self.holdout_fractions):
             raise DataError("holdout fractions repeat a fraction")
-        if self.estimator_policy not in ("auto", "full", "em"):
-            raise DataError("estimator_policy must be auto, full, or em")
 
 
 @dataclass(frozen=True)
@@ -195,7 +192,7 @@ def _run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows, warnings_out):
         tr_vals = tr_vals[keep]
     train_m = ScoreMatrix(tr_vals, ~np.isnan(tr_vals),
                           tuple(f"r{i}" for i in range(len(tr_vals))), names)
-    fit = fit_model(train_m, cfg.estimator_policy, cfg.logit_mode, em=cfg.em)
+    fit = fit_model(train_m, logit=cfg.logit_mode, em=cfg.em)
     if not fit.model.converged:
         warnings_out.append(
             f"p={p} fold={fold_idx}: EM did not converge in "

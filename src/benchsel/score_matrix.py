@@ -154,10 +154,10 @@ def load_csv(source) -> ScoreMatrix:
     whole goes to it unchanged.
     """
     text = _read_text(source)
-    parsed = _parse_plain(text)
-    if parsed is None:
-        parsed = _parse_rows(text)
-    values, models, names = parsed
+    try:
+        values, models, names = _parse_plain(text) or _parse_rows(text)
+    except csv.Error as exc:  # such as a cell over csv's field size limit
+        raise DataError(f"CSV: {exc}") from None
     return ScoreMatrix(values, ~np.isnan(values), models, names)
 
 

@@ -527,19 +527,35 @@ class TestNormality:
             == "raw"
 
     def test_failed_completion_warns(self, tmp_path, capsys):
-        # A negative ridge fails the EM completion: Mardia is skipped with
+        # A constant column fails the EM completion: Mardia is skipped with
         # a warning line, mardia.json is null and the command succeeds.
         full = rank_one_matrix(M=60, N=4, noise=0.1, seed=9)
         mask = np.random.default_rng(10).random(full.shape) > 0.1
         mask[:2] = True
+        values = np.where(mask, full.values, np.nan)
+        values[:, 1] = np.where(mask[:, 1], 0.5, np.nan)
+        path = write_matrix(tmp_path, make_matrix(values, mask))
+        out = str(tmp_path / "out")
+        assert main(["normality", path, "--out", out]) == 0
+        assert capsys.readouterr().err == (
+            "warning: Mardia skipped: column 'b1' has zero observed "
+            "variance\n")
+        assert json.load(open(os.path.join(out, "mardia.json"))) is None
+
+    @pytest.mark.parametrize("ridge", ["-0.5", "nan", "inf"])
+    @pytest.mark.parametrize("missing", [0.0, 0.1])
+    def test_bad_ridge_rejected(self, tmp_path, capsys, missing, ridge):
+        # The ridge is checked whether or not the matrix needs filling.
+        full = rank_one_matrix(M=60, N=4, noise=0.1, seed=9)
+        mask = np.random.default_rng(10).random(full.shape) >= missing
+        mask[:2] = True
         path = write_matrix(tmp_path, make_matrix(
             np.where(mask, full.values, np.nan), mask))
         out = str(tmp_path / "out")
-        assert main(["normality", path, "--ridge", "-0.5",
-                     "--out", out]) == 0
+        assert main(["normality", path, "--ridge", ridge, "--out", out]) == 2
         assert capsys.readouterr().err == (
-            "warning: Mardia skipped: ridge must be finite and nonnegative\n")
-        assert json.load(open(os.path.join(out, "mardia.json"))) is None
+            "data error: ridge must be finite and nonnegative\n")
+        assert not os.path.exists(out)
 
     def test_manifest_records_ridge(self, tmp_path):
         # the ridge enters the EM completion before Mardia
@@ -709,8 +725,10 @@ class TestBadFiles:
         "benchmark,cost\nb0,1\nb0,2\n",         # duplicate benchmark
         "benchmark,cost\nb0,inf\n",             # non-finite cost
         "benchmark,cost\nb0,1_000\n",           # not a decimal number
+        # over the csv module's field size limit, 131,072 characters
+        "benchmark,cost\nb0," + "1" * 140_000 + "\n",
     ], ids=["no-file", "empty", "abc", "one-cell", "duplicate", "inf",
-            "underscore"])
+            "underscore", "over-field-limit"])
     def test_bad_costs(self, body, rank1_csv, tmp_path, capsys):
         path = tmp_path / "costs.csv"
         if body:
@@ -720,6 +738,17 @@ class TestBadFiles:
             path.write_text(body)
         self.run(["select", rank1_csv, "--objective", "budgeted",
                   "--costs", str(path), "--budget", "3"], tmp_path, capsys)
+
+    # Each holds one cell longer than the csv module's field size limit,
+    # 131,072 characters.
+    @pytest.mark.parametrize("body", [
+        'model,"' + "x" * 140_000 + '",b1\nm0,1,2\nm1,3,4\nm2,5,1\n',
+        "model,b0,b1\nm0," + "1" * 140_000 + ",2\nm1,3,4\nm2,5,1\n",
+    ], ids=["quoted-name", "long-number"])
+    def test_cell_over_the_field_limit(self, body, tmp_path, capsys):
+        path = tmp_path / "input.csv"
+        path.write_text(body)
+        self.run(["select", str(path), "--k", "1"], tmp_path, capsys)
 
     def test_model_without_cov(self, rank1_csv, tmp_path, capsys):
         path = tmp_path / "model.json"

@@ -13,13 +13,15 @@ from benchsel.covariance import (
     GaussianModel,
     em_fit,
     estimate_full,
+    fit_model,
     mean_missing,
     pairwise_cov,
     psd_project,
     to_correlation,
 )
 from benchsel.errors import DataError, NumericalError
-from benchsel.score_matrix import column_stats, standardize
+from benchsel.score_matrix import (
+    column_stats, logit_params, logit_transform, standardize)
 
 from conftest import make_matrix, mcar_matrix, random_spd
 
@@ -594,3 +596,26 @@ class TestCholeskyHelper:
                          linalg.solve_triangular(want[0], rhs, lower=True))
         # The E-step reuses its residuals after the solves.
         assert same_bits(rhs, before[1])
+
+
+class TestFitModel:
+    """`fit_model` takes the closed form on a complete matrix and EM on any
+    other, on the standardized (and, with logit=True, logit) scores."""
+
+    @pytest.mark.parametrize("logit", [False, True])
+    @pytest.mark.parametrize("missing", [0.0, 0.2])
+    def test_fit_policy(self, missing, logit):
+        m, _, _ = mcar_matrix(40, 5, missing, seed=3)
+        m = m.with_values(np.abs(m.values))  # logit needs nonnegative scores
+        assert m.mask.all() == (missing == 0)
+        work = logit_transform(m, logit_params(m)) if logit else m
+        std = standardize(work, column_stats(work))
+        want = estimate_full(std) if missing == 0 else em_fit(std)
+        fit = fit_model(m, logit=logit)
+        assert same_bits(fit.stats.stds, column_stats(work).stds)
+        got = fit.model
+        assert got.estimator == ("full" if missing == 0 else "em")
+        assert same_bits(got.mean, want.mean)
+        assert same_bits(got.cov, want.cov)
+        assert got.em_iterations == want.em_iterations
+        assert got.loglik_trace == want.loglik_trace

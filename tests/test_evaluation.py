@@ -285,16 +285,11 @@ class TestRunCv:
             for f in range(2))
 
 
-def reference_fit_training_model(values, mask, policy, em_cfg, names_rows,
+def reference_fit_training_model(values, mask, em_cfg, names_rows,
                                  names_cols):
     """The fit `_run_fold` made before `fit_model` existed."""
     m = ScoreMatrix(values, mask, names_rows, names_cols)
-    complete = bool(mask.all())
-    if policy == "full" or (policy == "auto" and complete):
-        if not complete:
-            raise DataError("estimator_policy=full requires complete training data")
-        return estimate_full(m)
-    return em_fit(m, em_cfg)
+    return estimate_full(m) if mask.all() else em_fit(m, em_cfg)
 
 
 def reference_run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows,
@@ -329,7 +324,7 @@ def reference_run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows,
         lp, work_train, va_work, stats = None, train_m, va_vals, raw_stats
     std_train = standardize(work_train, stats)
     model = reference_fit_training_model(
-        std_train.values, std_train.mask, cfg.estimator_policy, cfg.em,
+        std_train.values, std_train.mask, cfg.em,
         std_train.model_names, names,
     )
     Sigma = model.cov
