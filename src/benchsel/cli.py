@@ -154,15 +154,19 @@ def _parse_costs(path, benchmark_names):
 
 
 def cmd_select(args) -> int:
-    if args.objective == "budgeted" and (args.costs is None or args.budget is None):
+    budgeted = args.objective == "budgeted"
+    if budgeted and None in (args.costs, args.budget):
         return _usage_error("--objective budgeted requires --costs and --budget")
-    if args.budget is not None and args.costs is None:
-        return _usage_error("--budget requires --costs")
-    if args.objective != "budgeted" and args.k is None:
-        return _usage_error("--k is required for entropy/mi objectives")
+    if not budgeted and (args.costs, args.budget, args.shift_c) != (None,) * 3:
+        return _usage_error("--costs, --budget and --shift-c require "
+                            "--objective budgeted")
+    if budgeted != (args.k is None):
+        return _usage_error("--k does not apply to --objective budgeted"
+                            if budgeted else
+                            "--k is required for entropy/mi objectives")
 
     m = load_csv(args.input)
-    Sigma = fit_model(m, logit=args.logit, epsilon=args.epsilon).model.cov
+    Sigma = fit_model(m, logit=args.logit).model.cov
     if args.objective == "entropy":
         result = greedy_entropy(Sigma, args.k)
     elif args.objective == "mi":
@@ -208,6 +212,8 @@ def _resolve_selected(arg, benchmark_names):
 def cmd_impute(args) -> int:
     if (args.model is None) == (args.train is None):
         return _usage_error("exactly one of --model / --train is required")
+    if args.model is not None and args.logit:
+        return _usage_error("--logit applies to --train, not --model")
     m = load_csv(args.input)
     selected = _resolve_selected(args.selected, m.benchmark_names)
 
@@ -215,7 +221,7 @@ def cmd_impute(args) -> int:
         train = load_csv(args.train)
         if train.benchmark_names != m.benchmark_names:
             raise DataError("training CSV benchmarks do not match input")
-        fit = fit_model(train, logit=args.logit, epsilon=args.epsilon)
+        fit = fit_model(train, logit=args.logit)
     else:
         # A bare model JSON is in raw score space: identity transforms.
         with open(args.model, "r", encoding="utf-8") as fh:
@@ -243,6 +249,8 @@ def cmd_impute(args) -> int:
 
 
 def cmd_cv(args) -> int:
+    if args.holdout is None:
+        args.holdout = list(CvConfig.holdout_fractions)
     m = load_csv(args.input)
     cfg = CvConfig(
         folds=args.folds,
@@ -267,8 +275,6 @@ def cmd_cv(args) -> int:
 
 
 def cmd_normality(args) -> int:
-    if not 0 <= args.ridge < math.inf:  # checked even when no fill needs it
-        raise DataError("ridge must be finite and nonnegative")
     m = load_csv(args.input)
     rep = normality_report(m, alpha=args.alpha, correction=args.correction)
     os.makedirs(args.out, exist_ok=True)
@@ -280,23 +286,21 @@ def cmd_normality(args) -> int:
     )
 
     mardia_doc = None
-    if m.mask.all() and m.shape[0] > m.shape[1]:
-        with _warnings_to_stderr():
-            mardia_doc = mardia(m.values)
-        mardia_doc["matrix"] = "raw"
-    elif m.shape[0] > m.shape[1]:
-        # Mardia needs a complete matrix; fill by EM conditional means.
-        try:
+    try:
+        if m.shape[0] <= m.shape[1]:
+            raise DataError("{} rows do not exceed {} columns".format(*m.shape))
+        x, kind = m.values, "raw"
+        if not m.mask.all():
+            # Mardia needs a complete matrix; fill by EM conditional means.
             fit = fit_model(m)
             z = fit.encode(m.values)
             # Each row conditions on all it observed: one group per pattern.
-            pred = impute_rows(z, range(m.shape[1]), fit.model,
-                               args.ridge).predicted
-            with _warnings_to_stderr():
-                mardia_doc = mardia(np.where(m.mask, z, pred))
-            mardia_doc["matrix"] = "completed-data"
-        except (DataError, NumericalError) as exc:
-            print(f"warning: Mardia skipped: {exc}", file=sys.stderr)
+            pred = impute_rows(z, range(m.shape[1]), fit.model).predicted
+            x, kind = np.where(m.mask, z, pred), "completed-data"
+        with _warnings_to_stderr():
+            mardia_doc = {**mardia(x), "matrix": kind}
+    except (DataError, NumericalError) as exc:
+        print(f"warning: Mardia skipped: {exc}", file=sys.stderr)
     _write_json(os.path.join(args.out, "mardia.json"), mardia_doc)
     _write_manifest(args, skipped_columns=list(rep.skipped))
     return 0
@@ -323,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lazy", action="store_true",
                    help="accepted for compatibility; same as the default")
     p.add_argument("--logit", action="store_true")
-    p.add_argument("--epsilon", type=float, default=1e-3)
     p.set_defaults(fn=cmd_select)
 
     p = add_command("impute", help="fill unobserved cells")
@@ -334,13 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated names or @file")
     p.add_argument("--ridge", type=float, default=1e-2)
     p.add_argument("--logit", action="store_true")
-    p.add_argument("--epsilon", type=float, default=1e-3)
     p.set_defaults(fn=cmd_impute)
 
     p = add_command("cv", help="cross-validation protocol")
     p.add_argument("--folds", type=int, default=10)
-    p.add_argument("--holdout", type=float, action="append",
-                   default=None)
+    p.add_argument("--holdout", type=float, action="append")
     p.add_argument("--kmax", type=int, default=15)
     p.add_argument("--methods", default="entropy,mi,random")
     p.add_argument("--seed", type=int, default=0)
@@ -353,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--correction", choices=("bh", "bonferroni", "none"),
                    default="bh")
-    p.add_argument("--ridge", type=float, default=1e-2)
     p.set_defaults(fn=cmd_normality)
     return parser
 
@@ -361,8 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "cv" and args.holdout is None:
-        args.holdout = [0.1, 0.2, 0.5, 0.9]
     try:
         return args.fn(args)
     except (DataError, OSError, UnicodeDecodeError) as exc:

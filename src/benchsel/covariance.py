@@ -408,11 +408,11 @@ class FittedModel:
         return sd
 
 
-def fit_model(m: ScoreMatrix, *, logit: bool = False, epsilon: float = 1e-3,
+def fit_model(m: ScoreMatrix, *, logit: bool = False,
               em: EmConfig = EmConfig()) -> FittedModel:
     """(logit ->) standardize -> fit, with every transform taken from `m`:
     the closed form on a complete matrix and EM otherwise."""
-    lp = logit_params(m, epsilon) if logit else None
+    lp = logit_params(m) if logit else None
     work = logit_transform(m, lp) if logit else m
     stats = column_stats(work)
     std = standardize(work, stats)

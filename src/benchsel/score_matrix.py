@@ -93,20 +93,21 @@ class ColumnStats:
         object.__setattr__(self, "stds", stds)
 
 
+# The logit map clips s/max_j to [LOGIT_EPSILON, 1 - LOGIT_EPSILON].
+LOGIT_EPSILON = 1e-3
+
+
 @dataclass(frozen=True)
 class LogitParams:
-    """Per-benchmark training maxima and clipping bound for the logit map."""
+    """Per-benchmark training maxima for the logit map."""
 
     col_max: np.ndarray
-    epsilon: float = 1e-3
 
     def __post_init__(self):
         col_max = np.asarray(self.col_max, dtype=float)
         if np.any(col_max <= 0):
             j = int(np.argmin(col_max))
             raise DataError(f"column {j} has nonpositive maximum {col_max[j]}")
-        if not 0 < self.epsilon < 0.5:
-            raise DataError("epsilon must lie in (0, 0.5)")
         col_max.setflags(write=False)
         object.__setattr__(self, "col_max", col_max)
 
@@ -114,7 +115,7 @@ class LogitParams:
         """s -> log(t / (1-t)), t = clip(s/max_j, eps, 1-eps); NaN stays NaN."""
         if np.any(values < 0):
             raise DataError("logit transform requires nonnegative scores")
-        t = np.clip(values / self.col_max, self.epsilon, 1 - self.epsilon)
+        t = np.clip(values / self.col_max, LOGIT_EPSILON, 1 - LOGIT_EPSILON)
         return np.log(t / (1 - t))
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
@@ -398,7 +399,7 @@ def standardize(m: ScoreMatrix, stats: ColumnStats) -> ScoreMatrix:
     return m.with_values(vals)
 
 
-def logit_params(m: ScoreMatrix, epsilon: float = 1e-3) -> LogitParams:
+def logit_params(m: ScoreMatrix) -> LogitParams:
     """Per-column observed maxima from training data."""
     negative = np.any(m.mask & (m.values < 0), axis=0)
     if negative.any():
@@ -406,8 +407,7 @@ def logit_params(m: ScoreMatrix, epsilon: float = 1e-3) -> LogitParams:
             f"column {m.benchmark_names[int(np.argmax(negative))]!r} has "
             "negative scores; the logit transform requires nonnegative scores"
         )
-    return LogitParams(np.where(m.mask, m.values, -np.inf).max(axis=0),
-                       epsilon)
+    return LogitParams(np.where(m.mask, m.values, -np.inf).max(axis=0))
 
 
 def logit_transform(m: ScoreMatrix, params: LogitParams) -> ScoreMatrix:

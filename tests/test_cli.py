@@ -225,11 +225,6 @@ class TestSelect:
         assert capsys.readouterr().err == (
             "data error: column 'b0' has zero observed variance\n")
 
-    def test_manifest_records_epsilon(self, unit_csv, tmp_path):
-        assert manifest_configs(
-            ["select", unit_csv, "--logit", "--k", "2"], "--epsilon",
-            ("0.001", "0.1"), tmp_path, "select") == [0.001, 0.1]
-
     def test_fewer_models_than_benchmarks_with_holes(self, tmp_path):
         # M < N and missing cells: EM with the identity shrink
         matrix, _, _ = mcar_matrix(8, 12, 0.2, seed=25)
@@ -242,6 +237,47 @@ class TestSelect:
         bad.write_text("model,b0,b1\na,-nan,1\nb,2,3\nc,4,5\n")
         assert main(["select", str(bad), "--k", "1",
                      "--out", str(tmp_path / "o")]) == 2
+
+
+class TestFlagRules:
+    """A flag the chosen mode would ignore is a usage error: exit 1, one
+    `error:` line and no --out directory.  The input file does not exist,
+    so a check made after reading it would exit 2 instead."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["select", "--objective", "entropy", "--k", "2", "--costs", "c.csv",
+          "--shift-c", "3"], None),
+        (["select", "--objective", "mi", "--k", "1", "--costs", "c.csv",
+          "--budget", "5"], None),
+        (["select", "--k", "2", "--budget", "5"], None),
+        (["select", "--k", "2", "--shift-c", "1"], None),
+        (["select", "--objective", "budgeted", "--costs", "c.csv",
+          "--budget", "2", "--k", "7"],
+         "--k does not apply to --objective budgeted"),
+        (["impute", "--model", "m.json", "--logit", "--selected", "b0"],
+         "--logit applies to --train, not --model"),
+        (["impute", "--model", "m.json", "--logit", "--selected", "b0",
+          "--epsilon", "0.2"], "unrecognized arguments: --epsilon 0.2"),
+        (["select", "--k", "2", "--epsilon", "0.9"],
+         "unrecognized arguments: --epsilon 0.9"),
+    ], ids=["entropy-costs-shift", "mi-costs-budget", "entropy-budget",
+            "entropy-shift", "budgeted-k", "model-logit", "impute-epsilon",
+            "select-epsilon"])
+    def test_usage_error(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [argv[0], str(tmp_path / "missing.csv"), *argv[1:],
+                "--out", str(out)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's own errors
+            code = exc.code
+        assert code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error: ")]
+        assert errors == [
+            "error: " + (message or "--costs, --budget and --shift-c "
+                         "require --objective budgeted")]
+        assert not out.exists()
 
 
 class TestImpute:
@@ -329,17 +365,6 @@ class TestImpute:
         assert [[name] for name in back.model_names] == [r[:1] for r in rows]
         assert (back.values.tobytes()
                 == np.array([r[1:] for r in rows]).tobytes())
-
-    def test_manifest_records_epsilon(self, unit_csv, tmp_path):
-        m = load_csv(unit_csv)
-        mask = np.ones(m.shape, dtype=bool)
-        mask[::2, 3:] = False
-        holes = write_matrix(tmp_path, make_matrix(
-            np.where(mask, m.values, np.nan), mask), name="holes.csv")
-        assert manifest_configs(
-            ["impute", holes, "--train", unit_csv, "--selected", "b0",
-             "--logit"], "--epsilon", ("0.001", "0.1"), tmp_path,
-            "impute") == [0.001, 0.1]
 
     def test_model_imputes_in_raw_score_space(self, tmp_path):
         # a bare model JSON conditions on raw scores, untransformed
@@ -434,6 +459,16 @@ class TestCv:
         assert len(last) == 3 and all(row[r2] == "" for row in last)
         assert all(row[r2] not in ("", "nan") for row in rows[1:]
                    if row[3] != "6")
+
+    def test_default_holdout_fractions(self, rank1_csv, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["cv", rank1_csv, "--folds", "2", "--kmax", "1",
+                     "--methods", "entropy", "--out", out]) == 0
+        doc = json.load(open(os.path.join(out, "cv_summary.json")))
+        assert sorted({s["holdout_p"] for s in doc["summary"]}) == [
+            0.1, 0.2, 0.5, 0.9]
+        doc = json.load(open(os.path.join(out, "cv_manifest.json")))
+        assert doc["config"]["holdout"] == [0.1, 0.2, 0.5, 0.9]
 
     @pytest.mark.parametrize("flags", [
         ["--holdout", "0.5", "--methods", "entropy,entropy"],
@@ -545,28 +580,30 @@ class TestNormality:
     @pytest.mark.parametrize("ridge", ["-0.5", "nan", "inf"])
     @pytest.mark.parametrize("missing", [0.0, 0.1])
     def test_bad_ridge_rejected(self, tmp_path, capsys, missing, ridge):
-        # The ridge is checked whether or not the matrix needs filling.
+        # normality has no --ridge: its EM completion runs at impute_rows'
+        # default, so any value is a usage error on either kind of input.
         full = rank_one_matrix(M=60, N=4, noise=0.1, seed=9)
         mask = np.random.default_rng(10).random(full.shape) >= missing
         mask[:2] = True
         path = write_matrix(tmp_path, make_matrix(
             np.where(mask, full.values, np.nan), mask))
         out = str(tmp_path / "out")
-        assert main(["normality", path, "--ridge", ridge, "--out", out]) == 2
-        assert capsys.readouterr().err == (
-            "data error: ridge must be finite and nonnegative\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["normality", path, "--ridge", ridge, "--out", out])
+        assert exc.value.code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error: ")]
+        assert errors == [f"error: unrecognized arguments: --ridge {ridge}"]
         assert not os.path.exists(out)
 
-    def test_manifest_records_ridge(self, tmp_path):
-        # the ridge enters the EM completion before Mardia
-        full = rank_one_matrix(M=60, N=4, noise=0.1, seed=9)
-        mask = np.random.default_rng(10).random(full.shape) > 0.1
-        mask[:2] = True
-        path = write_matrix(tmp_path, make_matrix(
-            np.where(mask, full.values, np.nan), mask))
-        assert manifest_configs(["normality", path], "--ridge",
-                                ("0.01", "0.5"), tmp_path,
-                                "normality") == [0.01, 0.5]
+    def test_too_few_rows_for_mardia_warns(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        path = write_matrix(tmp_path, make_matrix(rng.normal(size=(3, 4))))
+        out = str(tmp_path / "out")
+        assert main(["normality", path, "--out", out]) == 0
+        assert capsys.readouterr().err == (
+            "warning: Mardia skipped: 3 rows do not exceed 4 columns\n")
+        assert json.load(open(os.path.join(out, "mardia.json"))) is None
 
 
 class TestDeterminism:
@@ -682,10 +719,12 @@ class TestManifest:
 class TestBadFiles:
     """A bad input file ends in exit code 2 and one `data error:` line."""
 
-    def run(self, argv, tmp_path, capsys):
+    def run(self, argv, tmp_path, capsys, message=None):
         assert main([*argv, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
+        if message is not None:
+            assert err == f"data error: {message}\n"
 
     @staticmethod
     def argv(flag, bad, good):
@@ -738,6 +777,40 @@ class TestBadFiles:
             path.write_text(body)
         self.run(["select", rank1_csv, "--objective", "budgeted",
                   "--costs", str(path), "--budget", "3"], tmp_path, capsys)
+
+    @pytest.mark.parametrize("body,message", [
+        ("benchmark,cost\nzz,1\n" + "".join(f"b{j},1\n" for j in range(6)),
+         "unknown benchmark 'zz' in costs CSV"),
+        ("benchmark,cost\n" + "".join(f"b{j},1\n" for j in range(5)),
+         "costs CSV missing benchmarks: ['b5']"),
+    ], ids=["unknown", "missing"])
+    def test_costs_name_mismatch(self, body, message, rank1_csv, tmp_path,
+                                 capsys):
+        path = tmp_path / "costs.csv"
+        path.write_text(body)
+        self.run(["select", rank1_csv, "--objective", "budgeted",
+                  "--costs", str(path), "--budget", "3"], tmp_path, capsys,
+                 message)
+
+    def test_train_header_mismatch(self, rank1_csv, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        train.write_text(open(rank1_csv).read().replace("b5", "bz", 1))
+        self.run(["impute", rank1_csv, "--train", str(train),
+                  "--selected", "b0"], tmp_path, capsys,
+                 "training CSV benchmarks do not match input")
+
+    def test_model_width_mismatch(self, rank1_csv, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(GaussianModel(np.zeros(5), np.eye(5), "full")
+                        .to_json())
+        self.run(["impute", rank1_csv, "--model", str(path),
+                  "--selected", "b0"], tmp_path, capsys,
+                 "model dimension does not match input width")
+
+    def test_more_folds_than_models(self, tmp_path, capsys):
+        path = write_matrix(tmp_path, rank_one_matrix(M=5, N=3))
+        self.run(["cv", path, "--folds", "6", "--holdout", "0.2"], tmp_path,
+                 capsys, "not enough models for the requested fold count")
 
     # Each holds one cell longer than the csv module's field size limit,
     # 131,072 characters.

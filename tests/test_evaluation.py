@@ -311,7 +311,7 @@ def reference_run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows,
                           names)
     raw_stats = column_stats(train_m)
     if cfg.logit_mode:
-        lp = logit_params(train_m, 1e-3)  # cv's fixed logit epsilon
+        lp = logit_params(train_m)
         work_train = logit_transform(train_m, lp)
         va_work = logit_transform(
             ScoreMatrix(va_vals, va_mask,

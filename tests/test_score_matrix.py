@@ -518,11 +518,12 @@ class TestLogit:
         assert out.values[0, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_clipped_maximum(self):
-        # oracle: log((1-eps)/eps) with eps = 1e-3
+        # oracle: log((1-eps)/eps) with eps = LOGIT_EPSILON = 1e-3
+        eps = score_matrix.LOGIT_EPSILON
         m = make_matrix([[1.0], [0.25], [0.5]])
-        p = LogitParams(np.array([1.0]), epsilon=1e-3)
-        out = logit_transform(m, p)
-        assert out.values[0, 0] == pytest.approx(np.log(0.999 / 0.001), abs=1e-9)
+        out = logit_transform(m, LogitParams(np.array([1.0])))
+        assert out.values[0, 0] == pytest.approx(np.log((1 - eps) / eps),
+                                                 abs=1e-9)
         assert out.values[0, 0] == pytest.approx(6.906754778648553, abs=1e-9)
 
     def test_round_trip(self):
@@ -533,10 +534,11 @@ class TestLogit:
         p = fit.logit
         back = fit.decode(fit.encode(m.values))
         t = m.values / p.col_max
-        inside = (t > p.epsilon) & (t < 1 - p.epsilon)
+        eps = score_matrix.LOGIT_EPSILON
+        inside = (t > eps) & (t < 1 - eps)
         assert inside.sum() == m.values.size - 3  # each column's maximum
         assert np.allclose(back[inside], m.values[inside], atol=1e-9)
-        assert np.allclose(back[~inside], (1 - p.epsilon) * p.col_max[
+        assert np.allclose(back[~inside], (1 - eps) * p.col_max[
             np.nonzero(~inside)[1]], atol=1e-12)
 
     def test_decode_sd_is_the_slope_of_decode(self):
@@ -586,5 +588,3 @@ class TestLogit:
     def test_bad_params(self):
         with pytest.raises(DataError):
             LogitParams(np.array([0.0]))
-        with pytest.raises(DataError):
-            LogitParams(np.array([1.0]), epsilon=0.7)
