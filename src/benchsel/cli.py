@@ -2,8 +2,8 @@
 
 Subcommands: spectrum, select, impute, cv, normality.  Every command
 writes CSV tables plus a JSON manifest (command, every parsed flag, input
-digest, tool version, seed) into the --out directory, and is
-deterministic given flags + input + seed.
+digest, tool version, seed) into the --out directory; for a fixed BLAS
+library and thread count, its bytes are set by flags + input + seed.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """

@@ -24,7 +24,7 @@ from benchsel.errors import DataError
 from benchsel.covariance import EmConfig, fit_model
 from benchsel.imputation import STANDARDIZED_CLIP, impute_prefixes
 from benchsel.score_matrix import ScoreMatrix, _column_pass, column_stats, write_table
-from benchsel.selection import greedy_entropy, greedy_mi, path_metrics, random_select
+from benchsel.selection import _precision, _selection_path, random_select
 
 VALID_METHODS = ("entropy", "mi", "random")
 
@@ -199,6 +199,7 @@ def _run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows, warnings_out):
             f"{fit.model.em_iterations} iterations"
         )
     Sigma = fit.model.cov
+    P = _precision(Sigma)  # shared by every method's recursion
     n_act = len(active)
     va_std = fit.encode(va_vals)
     # R^2 is scored in raw standardized space, in logit mode too.
@@ -210,17 +211,11 @@ def _run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows, warnings_out):
     fold_orders: dict = {}
     for method in cfg.methods:
         k_cap = min(cfg.k_max, n_act if method != "mi" else n_act - 1)
-        if method == "entropy":
-            order = list(greedy_entropy(Sigma, k_cap).order)
-        elif method == "mi":
-            order = list(greedy_mi(Sigma, k_cap).order)
-        else:
-            order = list(random_select(
-                n_act, k_cap, np.random.SeedSequence([cfg.seed, 2, pk, fold_idx])
-            ).order)
+        drawn = random_select(n_act, k_cap, np.random.SeedSequence(
+            [cfg.seed, 2, pk, fold_idx])).order if method == "random" else ()
+        order, entropy, mi, rtrace = _selection_path(Sigma, P, method, k_cap, drawn)
         fold_orders[(method, p, fold_idx)] = tuple(names[j] for j in order)
 
-        entropy, mi, rtrace = path_metrics(Sigma, order)
         pred = impute_prefixes(va_std, order, fit.model, cfg.ridge)
         if cfg.logit_mode:
             # standardized logit -> raw -> raw standardized

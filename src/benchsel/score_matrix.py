@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,7 +127,7 @@ class LogitParams:
 
 # Every byte a plain numeric cell may hold: ASCII digits, sign, point,
 # exponent and blanks.  No NaN or inf token, digit separator or non-ASCII
-# digit gets through, so a NaN from the C reader marks a cell left empty,
+# digit gets through, so a NaN from the C reader marks an empty or blank cell,
 # and float() and the C reader (both PyOS_string_to_double) read each cell
 # to the same bits.
 _PLAIN_BYTES = b"0123456789eE+-. \t,\n"
@@ -210,11 +211,12 @@ def _parse_plain(text: str):
     if ("\n".join(rests).encode("ascii", "replace")
             .translate(None, _PLAIN_BYTES)):
         return None
-    # loadtxt skips a blank line, so a row of one empty cell takes the
-    # second read, as does every empty cell the first read rejects.
+    # A row of one empty cell (loadtxt skips a blank line) and any empty or
+    # blank cell take a second read, with each one "nan", at a line's ends too.
     values = None if "" in rests else _loadtxt(rests)
     if values is None:
-        # Each empty cell, the first and last of a line too, becomes "nan".
+        if " " in text or "\t" in text:
+            rests = [re.sub(r",[ \t]+(?=,)", ",", f",{r},")[1:-1] for r in rests]
         values = _loadtxt([f",{rest},".replace(",,", ",nan,")
                            .replace(",,", ",nan,")[1:-1] for rest in rests])
     if (values is None or values.shape != (len(rests), len(header) - 1)

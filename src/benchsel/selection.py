@@ -3,10 +3,11 @@
 Every greedy objective is one forward pivoted-Cholesky recursion with
 its own pivot rule: entropy takes the largest residual diagonal, mutual
 information runs it on Sigma and its precision with shared pivots, and
-budgeted entropy takes the best shifted gain-to-cost ratio.  Along a
-given order, `path_metrics` gives the entropy, MI and residual trace of
-every prefix.  Ties break lexicographically: largest gain, then lowest
-index, so runs are fully deterministic.
+budgeted entropy takes the best shifted gain-to-cost ratio.  The
+residuals at the pivots give the entropy, MI and residual trace of every
+prefix: `path_metrics` follows a given order, and cross-validation reads
+them off each method's own run.  Ties break lexicographically: largest
+gain, then lowest index, so runs are fully deterministic.
 """
 
 from __future__ import annotations
@@ -123,14 +124,14 @@ def _pivoted_cholesky(mats, k: int, pivot):
     from the residual diagonals d (one row per matrix), or None to stop.
     The element's Cholesky column then downdates each row of d whose
     residual at the element is positive; the other matrices get a zero
-    column.  Returns the order, the gains and the residual trace of mats[0].
+    column.  Returns the order, the gains, the residual trace of mats[0]
+    and the (steps, len(mats)) residuals at each pivot, final once picked.
     """
     N = mats[0].shape[0]
     d = np.array([np.diag(S) for S in mats])
     ell = np.zeros((len(mats), N, k))
     active = np.ones(N, dtype=bool)
-    order: list[int] = []
-    gains: list = []
+    order, gains = [], []
     trace = [float(np.sum(d[0]))]
     for t in range(k):
         step = pivot(d, active)
@@ -146,7 +147,46 @@ def _pivoted_cholesky(mats, k: int, pivot):
                 L[idx, t] = (S[idx, j] - L[idx, :t] @ L[j, :t]) / math.sqrt(dm[j])
                 dm[idx] -= L[idx, t] ** 2
         trace.append(float(np.sum(d[0][active])))
-    return tuple(order), tuple(gains), tuple(trace)
+    return tuple(order), tuple(gains), tuple(trace), d[:, order].T
+
+
+def _pivot_rule(S: np.ndarray, objective: str, order=()):
+    """The pivot rule of greedy_entropy or greedy_mi, or, for any other
+    objective, one that follows `order` with NaN gains."""
+    floor = DEGENERACY_REL_FLOOR * np.max(np.diag(S), initial=0.0)
+    steps = iter(order)
+
+    def pivot(d, active):
+        if objective not in ("entropy", "mi"):
+            return next(steps), math.nan
+        if np.any(d[0, active] < -1e-9):
+            raise NumericalError("negative residual variance: input is not PSD")
+        if objective == "entropy":
+            j = int(np.argmax(np.where(active, d[0], -np.inf)))  # lowest on ties
+            if d[0, j] <= floor:
+                return None
+            return j, 0.5 * (LOG_2PIE + math.log(d[0, j]))
+        cand = np.flatnonzero(active & (d[0] > floor) & (d[1] > 0))
+        if cand.size == 0:
+            return None
+        crit = 0.5 * (np.log(d[0, cand]) + np.log(d[1, cand]))
+        pos = int(np.argmax(crit))
+        return int(cand[pos]), float(crit[pos])
+
+    return pivot
+
+
+def _selection_path(S, P, objective: str, k: int, order=()):
+    """Order of at most k steps of `objective`'s recursion on [S, P], and
+    path_metrics' entropy, MI and residual trace of each of its prefixes."""
+    order, _, trace, pivots = _pivoted_cholesky(
+        [S, P], k, _pivot_rule(S, objective, order))
+    logs = np.log(pivots, out=np.full(pivots.shape, math.nan), where=pivots > 0)
+    entropy, mi = (np.concatenate(([0.0], np.cumsum(step))) for step in
+                   (0.5 * (LOG_2PIE + logs[:, 0]), 0.5 * logs.sum(axis=1)))
+    if len(order) == len(S):
+        mi[-1] = 0.0
+    return list(order), entropy, mi, np.asarray(trace)
 
 
 def _precision(S: np.ndarray) -> np.ndarray:
@@ -171,21 +211,9 @@ def greedy_entropy(S: np.ndarray, k: int) -> SelectionResult:
     N = S.shape[0]
     if not 1 <= k <= N:
         raise DataError(f"k={k} out of range [1, {N}]")
-    diag = np.diag(S)
-    if np.any(diag < -1e-9):
+    if np.any(np.diag(S) < -1e-9):
         raise DataError("covariance has a negative diagonal entry")
-    floor = DEGENERACY_REL_FLOOR * max(diag.max(), 0.0)
-
-    def max_residual(d, active):
-        d = d[0]
-        j = int(np.argmax(np.where(active, d, -np.inf)))  # lowest index on ties
-        if np.any(d[active] < -1e-9):
-            raise NumericalError("negative residual variance: input is not PSD")
-        if d[j] <= floor:
-            return None
-        return j, 0.5 * (LOG_2PIE + math.log(d[j]))
-
-    order, gains, trace = _pivoted_cholesky([S], k, max_residual)
+    order, gains, trace, _ = _pivoted_cholesky([S], k, _pivot_rule(S, "entropy"))
     return SelectionResult(order, gains, trace, "entropy",
                            truncated=len(order) < k)
 
@@ -205,19 +233,8 @@ def greedy_mi(S: np.ndarray, k: int) -> SelectionResult:
     N = S.shape[0]
     if not 1 <= k <= N - 1:
         raise DataError(f"k={k} out of range [1, {N - 1}] (complement nonempty)")
-    floor = DEGENERACY_REL_FLOOR * max(np.diag(S).max(), 0.0)
-
-    def max_mi(d, active):
-        if np.any(d[0, active] < -1e-9):
-            raise NumericalError("negative residual variance: input is not PSD")
-        cand = np.flatnonzero(active & (d[0] > floor) & (d[1] > 0))
-        if cand.size == 0:
-            return None
-        crit = 0.5 * (np.log(d[0, cand]) + np.log(d[1, cand]))
-        pos = int(np.argmax(crit))
-        return int(cand[pos]), float(crit[pos])
-
-    order, gains, trace = _pivoted_cholesky([S, _precision(S)], k, max_mi)
+    order, gains, trace, _ = _pivoted_cholesky([S, _precision(S)], k,
+                                               _pivot_rule(S, "mi"))
     return SelectionResult(order, gains, trace, "mi", truncated=len(order) < k)
 
 
@@ -267,7 +284,7 @@ def budgeted_entropy(S: np.ndarray, cm: CostModel) -> SelectionResult:
         spent += float(cm.costs[j])
         return j, float(marg[pos] - shift_c)
 
-    order, gains, trace = _pivoted_cholesky([S], N, max_ratio)
+    order, gains, trace, _ = _pivoted_cholesky([S], N, max_ratio)
     if negative_marginal:
         warnings.warn(
             "shifted marginal gain went negative; the approximation "
@@ -278,7 +295,7 @@ def budgeted_entropy(S: np.ndarray, cm: CostModel) -> SelectionResult:
     best_single = int(singles[np.argmax(diag[singles])])
     g = 0.5 * (LOG_2PIE + math.log(diag[best_single]))
     if g + shift_c > sum(gains) + shift_c * len(order):
-        order, gains, trace = _pivoted_cholesky(
+        order, gains, trace, _ = _pivoted_cholesky(
             [S], 1, lambda d, active: (best_single, g))
         spent = float(cm.costs[best_single])
     return SelectionResult(order, gains, trace, "budgeted_entropy",
@@ -309,21 +326,7 @@ def path_metrics(S: np.ndarray, order):
     S = _check_cov(S)
     if len(set(order)) != len(order) or not all(0 <= j < len(S) for j in order):
         raise DataError("order must hold distinct indices of the covariance")
-    steps = iter(order)
-
-    def follow(d, active):
-        j = next(steps)
-        return j, d[:, j].copy()
-
-    _, pivots, trace = _pivoted_cholesky([S, _precision(S)], len(order),
-                                         follow)
-    pivots = np.reshape(pivots, (-1, 2))
-    logs = np.log(pivots, out=np.full(pivots.shape, math.nan), where=pivots > 0)
-    entropy, mi = (np.concatenate(([0.0], np.cumsum(step))) for step in
-                   (0.5 * (LOG_2PIE + logs[:, 0]), 0.5 * logs.sum(axis=1)))
-    if len(order) == len(S):
-        mi[-1] = 0.0
-    return entropy, mi, np.asarray(trace)
+    return _selection_path(S, _precision(S), "path", len(order), order)[1:]
 
 
 def entropy_value(S: np.ndarray, A) -> float:

@@ -4,10 +4,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from benchsel import evaluation
+from benchsel import evaluation, selection
 from benchsel.cli import main
-from benchsel.covariance import EmConfig, em_fit, estimate_full
+from benchsel.covariance import EmConfig, em_fit, estimate_full, fit_model
 from benchsel.errors import DataError, NumericalError
 from benchsel.evaluation import (
     CvCell,
@@ -30,6 +31,7 @@ from benchsel.selection import (
     greedy_entropy,
     greedy_mi,
     mi_value,
+    path_metrics,
     residual_trace,
 )
 
@@ -432,24 +434,117 @@ class TestPrefixR2:
         assert np.isfinite(got[:2]).all() and np.isnan(got[2:]).all()
 
 
+COUNTED = ("_pivoted_cholesky", "_precision")
+
+
+def counting(fn, name, calls):
+    """fn, counting its calls in calls[name]."""
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+def traced_run_cv(monkeypatch, matrix, cfg):
+    """run_cv's report, and per fold (p, fold) that reached a fit: its
+    benchmark names, its Sigma and its calls of each name in COUNTED."""
+    calls = dict.fromkeys(COUNTED, 0)
+    for module, name in ((selection, "_pivoted_cholesky"),
+                         (selection, "_precision"), (evaluation, "_precision")):
+        monkeypatch.setattr(module, name, counting(getattr(module, name),
+                                                   name, calls))
+    fits, folds = [], {}
+
+    def recording_fit(train_m, **kwargs):
+        fits.append((train_m.benchmark_names, fit_model(train_m, **kwargs)))
+        return fits[-1][1]
+
+    def recording_fold(m, cfg, p, pk, fold_idx, *rest):
+        before = dict(calls)
+        result = run_fold(m, cfg, p, pk, fold_idx, *rest)
+        if result is not None:
+            names, fit = fits.pop()
+            folds[(p, fold_idx)] = (names, fit.model.cov, {
+                name: calls[name] - before[name] for name in calls})
+        return result
+
+    run_fold = evaluation._run_fold
+    monkeypatch.setattr(evaluation, "fit_model", recording_fit)
+    monkeypatch.setattr(evaluation, "_run_fold", recording_fold)
+    return run_cv(matrix, cfg), folds
+
+
+@st.composite
+def cv_cases(draw):
+    """A complete score matrix, of full rank or of rank 1-3 (wider than
+    tall too, like a leaderboard of few models), and a CV protocol."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        N = draw(st.integers(2, 10))
+        X = rng.normal(size=(draw(st.integers(N + 8, 40)), N))
+        X *= rng.uniform(0.1, 10.0, size=N)
+    else:
+        rank = draw(st.integers(1, 3))
+        X = (rng.normal(size=(draw(st.integers(8, 24)), rank))
+             @ rng.normal(size=(rank, draw(st.integers(4, 30)))))
+    holdouts = draw(st.lists(st.sampled_from([0.1, 0.2, 0.5, 0.9]),
+                             min_size=1, max_size=2, unique=True))
+    return make_matrix(X), CvConfig(
+        folds=draw(st.integers(2, 3)), holdout_fractions=tuple(holdouts),
+        k_max=draw(st.integers(1, 8)), seed=draw(st.integers(0, 99)))
+
+
 class TestPathMetricsInCv:
     def test_mi_cells_are_the_cumulative_greedy_gains(self, monkeypatch):
         # Rank 3 in 30 columns: every fold's Sigma is singular.
         rng = np.random.default_rng(4)
         matrix = make_matrix(rng.normal(size=(24, 3)) @ rng.normal(size=(3, 30)))
-        runs = []
-
-        def recording_greedy_mi(*args):
-            runs.append(greedy_mi(*args))
-            return runs[-1]
-
-        monkeypatch.setattr(evaluation, "greedy_mi", recording_greedy_mi)
-        report = run_cv(matrix, CvConfig(folds=2, holdout_fractions=(0.5,),
-                                         k_max=3, methods=("mi",), seed=4))
-        assert len(runs) == 2
-        for fold, r in enumerate(runs):
+        report, folds = traced_run_cv(
+            monkeypatch, matrix, CvConfig(folds=2, holdout_fractions=(0.5,),
+                                          k_max=3, methods=("mi",), seed=4))
+        assert len(folds) == 2
+        for (_, fold), (_, Sigma, _) in folds.items():
             cells = [c.mi for c in report.cells if c.fold == fold]
-            assert cells == pytest.approx(np.cumsum(r.gains), rel=1e-12)
+            assert cells == pytest.approx(np.cumsum(greedy_mi(Sigma, 3).gains),
+                                          rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cv_cases())
+    def test_each_method_runs_one_recursion(self, case):
+        # Each method's selection run gives its cells; the fold inverts
+        # Sigma once for all of them.
+        matrix, cfg = case
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            report, folds = traced_run_cv(monkeypatch, matrix, cfg)
+        for (p, fold), (names, Sigma, calls) in folds.items():
+            assert calls == {"_pivoted_cholesky": len(cfg.methods),
+                             "_precision": 1}
+            for method in cfg.methods:
+                order = [names.index(b) for b in
+                         report.selection_orders[(method, p, fold)]]
+                if method == "entropy":
+                    k = min(cfg.k_max, len(Sigma))
+                    assert tuple(order) == greedy_entropy(Sigma, k).order
+                elif method == "mi":
+                    k = min(cfg.k_max, len(Sigma) - 1)
+                    assert tuple(order) == greedy_mi(Sigma, k).order
+                entropy, mi, trace = path_metrics(Sigma, order)
+                cells = [c for c in report.cells
+                         if (c.method, c.holdout_p, c.fold) == (method, p, fold)]
+                assert [c.k for c in cells] == list(range(1, len(order) + 1))
+                got = [(c.entropy, c.mi, c.residual_fraction) for c in cells]
+                want = np.column_stack((entropy, mi, trace / trace[0]))[1:]
+                assert np.array(got).reshape(-1, 3).tobytes() == want.tobytes()
+
+    def test_select_entropy_computes_no_precision(self, monkeypatch,
+                                                 scores_csv, tmp_path):
+        calls = dict.fromkeys(COUNTED, 0)
+        monkeypatch.setattr(selection, "_precision",
+                            counting(selection._precision, "_precision", calls))
+        for objective, want in (("entropy", 0), ("mi", 1)):
+            assert main(["select", str(scores_csv), "--objective", objective,
+                         "--k", "2", "--out", str(tmp_path / objective)]) == 0
+            assert calls["_precision"] == want
 
 
 def sparse_validation_matrix():

@@ -262,6 +262,26 @@ class TestCsvReaders:
         assert back.benchmark_names == m.benchmark_names
 
     @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    @pytest.mark.parametrize("text,want", [
+        ("model,b0,b1,b2\na, ,1,2\nb,3,\t ,4\nc,5,6,  \nd,7,,9\n", 4),
+        # in one column, a blank cell leaves its row with nothing observed
+        ("model,b0\nm0,1\nm1, \nm2,2\n", "row 'm1' has no observed entries"),
+    ], ids=["blank-cells", "one-column"])
+    def test_blank_cells_skip_the_cell_loop(self, eol, text, want):
+        # A cell of spaces and tabs is missing, as an empty one is.
+        text = text.replace("\n", eol)
+        with mock.patch.object(score_matrix, "_parse_plain",
+                               return_value=None):
+            slow = _load_outcome(text)
+        with mock.patch.object(score_matrix, "_parse_rows",
+                               side_effect=AssertionError("csv reader ran")):
+            assert _load_outcome(text) == slow
+        if isinstance(want, str):
+            assert slow == want
+        else:
+            assert np.isnan(np.frombuffer(slow[0])).sum() == want
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
     def test_row_of_one_empty_cell(self, eol):
         # loadtxt would skip the blank line, and warn on a file of them
         text = eol.join(["model,b0", "m0,1", "m1,", "m2,2", ""])

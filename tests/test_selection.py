@@ -524,6 +524,29 @@ class TestPathMetrics:
             [[0.0], [0.0], [0.0]]
 
 
+class TestNystromBound:
+    """Whatever k elements are picked, the residual trace is at least the
+    sum of the N - k smallest eigenvalues of Sigma (Harbrecht, Peters &
+    Schneider 2012)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(full_rank_paths())
+    def test_residual_trace_is_above_the_eigen_tail(self, case):
+        S, order = case
+        N = len(S)
+        self.check(S, path_metrics(S, order)[2])
+        self.check(S, greedy_entropy(S, N).residual_trace)
+        if N > 1:
+            self.check(S, greedy_mi(S, N - 1).residual_trace)
+
+    @staticmethod
+    def check(S, trace):
+        # tail[k]: the sum of the N - k smallest eigenvalues
+        tail = np.append(np.cumsum(np.linalg.eigvalsh(S))[::-1], 0.0)
+        for k, t in enumerate(trace):
+            assert t >= tail[k] - 1e-9 * np.trace(S)
+
+
 class TestBudgeted:
     def test_unit_costs_match_greedy(self):
         S = random_spd(8, seed=5)
