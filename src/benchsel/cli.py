@@ -32,7 +32,8 @@ from benchsel.evaluation import CvConfig, run_cv
 # cli uses neither impute_row nor lazy_greedy_entropy; bench/test_bench.py
 # deletes both names from cli to test its tracer, so they stay importable.
 from benchsel.imputation import impute_row, impute_rows  # noqa: F401
-from benchsel.score_matrix import ColumnStats, _decimal, load_csv, write_table
+from benchsel.score_matrix import (
+    ColumnStats, _decimal, _require_two_cells, load_csv, write_table)
 from benchsel.selection import (
     CostModel,
     budgeted_entropy,
@@ -276,6 +277,7 @@ def cmd_cv(args) -> int:
 
 def cmd_normality(args) -> int:
     m = load_csv(args.input)
+    _require_two_cells(m)
     rep = normality_report(m, alpha=args.alpha, correction=args.correction)
     os.makedirs(args.out, exist_ok=True)
     write_table(

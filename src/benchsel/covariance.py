@@ -1,11 +1,11 @@
-"""Gaussian model estimation: closed form and EM.
+"""Gaussian model estimation by EM, and the sample-covariance reference.
 
 Estimates (mu, Sigma) over benchmarks from complete or incomplete score
-matrices, with PSD projection and correlation conversion.  EM starts from
-the pairwise-complete covariance and finds the posterior mode under a
-conjugate prior on Sigma, which keeps every covariance it touches
-positive definite.  `fit_model` is the one path from raw scores to a
-model: (logit ->) standardize -> fit.
+matrices, with PSD projection and correlation conversion.  EM finds the
+posterior mode under a conjugate prior on Sigma, which keeps every
+covariance it touches positive definite, in closed form on a complete
+matrix.  `fit_model` is the one path from raw scores to a model:
+(logit ->) standardize -> em_fit.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from benchsel.score_matrix import (
     ColumnStats,
     LogitParams,
     ScoreMatrix,
+    _require_two_cells,
     _row_groups,
     column_stats,
     logit_params,
@@ -110,13 +111,13 @@ class EmConfig:
 
 
 def estimate_full(m: ScoreMatrix) -> GaussianModel:
-    """Closed-form moments for a fully observed matrix (1/(M-1) covariance)."""
+    """Closed-form moments for a fully observed matrix (1/(M-1) covariance):
+    a reference that no command fits with, as fit_model takes em_fit."""
     if not m.mask.all():
         raise DataError("estimate_full requires a fully observed matrix")
+    _require_two_cells(m)
     B = m.values
     M = B.shape[0]
-    if M < 2:
-        raise DataError("need at least 2 rows")
     mu = B.mean(axis=0)
     Bc = B - mu
     cov = Bc.T @ Bc / (M - 1)
@@ -124,13 +125,10 @@ def estimate_full(m: ScoreMatrix) -> GaussianModel:
 
 
 def mean_missing(m: ScoreMatrix) -> np.ndarray:
-    """Per-column mean over observed entries."""
-    counts = m.mask.sum(axis=0)
-    if np.any(counts == 0):
-        j = int(np.argmin(counts))
-        raise DataError(f"column {m.benchmark_names[j]!r} has no observations")
+    """Per-column mean over observed entries, two or more per column."""
+    _require_two_cells(m)
     vals = np.where(m.mask, m.values, 0.0)
-    return vals.sum(axis=0) / counts
+    return vals.sum(axis=0) / m.mask.sum(axis=0)
 
 
 def pairwise_cov(m: ScoreMatrix, mu: np.ndarray) -> np.ndarray:
@@ -285,12 +283,17 @@ def _em_map(m: ScoreMatrix, patterns, mu, Sigma, D):
     Returns (mu', Sigma', penalized objective at (mu, Sigma)).
     """
     completed, correction, loglik = _e_step(m, patterns, mu, Sigma)
-    mu_new = completed.mean(axis=0)
-    Bc = completed - mu_new
-    Sigma_new = Bc.T @ Bc + correction + np.diag(_PRIOR_NU * D)
-    Sigma_new /= m.shape[0] + _PRIOR_NU
-    return (mu_new, 0.5 * (Sigma_new + Sigma_new.T),
+    return (*_m_step(completed, correction, D),
             float(loglik + _log_prior(Sigma, D)))
+
+
+def _m_step(completed, correction, D):
+    """The M-step's (mu, Sigma) from the completed matrix."""
+    mu = completed.mean(axis=0)
+    Bc = completed - mu
+    Sigma = Bc.T @ Bc + correction + np.diag(_PRIOR_NU * D)
+    Sigma /= len(completed) + _PRIOR_NU
+    return mu, 0.5 * (Sigma + Sigma.T)
 
 
 def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
@@ -334,10 +337,13 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
     cycle is below `rel_tol`.  `loglik_trace[c - 1]` is the
     penalized objective of cycle c's accepted iterate: the next cycle's
     first E-step gives it, and one last E-step after the loop gives that
-    of the returned estimate.  A complete matrix gives the closed form
-    (Bc'Bc + nu diag(D)) / (M + nu) in at most two cycles.
+    of the returned estimate.  A complete matrix gives the maps' common
+    fixed point (Bc'Bc + nu diag(D)) / (M + nu) at once: no cycle, no trace.
     """
     mu = mean_missing(m)
+    if m.mask.all():
+        return GaussianModel(
+            *_m_step(m.values, 0.0, m.values.var(axis=0, ddof=1)), "em")
     Sigma = pairwise_cov(m, mu)
     D = np.diag(Sigma).copy()
     floor = _PRIOR_NU * D.min() / (m.shape[0] + _PRIOR_NU)
@@ -410,11 +416,9 @@ class FittedModel:
 
 def fit_model(m: ScoreMatrix, *, logit: bool = False,
               em: EmConfig = EmConfig()) -> FittedModel:
-    """(logit ->) standardize -> fit, with every transform taken from `m`:
-    the closed form on a complete matrix and EM otherwise."""
+    """(logit ->) standardize -> em_fit, every transform taken from `m`."""
+    _require_two_cells(m)
     lp = logit_params(m) if logit else None
     work = logit_transform(m, lp) if logit else m
     stats = column_stats(work)
-    std = standardize(work, stats)
-    model = estimate_full(std) if std.mask.all() else em_fit(std, em)
-    return FittedModel(model, stats, lp)
+    return FittedModel(em_fit(standardize(work, stats), em), stats, lp)

@@ -23,7 +23,8 @@ import numpy as np
 from benchsel.errors import DataError
 from benchsel.covariance import EmConfig, fit_model
 from benchsel.imputation import STANDARDIZED_CLIP, impute_prefixes
-from benchsel.score_matrix import ScoreMatrix, _column_pass, column_stats, write_table
+from benchsel.score_matrix import (
+    ScoreMatrix, _column_pass, _require_two_cells, column_stats, write_table)
 from benchsel.selection import _precision, _selection_path, random_select
 
 VALID_METHODS = ("entropy", "mi", "random")
@@ -115,6 +116,7 @@ def training_size(p: float, M: int, pool_size: int) -> int:
 
 def run_cv(m: ScoreMatrix, cfg: CvConfig = CvConfig()) -> CvReport:
     """Execute the full cross-validation protocol; deterministic in cfg.seed."""
+    _require_two_cells(m)
     M, N = m.shape
     if M < cfg.folds:
         raise DataError("not enough models for the requested fold count")

@@ -50,10 +50,6 @@ class ScoreMatrix:
         if np.any(row_obs < 1):
             bad = self.model_names[int(np.argmin(row_obs))]
             raise DataError(f"row {bad!r} has no observed entries")
-        col_obs = mask.sum(axis=0)
-        if np.any(col_obs < 2):
-            bad = self.benchmark_names[int(np.argmin(col_obs))]
-            raise DataError(f"column {bad!r} has fewer than 2 observed entries")
         values = values.copy()
         values[~mask] = np.nan
         values.setflags(write=False)
@@ -378,6 +374,14 @@ def _row_groups(observed: np.ndarray):
     inverse = inverse.ravel()
     for k in np.argsort(first):
         yield patterns[k], np.flatnonzero(inverse == k)
+
+
+def _require_two_cells(m: ScoreMatrix) -> None:
+    """DataError naming a column with fewer than the 2 cells a fit needs."""
+    col_obs = m.mask.sum(axis=0)
+    if np.any(col_obs < 2):
+        bad = m.benchmark_names[int(np.argmin(col_obs))]
+        raise DataError(f"column {bad!r} has fewer than 2 observed entries")
 
 
 def column_stats(m: ScoreMatrix) -> ColumnStats:

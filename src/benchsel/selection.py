@@ -27,9 +27,6 @@ LOG_2PIE = math.log(2 * math.pi * math.e)
 # the largest initial diagonal entry (numerical-rank exhaustion).
 DEGENERACY_REL_FLOOR = 1e-12
 
-# Eigenvalue clamp for the precision and log-determinants of a singular Sigma.
-PSD_FLOOR = 1e-10
-
 
 @dataclass(frozen=True)
 class SelectionResult:
@@ -190,13 +187,12 @@ def _selection_path(S, P, objective: str, k: int, order=()):
 
 
 def _precision(S: np.ndarray) -> np.ndarray:
-    """Inverse of S by Cholesky, or with eigenvalues clamped to PSD_FLOOR."""
-    # dpotrs rejects an empty system; eigh takes it.
-    factor = _cholesky(S) if len(S) else None
-    if factor is not None:
-        return _cho_solve(factor, np.eye(len(S)))
-    w, V = np.linalg.eigh(S)
-    return (V / np.maximum(w, PSD_FLOOR)) @ V.T
+    """Inverse of S by one Cholesky; NumericalError when S does not factor."""
+    factor = _cholesky(S)
+    if factor is None:
+        raise NumericalError("covariance is not positive definite")
+    # dpotrs rejects an empty system
+    return _cho_solve(factor, np.eye(len(S))) if len(S) else factor
 
 
 def greedy_entropy(S: np.ndarray, k: int) -> SelectionResult:
@@ -226,8 +222,8 @@ def greedy_mi(S: np.ndarray, k: int) -> SelectionResult:
     so the gain of j is 0.5*(log d_j + log p_j).  Each step takes the
     argmax over d_j above the degeneracy floor and p_j > 0 (lowest index
     on ties) and stops early (truncated=True) when none is left.  P comes
-    from one Cholesky, or from eigenvalues clamped to PSD_FLOOR.  Negative
-    gains are legal (MI is non-monotone) and simply recorded.
+    from one Cholesky, so a singular Sigma raises NumericalError.
+    Negative gains are legal (MI is non-monotone) and simply recorded.
     """
     S = _check_cov(S)
     N = S.shape[0]
@@ -319,9 +315,10 @@ def path_metrics(S: np.ndarray, order):
     """Entropy, MI and residual trace of every prefix of `order`.
 
     One run of greedy_mi's recursion along `order`, one downdate per
-    prefix.  Returns three arrays indexed by prefix length 0..len(order).
-    Entropy and MI are 0 for the empty prefix and NaN from the first
-    non-positive pivot on; MI of the full set is 0, as in mi_value.
+    prefix; a singular Sigma raises NumericalError.  Returns three arrays
+    indexed by prefix length 0..len(order).  Entropy and MI are 0 for the
+    empty prefix and NaN from the first non-positive pivot on; MI of the
+    full set is 0, as in mi_value.
     """
     S = _check_cov(S)
     if len(set(order)) != len(order) or not all(0 <= j < len(S) for j in order):
@@ -344,20 +341,12 @@ def entropy_value(S: np.ndarray, A) -> float:
     return 0.5 * (idx.size * LOG_2PIE + logdet)
 
 
-def _logdet_psd(sub: np.ndarray) -> float:
-    sign, logdet = np.linalg.slogdet(sub)
-    if sign > 0 and np.isfinite(logdet):
-        return float(logdet)
-    w = np.linalg.eigvalsh(sub)
-    return float(np.sum(np.log(np.maximum(w, PSD_FLOOR))))
-
-
 def mi_value(S: np.ndarray, A) -> float:
     """Mutual information I(X_A; X_complement) in nats.
 
     Evaluated as 0.5*(logdet Sigma_AA + logdet Sigma_CC - logdet Sigma);
-    empty or full A returns 0 by convention.  Singular blocks fall back
-    to log-determinants with eigenvalues clamped to PSD_FLOOR.
+    empty or full A returns 0 by convention.  A block whose determinant
+    is not positive raises NumericalError.
     """
     S = _check_cov(S)
     N = S.shape[0]
@@ -365,12 +354,11 @@ def mi_value(S: np.ndarray, A) -> float:
     if idx.size == 0 or idx.size == N:
         return 0.0
     comp = np.setdiff1d(np.arange(N), idx)
-    v = 0.5 * (
-        _logdet_psd(S[np.ix_(idx, idx)])
-        + _logdet_psd(S[np.ix_(comp, comp)])
-        - _logdet_psd(S)
-    )
-    return float(v)
+    sign, logdet = zip(*(np.linalg.slogdet(B) for B in
+                         (S[np.ix_(idx, idx)], S[np.ix_(comp, comp)], S)))
+    if min(sign) <= 0 or not np.isfinite(logdet).all():
+        raise NumericalError("covariance block is not positive definite")
+    return float(0.5 * (logdet[0] + logdet[1] - logdet[2]))
 
 
 def spectrum(R: np.ndarray) -> SpectrumReport:

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from unittest import mock
@@ -33,6 +34,14 @@ def read_all(out_dir):
         with open(os.path.join(out_dir, name), "rb") as fh:
             out[name] = fh.read()
     return out
+
+
+def read_table(path):
+    """The numbers of a table that `impute` wrote, an empty cell as NaN."""
+    with open(path, encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return np.array([[float(c) if c else np.nan for c in row[1:]]
+                     for row in rows])
 
 
 def manifest_configs(argv, flag, values, tmp_path, command):
@@ -113,8 +122,9 @@ class TestSelect:
         assert da["gains"] == db["gains"]
 
     def test_mi_on_a_rank_deficient_matrix(self, tmp_path):
-        # 8 complete rows of 20 benchmarks: Sigma has rank at most 7, so
-        # both objectives stop at the degeneracy floor after 7 picks.
+        # 8 complete rows of 20 benchmarks: the sample covariance has rank
+        # at most 7, but the fit's prior keeps Sigma positive definite, so
+        # both objectives make all 8 picks.
         rng = np.random.default_rng(0)
         path = write_matrix(tmp_path, make_matrix(rng.normal(size=(8, 20))))
         for objective in ("entropy", "mi"):
@@ -122,8 +132,8 @@ class TestSelect:
             assert main(["select", path, "--objective", objective,
                          "--k", "8", "--out", out]) == 0
             doc = json.load(open(os.path.join(out, "selection.json")))
-            assert len(set(doc["order"])) == len(doc["order"]) == 7
-            assert doc["truncated"] is True
+            assert len(set(doc["order"])) == len(doc["order"]) == 8
+            assert doc["truncated"] is False
 
     def test_mi_zero_gain_warning(self, tmp_path, capsys):
         # orthogonal +-1 columns: every sample covariance is exactly zero
@@ -305,6 +315,34 @@ class TestImpute:
         filled = [(i, j) for i, row in enumerate(rows[1:])
                   for j, cell in enumerate(row[1:]) if cell]
         assert filled == [(5, 4)]  # only the imputed cell has an sd
+
+    @pytest.mark.parametrize("logit", [[], ["--logit"]])
+    def test_one_or_two_new_models(self, tmp_path, logit):
+        # The input's columns need no two observed cells: one or two new
+        # models, each reporting a benchmark or two, are filled as the
+        # same rows of a larger input are.
+        z = rank_one_matrix(M=60, N=5, noise=0.1, seed=7).values
+        vals = 1 / (1 + np.exp(-z))
+        train_path = write_matrix(tmp_path, make_matrix(vals[:40]), "train.csv")
+        mask = np.random.default_rng(41).random((20, 5)) < 0.5
+        mask[:2] = [[True, False, False, False, False],
+                    [True, False, True, False, False]]
+        mask[~mask.any(axis=1), 0] = True
+        new = make_matrix(np.where(mask, vals[40:], np.nan), mask)
+        tables = {}
+        for rows in (20, 1, 2):
+            path = write_matrix(tmp_path, make_matrix(
+                new.values[:rows], new.mask[:rows]), f"new{rows}.csv")
+            out = str(tmp_path / f"out{rows}")
+            assert main(["impute", path, "--train", train_path, "--selected",
+                         "b0,b2", *logit, "--out", out]) == 0
+            tables[rows] = [read_table(os.path.join(out, name))
+                            for name in ("completed.csv", "conditional_sd.csv")]
+        for rows in (1, 2):
+            for got, want in zip(tables[rows], tables[20]):
+                assert np.isfinite(got[~new.mask[:rows]]).all()
+                assert np.allclose(got, want[:rows], rtol=1e-12, atol=0,
+                                   equal_nan=True)
 
     def test_logit_train(self, tmp_path):
         rng = np.random.default_rng(17)
@@ -634,6 +672,40 @@ class TestDeterminism:
         )
 
 
+# A decimal number in an output file, as the regex splits the text.
+NUMBER = re.compile(r"(-?\d+\.?\d*(?:[eE][-+]?\d+)?)")
+
+
+class TestThreadCount:
+    def test_one_and_two_blas_threads_agree(self, tmp_path):
+        # 100 complete rows of rank 10 in 300 columns: every fit has more
+        # columns than rows, so the sample covariance is singular, and the
+        # products and factors are large enough for OpenBLAS to split.
+        # Each output matches between 1 and 2 threads, text between the
+        # numbers exactly and every number within 1e-9 relative.
+        rng = np.random.default_rng(0)
+        path = write_matrix(tmp_path, make_matrix(
+            rng.normal(size=(100, 10)) @ rng.normal(size=(10, 300))))
+        outs = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            for argv in (["select", path, "--objective", "mi", "--k", "40"],
+                         ["cv", path, "--folds", "2", "--holdout", "0.2",
+                          "--kmax", "15"]):
+                out = str(tmp_path / threads / argv[0])
+                subprocess.run([sys.executable, "-m", "benchsel.cli", *argv,
+                                "--out", out], env=env, check=True)
+                outs.setdefault(threads, {}).update(
+                    {(argv[0], name): text.decode()
+                     for name, text in read_all(out).items()})
+        assert outs["1"].keys() == outs["2"].keys()
+        for key, text in outs["1"].items():
+            one, two = NUMBER.split(text), NUMBER.split(outs["2"][key])
+            assert one[::2] == two[::2], key
+            for a, b in zip(map(float, one[1::2]), map(float, two[1::2])):
+                assert abs(a - b) <= 1e-9 * max(abs(a), abs(b)), key
+
+
 # One valid call per subcommand, without --out.
 VALID_ARGV = {
     "spectrum": lambda path: ["spectrum", path],
@@ -777,6 +849,22 @@ class TestBadFiles:
             path.write_text(body)
         self.run(["select", rank1_csv, "--objective", "budgeted",
                   "--costs", str(path), "--budget", "3"], tmp_path, capsys)
+
+    @pytest.mark.parametrize("observed", [0, 1])
+    @pytest.mark.parametrize("argv", [
+        ["spectrum"], ["select", "--k", "1"], ["select", "--k", "1", "--logit"],
+        ["cv", "--folds", "2"], ["normality"], ["impute", "--selected", "b0"],
+    ], ids=["spectrum", "select", "select-logit", "cv", "normality", "impute"])
+    def test_underobserved_training_column(self, argv, observed, rank1_csv,
+                                           tmp_path, capsys):
+        # The file a command fits needs two observed cells per column.
+        vals = np.abs(rank_one_matrix(M=30, N=6, seed=2).values)
+        vals[observed:, 1] = np.nan
+        bad = write_matrix(tmp_path, make_matrix(vals), "bad.csv")
+        argv = ([*argv, rank1_csv, "--train", bad] if argv[0] == "impute"
+                else [*argv, bad])
+        self.run(argv, tmp_path, capsys,
+                 "column 'b1' has fewer than 2 observed entries")
 
     @pytest.mark.parametrize("body,message", [
         ("benchmark,cost\nzz,1\n" + "".join(f"b{j},1\n" for j in range(6)),

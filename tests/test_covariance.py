@@ -398,6 +398,40 @@ def em_matrices(draw):
     return make_matrix(np.where(mask, X, np.nan), mask)
 
 
+@st.composite
+def complete_matrices(draw):
+    """Complete Gaussian scores, taller or wider than they are long, with
+    column scales from 0.1 to 10."""
+    N = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(draw(st.integers(2, 30)), N))
+    return make_matrix(X * rng.uniform(0.1, 10.0, size=N) + rng.normal(size=N))
+
+
+def rel_close(a, b, rel):
+    """a and b agree within rel, relative to b's largest entry."""
+    return np.abs(a - b).max() <= rel * np.abs(b).max()
+
+
+class TestCompleteClosedForm:
+    """On a complete matrix em_fit returns the EM map's fixed point."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(complete_matrices())
+    def test_is_the_fixed_point_of_plain_em(self, m):
+        g = em_fit(m)
+        assert (g.em_iterations, g.converged, g.loglik_trace) == (0, True, ())
+        _, _, D = reference_em_init(m)
+        mu, Sigma, _ = covariance._em_map(
+            m, covariance._missingness_patterns(m), g.mean, g.cov, D)
+        assert rel_close(mu, g.mean, 1e-12)
+        assert rel_close(Sigma, g.cov, 1e-12)
+        ref = reference_em_fit(m, EmConfig())
+        assert ref.converged
+        assert rel_close(g.mean, ref.mean, 1e-12)
+        assert rel_close(g.cov, ref.cov, 1e-12)
+
+
 class TestEmPatternSweep:
     @settings(max_examples=30, deadline=None)
     @given(em_matrices(), st.integers(0, 3))
@@ -437,9 +471,14 @@ class TestEmPatternSweep:
         cfg = EmConfig(rel_tol=1e-10, max_iter=20000)
         g = em_fit(m, cfg)
         ref = reference_em_fit(m, cfg)
+        assert g.converged
+        if m.mask.all():
+            # No cycle and no trace: the closed form is plain EM's limit.
+            assert g.loglik_trace == ()
+            assert rel_close(g.cov, ref.cov, 1e-12)
+            return
         # Plain EM may still be short of the optimum after max_iter; it
         # only climbs, so SQUAREM must be above it all the same.
-        assert g.converged
         assert g.loglik_trace[-1] >= ref.loglik_trace[-1] - 1e-8 * abs(
             ref.loglik_trace[-1]
         )
@@ -472,7 +511,9 @@ class TestEmPatternSweep:
         cfg = EmConfig(rel_tol=1e-10, max_iter=20000)
         g, p = em_fit(m, cfg), em_fit(pm, cfg)
         assert p.converged and g.converged
-        assert p.loglik_trace[-1] == pytest.approx(g.loglik_trace[-1], rel=1e-8)
+        # A complete draw gets the closed form, with no trace.
+        assert p.loglik_trace[-1:] == pytest.approx(g.loglik_trace[-1:],
+                                                    rel=1e-8)
         for a, b in ((p.mean, g.mean), (p.cov, g.cov)):
             assert np.max(np.abs(a - b)) <= 1e-6 * np.max(np.abs(b))
 
@@ -599,8 +640,8 @@ class TestCholeskyHelper:
 
 
 class TestFitModel:
-    """`fit_model` takes the closed form on a complete matrix and EM on any
-    other, on the standardized (and, with logit=True, logit) scores."""
+    """`fit_model` takes em_fit on every matrix, complete or not, on the
+    standardized (and, with logit=True, logit) scores."""
 
     @pytest.mark.parametrize("logit", [False, True])
     @pytest.mark.parametrize("missing", [0.0, 0.2])
@@ -610,11 +651,11 @@ class TestFitModel:
         assert m.mask.all() == (missing == 0)
         work = logit_transform(m, logit_params(m)) if logit else m
         std = standardize(work, column_stats(work))
-        want = estimate_full(std) if missing == 0 else em_fit(std)
+        want = em_fit(std)
         fit = fit_model(m, logit=logit)
         assert same_bits(fit.stats.stds, column_stats(work).stds)
         got = fit.model
-        assert got.estimator == ("full" if missing == 0 else "em")
+        assert got.estimator == "em"
         assert same_bits(got.mean, want.mean)
         assert same_bits(got.cov, want.cov)
         assert got.em_iterations == want.em_iterations

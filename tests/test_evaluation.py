@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from benchsel import evaluation, selection
 from benchsel.cli import main
-from benchsel.covariance import EmConfig, em_fit, estimate_full, fit_model
+from benchsel.covariance import EmConfig, em_fit, fit_model
 from benchsel.errors import DataError, NumericalError
 from benchsel.evaluation import (
     CvCell,
@@ -289,9 +289,9 @@ class TestRunCv:
 
 def reference_fit_training_model(values, mask, em_cfg, names_rows,
                                  names_cols):
-    """The fit `_run_fold` made before `fit_model` existed."""
-    m = ScoreMatrix(values, mask, names_rows, names_cols)
-    return estimate_full(m) if mask.all() else em_fit(m, em_cfg)
+    """The fit `_run_fold` made before `fit_model` existed, with em_fit on
+    complete training rows too."""
+    return em_fit(ScoreMatrix(values, mask, names_rows, names_cols), em_cfg)
 
 
 def reference_run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows,
@@ -496,7 +496,8 @@ def cv_cases(draw):
 
 class TestPathMetricsInCv:
     def test_mi_cells_are_the_cumulative_greedy_gains(self, monkeypatch):
-        # Rank 3 in 30 columns: every fold's Sigma is singular.
+        # Rank 3 in 30 columns: every fold's sample covariance is
+        # singular, and the prior keeps its Sigma positive definite.
         rng = np.random.default_rng(4)
         matrix = make_matrix(rng.normal(size=(24, 3)) @ rng.normal(size=(3, 30)))
         report, folds = traced_run_cv(

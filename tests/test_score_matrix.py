@@ -8,8 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from benchsel import score_matrix
-from benchsel.covariance import fit_model
+from benchsel.covariance import em_fit, fit_model
 from benchsel.errors import DataError
+from benchsel.evaluation import run_cv
 from benchsel.score_matrix import (
     ColumnStats,
     LogitParams,
@@ -84,8 +85,14 @@ class TestLoadCsv:
             load_csv("model,b0,b1\na,,\nb,1,2\nc,3,4\n")
 
     def test_underobserved_column(self):
-        with pytest.raises(DataError, match="fewer than 2"):
-            load_csv("model,b0,b1\na,1,2\nb,3,\nc,4,\n")
+        # A matrix that is only imputed may observe a column once; a fit
+        # needs two cells per column.
+        m = load_csv("model,b0,b1\na,1,2\nb,3,\nc,4,\n")
+        assert m.mask.sum(axis=0).tolist() == [3, 1]
+        for fit in (fit_model, em_fit, run_cv):
+            with pytest.raises(DataError, match="^column 'b1' has fewer "
+                               "than 2 observed entries$"):
+                fit(m)
 
     def test_malformed_number(self):
         with pytest.raises(DataError, match="cannot parse"):

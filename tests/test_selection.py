@@ -505,15 +505,11 @@ class TestPathMetrics:
         if len(order) == len(S):
             assert mi[-1] == 0.0
 
-    def test_nan_from_the_first_non_positive_pivot(self):
-        # b1 duplicates b0, so its residual after b0 is exactly 0.
+    def test_singular_sigma_raises(self):
+        # b1 duplicates b0, so Sigma is singular and has no precision.
         S = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
-        entropy, mi, trace = path_metrics(S, [0, 1, 2])
-        assert entropy[1] == pytest.approx(0.5 * LOG_2PIE, abs=1e-12)
-        assert np.isfinite(mi[1])
-        assert np.isnan(entropy[2:]).all() and np.isnan(mi[2])
-        assert mi[3] == 0.0
-        assert trace.tolist() == [4.0, 2.0, 2.0, 0.0]
+        with pytest.raises(NumericalError, match="not positive definite"):
+            path_metrics(S, [0, 1, 2])
 
     def test_rejects_a_repeated_index(self):
         with pytest.raises(DataError):
@@ -545,6 +541,56 @@ class TestNystromBound:
         tail = np.append(np.cumsum(np.linalg.eigvalsh(S))[::-1], 0.0)
         for k, t in enumerate(trace):
             assert t >= tail[k] - 1e-9 * np.trace(S)
+
+
+@st.composite
+def padded_spd(draw):
+    """An SPD matrix, the same matrix with zero rows and columns (constant
+    benchmarks) inserted at drawn positions, which no rounding lets
+    Cholesky factor, and a proper nonempty subset of the padded indices."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.normal(size=(n, n)) * rng.uniform(0.1, 10.0, size=(n, 1))
+    S = A @ A.T + 0.1 * np.eye(n)
+    N = n + draw(st.integers(1, 4))
+    keep = np.sort(rng.permutation(N)[:n])
+    padded = np.zeros((N, N))
+    padded[np.ix_(keep, keep)] = S
+    subset = rng.permutation(N)[: draw(st.integers(1, N - 1))].tolist()
+    return S, padded, subset
+
+
+class TestSingularSigma:
+    """greedy_mi, path_metrics and mi_value take a positive definite Sigma;
+    a singular one raises NumericalError, with no eigenvalue clamp."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(padded_spd())
+    def test_raises_on_a_singular_sigma(self, case):
+        _, padded, subset = case
+        for call in (lambda: greedy_mi(padded, len(subset)),
+                     lambda: path_metrics(padded, subset),
+                     lambda: path_metrics(padded, []),
+                     lambda: mi_value(padded, subset)):
+            with pytest.raises(NumericalError, match="not positive definite"):
+                call()
+
+    @settings(max_examples=100, deadline=None)
+    @given(padded_spd())
+    def test_spd_input_is_left_unchanged(self, case):
+        S, _, _ = case
+        before = S.copy()
+        N = len(S)
+        tol = max(1e-12, 1e-14 * np.linalg.cond(S))
+        entropy, mi, trace = path_metrics(S, list(range(N)))
+        assert np.isfinite(entropy).all() and np.isfinite(mi).all()
+        for k in range(1, N):
+            assert close(mi[k], mi_value(S, range(k)), tol)
+        if N > 1:
+            r = greedy_mi(S, N - 1)
+            assert not r.truncated
+            assert close(sum(r.gains), mi_value(S, r.order), tol, 1.0)
+        assert S.tobytes() == before.tobytes()
 
 
 class TestBudgeted:
