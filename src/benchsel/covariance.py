@@ -200,8 +200,8 @@ def _missingness_patterns(m: ScoreMatrix) -> list[_Pattern]:
 
 
 # scipy.linalg.lapack, bound by the first _cholesky call: importing it
-# takes most of `import benchsel`, and dpotrs and dtrtrs only ever run on
-# a factor that _cholesky returned.
+# takes most of `import benchsel`, and every other LAPACK call here runs
+# after _cholesky has returned a factor.
 _lapack = None
 
 
@@ -223,6 +223,22 @@ def _cholesky(a: np.ndarray):
 def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """S^-1 rhs by LAPACK dpotrs, from the lower Cholesky factor of S."""
     return _lapack.dpotrs(factor, rhs, lower=1)[0]
+
+
+def _cho_inverse(factor: np.ndarray) -> np.ndarray:
+    """S^-1 by LAPACK dpotri, from the lower Cholesky factor of S: its
+    lower triangle, mirrored."""
+    inv = _lapack.dpotri(factor, lower=1)[0]
+    return np.where(np.tri(len(inv), dtype=bool), inv, inv.T)
+
+
+def _cholesky_pivots(a: np.ndarray) -> np.ndarray:
+    """The pivots of the symmetric `a`'s Cholesky factorization in its own
+    order, NaN from the first one that is not positive on."""
+    c, info = _lapack.dpotrf(a, lower=1, clean=0)
+    pivots = np.diag(c) ** 2
+    pivots[info - 1 if info else len(a):] = np.nan
+    return pivots
 
 
 def _logdet_quad(factor: np.ndarray, rhs: np.ndarray):

@@ -25,7 +25,7 @@ from benchsel.covariance import EmConfig, fit_model
 from benchsel.imputation import STANDARDIZED_CLIP, impute_prefixes
 from benchsel.score_matrix import (
     ScoreMatrix, _column_pass, _require_two_cells, column_stats, write_table)
-from benchsel.selection import _precision, _selection_path, random_select
+from benchsel.selection import _factor, _selection_path, random_select
 
 VALID_METHODS = ("entropy", "mi", "random")
 
@@ -201,7 +201,7 @@ def _run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows, warnings_out):
             f"{fit.model.em_iterations} iterations"
         )
     Sigma = fit.model.cov
-    P = _precision(Sigma)  # shared by every method's recursion
+    factor = _factor(Sigma)  # one factorization for every method's run
     n_act = len(active)
     va_std = fit.encode(va_vals)
     # R^2 is scored in raw standardized space, in logit mode too.
@@ -215,7 +215,8 @@ def _run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows, warnings_out):
         k_cap = min(cfg.k_max, n_act if method != "mi" else n_act - 1)
         drawn = random_select(n_act, k_cap, np.random.SeedSequence(
             [cfg.seed, 2, pk, fold_idx])).order if method == "random" else ()
-        order, entropy, mi, rtrace = _selection_path(Sigma, P, method, k_cap, drawn)
+        order, entropy, mi, rtrace = _selection_path(
+            Sigma, factor, method, k_cap, drawn)
         fold_orders[(method, p, fold_idx)] = tuple(names[j] for j in order)
 
         pred = impute_prefixes(va_std, order, fit.model, cfg.ridge)

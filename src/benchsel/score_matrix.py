@@ -387,9 +387,11 @@ def _require_two_cells(m: ScoreMatrix) -> None:
 def column_stats(m: ScoreMatrix) -> ColumnStats:
     """Observed-cell means and sample stds (ddof=1) per column.
 
-    Columns with zero observed variance are rejected: a constant
-    benchmark carries no selection signal and breaks standardization.
+    Columns with fewer than two observed cells or zero observed variance
+    are rejected: a constant benchmark carries no selection signal and
+    breaks standardization.
     """
+    _require_two_cells(m)
     means, stds, varies = _column_pass(m.values)
     if not varies.all():
         raise DataError(f"column {m.benchmark_names[int(np.argmin(varies))]!r} "

@@ -4,10 +4,11 @@ Every greedy objective is one forward pivoted-Cholesky recursion with
 its own pivot rule: entropy takes the largest residual diagonal, mutual
 information runs it on Sigma and its precision with shared pivots, and
 budgeted entropy takes the best shifted gain-to-cost ratio.  The
-residuals at the pivots give the entropy, MI and residual trace of every
-prefix: `path_metrics` follows a given order, and cross-validation reads
-them off each method's own run.  Ties break lexicographically: largest
-gain, then lowest index, so runs are fully deterministic.
+residuals at the pivots, and the precision's block on the picks, give the
+entropy, MI and residual trace of every prefix: `path_metrics` follows a
+given order, and cross-validation reads them off each method's own run.
+Ties break lexicographically: largest gain, then lowest index, so runs
+are fully deterministic.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from benchsel.covariance import _cho_solve, _cholesky
+from benchsel.covariance import (
+    _cho_inverse, _cho_solve, _cholesky, _cholesky_pivots)
 from benchsel.errors import DataError, NumericalError
 
 LOG_2PIE = math.log(2 * math.pi * math.e)
@@ -173,26 +175,38 @@ def _pivot_rule(S: np.ndarray, objective: str, order=()):
     return pivot
 
 
-def _selection_path(S, P, objective: str, k: int, order=()):
-    """Order of at most k steps of `objective`'s recursion on [S, P], and
-    path_metrics' entropy, MI and residual trace of each of its prefixes."""
+def _selection_path(S, factor, objective: str, k: int, order=()):
+    """Order of at most k steps of `objective`'s recursion, and
+    path_metrics' entropy, MI and residual trace of each of its prefixes.
+
+    `factor` is S's lower Cholesky factor.  Only the mi pivot rule reads
+    P = S^-1 at every candidate, so only mi runs the recursion on [S, P].
+    Every order takes P's residuals at its picks A from the pivots of
+    P_AA, which one solve against A's N x k selector gives.
+    """
+    mats = [S, _cho_inverse(factor)] if objective == "mi" else [S]
     order, _, trace, pivots = _pivoted_cholesky(
-        [S, P], k, _pivot_rule(S, objective, order))
+        mats, k, _pivot_rule(S, objective, order))
+    A = list(order)
+    selector = np.zeros((len(S), len(A)))
+    selector[A, np.arange(len(A))] = 1.0
+    # dpotrs rejects an empty system
+    p_pivots = _cholesky_pivots(_cho_solve(factor, selector)[A]) if A else []
+    pivots = np.column_stack((pivots[:, 0], p_pivots))
     logs = np.log(pivots, out=np.full(pivots.shape, math.nan), where=pivots > 0)
     entropy, mi = (np.concatenate(([0.0], np.cumsum(step))) for step in
                    (0.5 * (LOG_2PIE + logs[:, 0]), 0.5 * logs.sum(axis=1)))
     if len(order) == len(S):
         mi[-1] = 0.0
-    return list(order), entropy, mi, np.asarray(trace)
+    return A, entropy, mi, np.asarray(trace)
 
 
-def _precision(S: np.ndarray) -> np.ndarray:
-    """Inverse of S by one Cholesky; NumericalError when S does not factor."""
+def _factor(S: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of S; NumericalError when S does not factor."""
     factor = _cholesky(S)
     if factor is None:
         raise NumericalError("covariance is not positive definite")
-    # dpotrs rejects an empty system
-    return _cho_solve(factor, np.eye(len(S))) if len(S) else factor
+    return factor
 
 
 def greedy_entropy(S: np.ndarray, k: int) -> SelectionResult:
@@ -229,8 +243,8 @@ def greedy_mi(S: np.ndarray, k: int) -> SelectionResult:
     N = S.shape[0]
     if not 1 <= k <= N - 1:
         raise DataError(f"k={k} out of range [1, {N - 1}] (complement nonempty)")
-    order, gains, trace, _ = _pivoted_cholesky([S, _precision(S)], k,
-                                               _pivot_rule(S, "mi"))
+    order, gains, trace, _ = _pivoted_cholesky([S, _cho_inverse(_factor(S))],
+                                               k, _pivot_rule(S, "mi"))
     return SelectionResult(order, gains, trace, "mi", truncated=len(order) < k)
 
 
@@ -314,8 +328,10 @@ def random_select(N: int, k: int,
 def path_metrics(S: np.ndarray, order):
     """Entropy, MI and residual trace of every prefix of `order`.
 
-    One run of greedy_mi's recursion along `order`, one downdate per
-    prefix; a singular Sigma raises NumericalError.  Returns three arrays
+    One run of greedy_entropy's recursion along `order`, one downdate per
+    prefix; MI adds one factorization of the precision's block on `order`,
+    from one solve against Sigma's factor, so no inverse of Sigma is
+    formed.  A singular Sigma raises NumericalError.  Returns three arrays
     indexed by prefix length 0..len(order).  Entropy and MI are 0 for the
     empty prefix and NaN from the first non-positive pivot on; MI of the
     full set is 0, as in mi_value.
@@ -323,7 +339,7 @@ def path_metrics(S: np.ndarray, order):
     S = _check_cov(S)
     if len(set(order)) != len(order) or not all(0 <= j < len(S) for j in order):
         raise DataError("order must hold distinct indices of the covariance")
-    return _selection_path(S, _precision(S), "path", len(order), order)[1:]
+    return _selection_path(S, _factor(S), "path", len(order), order)[1:]
 
 
 def entropy_value(S: np.ndarray, A) -> float:

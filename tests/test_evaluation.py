@@ -434,7 +434,10 @@ class TestPrefixR2:
         assert np.isfinite(got[:2]).all() and np.isnan(got[2:]).all()
 
 
-COUNTED = ("_pivoted_cholesky", "_precision")
+# What a selection costs: recursion runs, Cholesky factorizations of
+# Sigma and full N x N inverses of Sigma.
+COUNTED = ((selection, "_pivoted_cholesky"), (selection, "_factor"),
+           (evaluation, "_factor"), (selection, "_cho_inverse"))
 
 
 def counting(fn, name, calls):
@@ -445,14 +448,19 @@ def counting(fn, name, calls):
     return counted
 
 
+def count_calls(monkeypatch):
+    """Calls of each name in COUNTED from now on, summed over modules."""
+    calls = {name: 0 for _, name in COUNTED}
+    for module, name in COUNTED:
+        monkeypatch.setattr(module, name, counting(getattr(module, name),
+                                                   name, calls))
+    return calls
+
+
 def traced_run_cv(monkeypatch, matrix, cfg):
     """run_cv's report, and per fold (p, fold) that reached a fit: its
     benchmark names, its Sigma and its calls of each name in COUNTED."""
-    calls = dict.fromkeys(COUNTED, 0)
-    for module, name in ((selection, "_pivoted_cholesky"),
-                         (selection, "_precision"), (evaluation, "_precision")):
-        monkeypatch.setattr(module, name, counting(getattr(module, name),
-                                                   name, calls))
+    calls = count_calls(monkeypatch)
     fits, folds = [], {}
 
     def recording_fit(train_m, **kwargs):
@@ -489,9 +497,12 @@ def cv_cases(draw):
              @ rng.normal(size=(rank, draw(st.integers(4, 30)))))
     holdouts = draw(st.lists(st.sampled_from([0.1, 0.2, 0.5, 0.9]),
                              min_size=1, max_size=2, unique=True))
+    methods = draw(st.lists(st.sampled_from(evaluation.VALID_METHODS),
+                            min_size=1, max_size=3, unique=True))
     return make_matrix(X), CvConfig(
         folds=draw(st.integers(2, 3)), holdout_fractions=tuple(holdouts),
-        k_max=draw(st.integers(1, 8)), seed=draw(st.integers(0, 99)))
+        k_max=draw(st.integers(1, 8)), methods=tuple(methods),
+        seed=draw(st.integers(0, 99)))
 
 
 class TestPathMetricsInCv:
@@ -512,14 +523,15 @@ class TestPathMetricsInCv:
     @settings(max_examples=60, deadline=None)
     @given(cv_cases())
     def test_each_method_runs_one_recursion(self, case):
-        # Each method's selection run gives its cells; the fold inverts
-        # Sigma once for all of them.
+        # Each method's selection run gives its cells; the fold factors
+        # Sigma once for all of them and inverts it only for mi.
         matrix, cfg = case
         with pytest.MonkeyPatch.context() as monkeypatch:
             report, folds = traced_run_cv(monkeypatch, matrix, cfg)
         for (p, fold), (names, Sigma, calls) in folds.items():
             assert calls == {"_pivoted_cholesky": len(cfg.methods),
-                             "_precision": 1}
+                             "_factor": 1,
+                             "_cho_inverse": int("mi" in cfg.methods)}
             for method in cfg.methods:
                 order = [names.index(b) for b in
                          report.selection_orders[(method, p, fold)]]
@@ -539,13 +551,18 @@ class TestPathMetricsInCv:
 
     def test_select_entropy_computes_no_precision(self, monkeypatch,
                                                  scores_csv, tmp_path):
-        calls = dict.fromkeys(COUNTED, 0)
-        monkeypatch.setattr(selection, "_precision",
-                            counting(selection._precision, "_precision", calls))
+        calls = count_calls(monkeypatch)
         for objective, want in (("entropy", 0), ("mi", 1)):
             assert main(["select", str(scores_csv), "--objective", objective,
                          "--k", "2", "--out", str(tmp_path / objective)]) == 0
-            assert calls["_precision"] == want
+            assert calls["_cho_inverse"] == want
+
+    def test_path_metrics_forms_no_inverse(self, monkeypatch):
+        S = np.cov(np.random.default_rng(5).normal(size=(12, 40)))
+        calls = count_calls(monkeypatch)
+        for order in ([], [3], [7, 0, 11], list(range(12))):
+            path_metrics(S, order)
+        assert (calls["_factor"], calls["_cho_inverse"]) == (4, 0)
 
 
 def sparse_validation_matrix():

@@ -514,6 +514,16 @@ class TestStandardize:
         with pytest.raises(DataError, match="column 'b1' has zero observed"):
             column_stats(m)
 
+    def test_underobserved_column_rejected(self):
+        # b1 has one observed cell: too few, whatever its variance.
+        m = load_csv("model,b0,b1\na,1,2\nb,3,\nc,4,\n")
+        with pytest.raises(DataError, match="column 'b1' has fewer than 2 "
+                                            "observed entries"):
+            column_stats(m)
+        m = load_csv("model,b0,b1\na,1,2\nb,3,2\nc,4,\n")
+        with pytest.raises(DataError, match="column 'b1' has zero observed"):
+            column_stats(m)
+
     def test_matches_the_column_loop(self):
         rng = np.random.default_rng(13)
         vals = rng.normal(2.0, 3.0, size=(300, 6))

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
+from benchsel import covariance, selection
 from benchsel.covariance import fit_model
 from benchsel.errors import DataError, NumericalError
 from benchsel.selection import (
@@ -518,6 +519,78 @@ class TestPathMetrics:
     def test_empty_covariance(self):
         assert [a.tolist() for a in path_metrics(np.zeros((0, 0)), [])] == \
             [[0.0], [0.0], [0.0]]
+
+
+def reference_path_metrics(S, order):
+    """path_metrics by the shared recursion on [Sigma, P]: P the full
+    inverse, from dpotrs against the identity, and both matrices
+    downdated along `order` with shared pivots."""
+    S = 0.5 * (S + S.T)
+    P = linalg.cho_solve(linalg.cho_factor(S, lower=True), np.eye(len(S)))
+    _, _, trace, pivots = selection._pivoted_cholesky(
+        [S, P], len(order), selection._pivot_rule(S, "path", order))
+    logs = np.log(pivots, out=np.full(pivots.shape, math.nan), where=pivots > 0)
+    entropy, mi = (np.concatenate(([0.0], np.cumsum(step))) for step in
+                   (0.5 * (LOG_2PIE + logs[:, 0]), 0.5 * logs.sum(axis=1)))
+    if len(order) == len(S):
+        mi[-1] = 0.0
+    return entropy, mi, np.asarray(trace)
+
+
+@st.composite
+def ill_conditioned_paths(draw):
+    """An SPD matrix of condition number up to 1e12 and a random order of
+    some of its elements."""
+    N = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    Q = np.linalg.qr(rng.normal(size=(N, N)))[0]
+    w = np.geomspace(1.0, 10.0 ** -draw(st.floats(0.0, 12.0)), N)
+    order = rng.permutation(N)[: draw(st.integers(0, N))].tolist()
+    return (Q * w) @ Q.T * draw(st.floats(1e-3, 1e3)), order
+
+
+class TestPrecisionOnThePicks:
+    """path_metrics reads P = Sigma^-1 only on the picks, from one solve
+    against Sigma's factor, and agrees with the shared [Sigma, P]
+    recursion: MI within the conditioning tolerance, with the same NaN
+    cells, and entropy and residual trace bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(full_rank_paths(), ill_conditioned_paths()))
+    def test_matches_the_shared_recursion(self, case):
+        S, order = case
+        N = len(S)
+        tol = max(1e-12, 1e-14 * np.linalg.cond(S))
+        for A in ([], order, np.random.default_rng(N).permutation(N).tolist()):
+            entropy, mi, trace = path_metrics(S, A)
+            w_entropy, w_mi, w_trace = reference_path_metrics(S, A)
+            assert entropy.tobytes() == w_entropy.tobytes()
+            assert trace.tobytes() == w_trace.tobytes()
+            assert (np.isnan(mi) == np.isnan(w_mi)).all()
+            for a, b in zip(mi, w_mi):
+                assert math.isnan(a) or close(a, b, tol)
+
+    def test_pivots_are_nan_from_the_first_non_positive_one(self):
+        # Indefinite symmetric matrices: the downdate along the identity
+        # order gives the same pivots up to its first non-positive one.
+        rng = np.random.default_rng(12)
+        failed_at = []
+        for n in (1, 2, 5, 9):
+            for _ in range(20):
+                a = rng.normal(size=(n, n)) + rng.uniform(0, 2 * n) * np.eye(n)
+                a = a + a.T
+                covariance._cholesky(np.eye(1))  # binds LAPACK
+                got = covariance._cholesky_pivots(a)
+                want = selection._pivoted_cholesky(
+                    [a], n, selection._pivot_rule(a, "path", range(n)))[3][:, 0]
+                bad = np.flatnonzero(want <= 0)
+                first = bad[0] if bad.size else n
+                assert np.isnan(got[first:]).all()
+                assert got[:first] == pytest.approx(want[:first], rel=1e-10)
+                failed_at.append((n, first))
+        # The draws hold positive definite matrices and failures at the
+        # first, a middle and the last pivot.
+        assert {(9, 9), (1, 0), (9, 3), (2, 1), (5, 4)} <= set(failed_at)
 
 
 class TestNystromBound:
