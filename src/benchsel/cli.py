@@ -234,6 +234,13 @@ def cmd_impute(args) -> int:
 
     pred, cvar = impute_rows(fit.encode(m.values), selected, fit.model,
                              args.ridge)
+    # Below rounding, a negative variance means Sigma is not PSD.
+    negative = ~m.mask & (cvar < -1e-9 * np.abs(np.diag(fit.model.cov)))
+    if negative.any():
+        i, j = np.argwhere(negative)[0]
+        raise NumericalError(
+            f"conditional variance of {m.benchmark_names[j]!r} for row "
+            f"{m.model_names[i]!r} is negative: the model's Sigma is not PSD")
     sd = fit.decode_sd(pred, np.sqrt(np.maximum(cvar, 0.0)))
     completed = np.where(m.mask, m.values, fit.decode(pred))
     cond_sd = np.where(m.mask, np.nan, sd)

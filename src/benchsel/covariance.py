@@ -211,7 +211,7 @@ def _cholesky(a: np.ndarray):
 
     The factor is the one scipy.linalg.cho_factor(a, lower=True) returns,
     upper triangle left as in `a`, without its per-call checks: pass it
-    to _cho_solve or _logdet_quad.
+    to _cho_solve or LAPACK's dtrtrs.
     """
     global _lapack
     if _lapack is None:
@@ -241,55 +241,46 @@ def _cholesky_pivots(a: np.ndarray) -> np.ndarray:
     return pivots
 
 
-def _logdet_quad(factor: np.ndarray, rhs: np.ndarray):
-    """log det S and the sum of r' S^-1 r over the columns r of `rhs`,
-    from the lower Cholesky factor of S."""
-    z = _lapack.dtrtrs(factor, rhs, lower=1)[0]
-    return 2.0 * np.sum(np.log(np.diag(factor))), np.sum(z * z)
-
-
-def _e_step(m: ScoreMatrix, patterns, mu, Sigma):
+def _e_step(m: ScoreMatrix, patterns, mu, Sigma, D):
     """Conditional expectations at (mu, Sigma), one pattern at a time.
 
     Returns the completed matrix, the summed conditional covariance of the
-    missing cells, and the observed-data log-likelihood at (mu, Sigma).
-    An observed block that fails Cholesky raises NumericalError naming
-    the first row, in file order, that observes it.
+    missing cells, and the penalized objective at (mu, Sigma).  One
+    Cholesky factor of Sigma gives log det Sigma, a complete pattern's and
+    the prior's, and one triangular solve on it the prior's trace and each
+    row's r' Sigma_oo^-1 r: that is z' Sigma^-1 z for the completed residual
+    z, whose missing cells minimize it.  An incomplete pattern factors its
+    observed block for its gain and log det; a block that fails raises
+    NumericalError naming the first row, in file order, that observes it.
     """
+    factor = _cholesky(Sigma)
+    if factor is None:
+        raise NumericalError("EM covariance is singular")
+    logdet = 2.0 * np.sum(np.log(np.diag(factor)))
     completed = np.where(m.mask, m.values, 0.0)
     correction = np.zeros_like(Sigma)
-    loglik = 0.0
+    objective = -0.5 * (_PRIOR_NU * logdet + m.mask.sum() * np.log(2 * np.pi))
     for pat in patterns:
-        factor = _cholesky(Sigma[pat.oo])
-        if factor is None:
+        if pat.mis.size == 0:
+            objective -= 0.5 * pat.rows.size * logdet
+            continue
+        block = _cholesky(Sigma[pat.oo])
+        if block is None:
             raise NumericalError(
                 f"observed block for row {m.model_names[pat.rows[0]]!r} "
                 "is singular"
             )
-        resid = pat.x_obs - mu[pat.obs]
-        logdet, quad = _logdet_quad(factor, resid.T)
-        loglik -= 0.5 * (
-            pat.rows.size * (pat.obs.size * np.log(2 * np.pi) + logdet) + quad
-        )
-        if pat.mis.size == 0:
-            continue
+        objective -= pat.rows.size * np.sum(np.log(np.diag(block)))
         Smo = Sigma[pat.mo]
-        gain = _cho_solve(factor, Smo.T).T
+        gain = _cho_solve(block, Smo.T).T
+        resid = pat.x_obs - mu[pat.obs]
         completed[pat.rows_mis] = mu[pat.mis] + resid @ gain.T
         cond_cov = Sigma[pat.mm] - gain @ Smo.T
         cond_cov = 0.5 * (cond_cov + cond_cov.T)
         correction[pat.mm] += pat.rows.size * cond_cov
-    return completed, correction, loglik
-
-
-def _log_prior(Sigma: np.ndarray, D: np.ndarray) -> float:
-    """The prior's term -nu/2 (log det Sigma + tr(Sigma^-1 diag(D))), from
-    one Cholesky of Sigma."""
-    factor = _cholesky(Sigma)
-    if factor is None:
-        raise NumericalError("EM covariance is singular")
-    logdet, trace = _logdet_quad(factor, np.diag(np.sqrt(D)))
-    return -0.5 * _PRIOR_NU * (logdet + trace)
+    rhs = np.hstack([(completed - mu).T, np.diag(np.sqrt(_PRIOR_NU * D))])
+    z = _lapack.dtrtrs(factor, rhs, lower=1)[0]
+    return completed, correction, float(objective - 0.5 * np.sum(z * z))
 
 
 def _em_map(m: ScoreMatrix, patterns, mu, Sigma, D):
@@ -298,9 +289,8 @@ def _em_map(m: ScoreMatrix, patterns, mu, Sigma, D):
 
     Returns (mu', Sigma', penalized objective at (mu, Sigma)).
     """
-    completed, correction, loglik = _e_step(m, patterns, mu, Sigma)
-    return (*_m_step(completed, correction, D),
-            float(loglik + _log_prior(Sigma, D)))
+    completed, correction, objective = _e_step(m, patterns, mu, Sigma, D)
+    return (*_m_step(completed, correction, D), objective)
 
 
 def _m_step(completed, correction, D):
@@ -332,8 +322,9 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
     eigenvalues are all at least that floor, so every covariance EM
     touches is positive definite.  The E-step sweeps the distinct
     missingness patterns, not the rows: rows that miss the same cells
-    share one Cholesky factor of their observed block, which also gives
-    the observed-data log-likelihood at the map's input.
+    share one Cholesky factor of their observed block, for their gain
+    and its log det; one factor of Sigma per map gives the rest of the
+    penalized objective at the map's input.
 
     Each cycle is one SQUAREM step (Varadhan & Roland 2008, scheme S3):
     two maps from theta0 give theta1 and theta2; with r and v the first
@@ -390,9 +381,7 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
         if change < cfg.rel_tol:
             converged = True
             break
-    loglik_trace.append(
-        _e_step(m, patterns, mu, Sigma)[2] + _log_prior(Sigma, D)
-    )
+    loglik_trace.append(_e_step(m, patterns, mu, Sigma, D)[2])
 
     return GaussianModel(
         mu, Sigma, "em", em_iterations=it, converged=converged,

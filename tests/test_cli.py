@@ -436,6 +436,40 @@ class TestImpute:
                      "--selected", "b0,b1", "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.startswith("numerical error: ")
 
+    def test_negative_conditional_variance_exit_code(self, tmp_path, capsys):
+        # The conditioning block [1] factors, but the model is not PSD: b's
+        # conditional variance is 0.5 - 0.99**2 / 1.01 = -0.47.
+        model_path = tmp_path / "model.json"
+        model_path.write_text(GaussianModel(
+            np.zeros(2), [[1.0, 0.99], [0.99, 0.5]], "full").to_json())
+        path = tmp_path / "in.csv"
+        path.write_text("model,a,b\nx,0.1,0.2\ny,0.3,\nz,-0.4,\n")
+        out = tmp_path / "o"
+        assert main(["impute", str(path), "--model", str(model_path),
+                     "--selected", "a", "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical error: ")
+        assert "'b' for row 'y' is negative" in err[0]
+        assert not out.exists()
+
+    def test_rank_one_model_at_zero_ridge(self, tmp_path):
+        # A PSD model of rank 1 conditions on one column exactly; its
+        # conditional variances are zero up to rounding, some below it.
+        v = np.array([0.1, 0.7, 0.3, 0.9])
+        model = GaussianModel(np.zeros(4), np.outer(v, v), "full")
+        model_path = tmp_path / "model.json"
+        model_path.write_text(model.to_json())
+        values = np.array([[0.2, np.nan, 0.5, 0.9], [np.nan] * 3 + [-0.45]])
+        assert (impute_rows(values, [3], model, 0.0).cond_var < 0).any()
+        out = str(tmp_path / "o")
+        assert main(["impute", write_matrix(tmp_path, make_matrix(values)),
+                     "--model", str(model_path), "--selected", "b3",
+                     "--ridge", "0", "--out", out]) == 0
+        sd = read_table(os.path.join(out, "conditional_sd.csv"))
+        filled = np.isnan(values)
+        assert np.isfinite(sd[filled]).all() and (sd[filled] >= 0).all()
+        assert np.isnan(sd[~filled]).all()
+
     def test_mutual_exclusion(self, rank1_csv, tmp_path):
         assert main(["impute", rank1_csv, "--selected", "b0",
                      "--out", str(tmp_path / "o")]) == 1

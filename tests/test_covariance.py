@@ -1,10 +1,12 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg
+from scipy.linalg import lapack
 from scipy.linalg.lapack import dpotrs, dtrtrs
 
 from benchsel import covariance
@@ -540,6 +542,59 @@ class TestEmPatternSweep:
             em_fit(m, EmConfig())
 
 
+def count_factors(mp, sizes, solves):
+    """From now on, record the order of each matrix that covariance's
+    _cholesky factors in `sizes`, and each triangular solve in `solves`."""
+    cholesky = covariance._cholesky
+
+    def recording(a):
+        sizes.append(len(a))
+        return cholesky(a)
+
+    def dtrtrs_recording(*args, **kwargs):
+        solves.append(args[1].shape)
+        return lapack.dtrtrs(*args, **kwargs)
+
+    mp.setattr(covariance, "_cholesky", recording)
+    mp.setattr(covariance, "_lapack", SimpleNamespace(
+        dpotrf=lapack.dpotrf, dpotrs=lapack.dpotrs, dtrtrs=dtrtrs_recording))
+
+
+class TestOneFactorOfSigma:
+    """An EM map factors Sigma once and each incomplete pattern's observed
+    block once; a complete pattern factors nothing."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(em_matrices())
+    @example(mcar_matrix(30, 4, 0.2, seed=6, complete_rows=5)[0])
+    def test_factorizations_per_map(self, m):
+        patterns = covariance._missingness_patterns(m)
+        mu, Sigma, D = reference_em_init(m)
+        sizes, solves = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            count_factors(mp, sizes, solves)
+            covariance._em_map(m, patterns, mu, Sigma, D)
+        M, N = m.shape
+        assert sizes == [N] + [p.obs.size for p in patterns if p.mis.size]
+        # One solve gives every row's quadratic form and the prior's trace.
+        assert solves == [(N, M + N)]
+
+    def test_singular_sigma_raises(self, monkeypatch):
+        # The prior keeps every Sigma EM touches positive definite, so a
+        # failing factor of Sigma is simulated.  The complete rows' pattern
+        # would read that factor too.
+        m, _, _ = mcar_matrix(30, 4, 0.2, seed=6, complete_rows=5)
+        cholesky = covariance._cholesky
+
+        def singular_sigma(a):
+            return None if len(a) == 4 else cholesky(a)
+
+        monkeypatch.setattr(covariance, "_cholesky", singular_sigma)
+        with pytest.raises(NumericalError,
+                           match="^EM covariance is singular$"):
+            em_fit(m, EmConfig())
+
+
 class TestGaussianModelJson:
     def test_round_trip(self):
         matrix, _, _ = mcar_matrix(120, 4, 0.2, seed=30)
@@ -635,7 +690,8 @@ class TestCholeskyHelper:
                          linalg.cho_solve(want, rhs))
         assert same_bits(dtrtrs(got, rhs, lower=1)[0],
                          linalg.solve_triangular(want[0], rhs, lower=True))
-        # The E-step reuses its residuals after the solves.
+        # The E-step and impute_rows read their right-hand sides again
+        # after the solves.
         assert same_bits(rhs, before[1])
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import linalg
 
 from benchsel import imputation
-from benchsel.covariance import GaussianModel
+from benchsel.covariance import GaussianModel, fit_model
 from benchsel.errors import DataError, NumericalError
 from benchsel.imputation import (
     STANDARDIZED_CLIP,
@@ -18,7 +18,7 @@ from benchsel.imputation import (
     r2_standardized,
 )
 
-from conftest import random_spd
+from conftest import make_matrix, random_spd
 
 
 def model_from(cov, mean=None):
@@ -311,6 +311,32 @@ class TestImputePrefixes:
         out = impute_prefixes(np.ones((2, 3)), [],
                               model_from(random_spd(3, seed=8)))
         assert out.shape == (0, 2, 3)
+
+
+class TestConditionalSdCoverage:
+    def test_raw_mode_coverage(self):
+        # Rank-5 Gaussian scores plus noise, raw mode: the hidden cells of
+        # 300 test rows, each conditioned on the 5 selected columns, lie
+        # within 1.96 conditional sds of their prediction about 95% of
+        # the time.
+        rng = np.random.default_rng(2024)
+        W = rng.normal(size=(60, 5))
+
+        def rows(n):
+            return rng.normal(size=(n, 5)) @ W.T + 0.5 * rng.normal(
+                size=(n, 60))
+
+        fit = fit_model(make_matrix(rows(300)))
+        test = rows(300)
+        selected = np.sort(rng.choice(60, 5, replace=False))
+        hidden = rng.random(test.shape) < 0.5
+        hidden[:, selected] = False
+        pred, cvar = impute_rows(fit.encode(np.where(hidden, np.nan, test)),
+                                 selected, fit.model)
+        assert (cvar[hidden] > 0).all()
+        sd = fit.decode_sd(pred, np.sqrt(cvar))
+        inside = np.abs(test - fit.decode(pred)) <= 1.96 * sd
+        assert 0.92 <= inside[hidden].mean() <= 0.98
 
 
 class TestClip:
