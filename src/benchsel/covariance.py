@@ -173,9 +173,10 @@ def to_correlation(S: np.ndarray) -> np.ndarray:
 
 
 class _Pattern(NamedTuple):
-    """One distinct mask row: its observed and missing columns, its rows in
-    file order, their observed values, and the np.ix_ gathers of its Sigma
-    blocks and of its missing cells, built once per fit."""
+    """One distinct mask row that misses a cell: its observed and missing
+    columns, its rows in file order, their observed values, and the np.ix_
+    gathers of its Sigma blocks and of its missing cells, built once per
+    fit."""
 
     obs: np.ndarray
     mis: np.ndarray
@@ -188,14 +189,16 @@ class _Pattern(NamedTuple):
 
 
 def _missingness_patterns(m: ScoreMatrix) -> list[_Pattern]:
-    """Distinct mask rows, ordered by the first row that has each."""
+    """Distinct mask rows that miss a cell, ordered by the first row that
+    has each; complete rows form no pattern."""
     out = []
     for pattern, rows in _row_groups(m.mask):
         obs, mis = np.flatnonzero(pattern), np.flatnonzero(~pattern)
-        out.append(_Pattern(
-            obs, mis, rows, m.values[np.ix_(rows, obs)], np.ix_(obs, obs),
-            np.ix_(mis, obs), np.ix_(mis, mis), np.ix_(rows, mis),
-        ))
+        if mis.size:
+            out.append(_Pattern(
+                obs, mis, rows, m.values[np.ix_(rows, obs)], np.ix_(obs, obs),
+                np.ix_(mis, obs), np.ix_(mis, mis), np.ix_(rows, mis),
+            ))
     return out
 
 
@@ -211,7 +214,7 @@ def _cholesky(a: np.ndarray):
 
     The factor is the one scipy.linalg.cho_factor(a, lower=True) returns,
     upper triangle left as in `a`, without its per-call checks: pass it
-    to _cho_solve or LAPACK's dtrtrs.
+    to _cho_solve, _cho_inverse or LAPACK's dtrtrs.
     """
     global _lapack
     if _lapack is None:
@@ -246,12 +249,13 @@ def _e_step(m: ScoreMatrix, patterns, mu, Sigma, D):
 
     Returns the completed matrix, the summed conditional covariance of the
     missing cells, and the penalized objective at (mu, Sigma).  One
-    Cholesky factor of Sigma gives log det Sigma, a complete pattern's and
-    the prior's, and one triangular solve on it the prior's trace and each
-    row's r' Sigma_oo^-1 r: that is z' Sigma^-1 z for the completed residual
-    z, whose missing cells minimize it.  An incomplete pattern factors its
-    observed block for its gain and log det; a block that fails raises
-    NumericalError naming the first row, in file order, that observes it.
+    Cholesky factor of Sigma gives log det Sigma, which the complete rows
+    and the prior read, and one triangular solve on it the prior's trace
+    and each row's r' Sigma_oo^-1 r: that is z' Sigma^-1 z for the
+    completed residual z, whose missing cells minimize it.  Each pattern
+    factors its observed block for its gain and log det.  Either factor
+    failing raises NumericalError: the block is a principal block of a
+    Sigma that has factored, so it has no failure of its own.
     """
     factor = _cholesky(Sigma)
     if factor is None:
@@ -259,17 +263,12 @@ def _e_step(m: ScoreMatrix, patterns, mu, Sigma, D):
     logdet = 2.0 * np.sum(np.log(np.diag(factor)))
     completed = np.where(m.mask, m.values, 0.0)
     correction = np.zeros_like(Sigma)
-    objective = -0.5 * (_PRIOR_NU * logdet + m.mask.sum() * np.log(2 * np.pi))
+    objective = -0.5 * ((m.mask.all(axis=1).sum() + _PRIOR_NU) * logdet
+                        + m.mask.sum() * np.log(2 * np.pi))
     for pat in patterns:
-        if pat.mis.size == 0:
-            objective -= 0.5 * pat.rows.size * logdet
-            continue
         block = _cholesky(Sigma[pat.oo])
         if block is None:
-            raise NumericalError(
-                f"observed block for row {m.model_names[pat.rows[0]]!r} "
-                "is singular"
-            )
+            raise NumericalError("EM covariance is singular")
         objective -= pat.rows.size * np.sum(np.log(np.diag(block)))
         Smo = Sigma[pat.mo]
         gain = _cho_solve(block, Smo.T).T
@@ -321,10 +320,11 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
     Sigma' = (scatter + correction + nu diag(D)) / (M + nu), whose
     eigenvalues are all at least that floor, so every covariance EM
     touches is positive definite.  The E-step sweeps the distinct
-    missingness patterns, not the rows: rows that miss the same cells
-    share one Cholesky factor of their observed block, for their gain
-    and its log det; one factor of Sigma per map gives the rest of the
-    penalized objective at the map's input.
+    incomplete missingness patterns, not the rows: rows that miss the
+    same cells share one Cholesky factor of their observed block, for
+    their gain and its log det; one factor of Sigma per map gives the
+    rest of the penalized objective at the map's input, complete rows
+    included.
 
     Each cycle is one SQUAREM step (Varadhan & Roland 2008, scheme S3):
     two maps from theta0 give theta1 and theta2; with r and v the first

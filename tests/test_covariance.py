@@ -237,16 +237,9 @@ class TestEmFit:
         assert abs(last - prev) < 1e-6 * abs(prev)
 
     def test_chain_of_windows_converges_quickly(self):
-        # Three suites observe columns 0-3, 2-5 and 4-7, so columns 0-1
-        # are never observed with 4-7, nor 2-3 with 6-7, and only the
-        # prior pins those covariances.  The fit takes 26 cycles.
-        rng = np.random.default_rng(20)
-        A = rng.normal(size=(8, 8))
-        X = rng.multivariate_normal(np.zeros(8), A @ A.T + np.eye(8), size=40)
-        mask = np.zeros((40, 8), dtype=bool)
-        for rows, start in zip(np.array_split(rng.permutation(40), 3), (0, 2, 4)):
-            mask[rows, start:start + 4] = True
-        g = em_fit(make_matrix(np.where(mask, X, np.nan), mask))
+        # Only the prior pins the covariances of the columns that no suite
+        # observes together.  The fit takes 26 cycles.
+        g = em_fit(_chain_of_windows_example())
         assert g.converged
         assert g.em_iterations <= 40
 
@@ -357,6 +350,18 @@ def reference_em_fit(m, cfg):
     )
 
 
+def _chain_of_windows_example():
+    """A 40x8 matrix whose three suites observe columns 0-3, 2-5 and 4-7,
+    so columns 0-1 are never observed with 4-7, nor 2-3 with 6-7."""
+    rng = np.random.default_rng(20)
+    A = rng.normal(size=(8, 8))
+    X = rng.multivariate_normal(np.zeros(8), A @ A.T + np.eye(8), size=40)
+    mask = np.zeros((40, 8), dtype=bool)
+    for rows, start in zip(np.array_split(rng.permutation(40), 3), (0, 2, 4)):
+        mask[rows, start:start + 4] = True
+    return make_matrix(np.where(mask, X, np.nan), mask)
+
+
 def _no_complete_rows_example():
     """A fixed 24x5 mask with no complete row: row i misses column i % 5,
     and 30% of the other cells are missing at random."""
@@ -437,6 +442,10 @@ class TestCompleteClosedForm:
 class TestEmPatternSweep:
     @settings(max_examples=30, deadline=None)
     @given(em_matrices(), st.integers(0, 3))
+    # One pattern per row, up to 10 of 12 cells missing.
+    @example(mcar_matrix(40, 12, 0.5, seed=3)[0], 1)
+    # Three patterns, none complete, missing 4 cells each.
+    @example(_chain_of_windows_example(), 1)
     def test_matches_per_row_reference(self, m, stride):
         # One EM map at the start and at several iterates of plain EM: the
         # pattern-grouped E-step and M-step against the row-by-row ones.
@@ -519,9 +528,12 @@ class TestEmPatternSweep:
         for a, b in ((p.mean, g.mean), (p.cov, g.cov)):
             assert np.max(np.abs(a - b)) <= 1e-6 * np.max(np.abs(b))
 
-    def test_singular_pattern_names_its_first_row(self, monkeypatch):
-        # Two 2-of-4 patterns: [F, F, T, T] sorts before [T, T, F, F], but
-        # the latter comes first in the file (row m5), so it is named.
+    def test_singular_pattern_block_raises(self, monkeypatch):
+        # Patterns observing three and two of four cells.  A principal
+        # block of a Sigma that has factored is positive definite too, so a
+        # failing factor of an observed block is simulated: every 2x2
+        # factorization fails.  It has no cause apart from Sigma, so it
+        # gets Sigma's message.
         rng = np.random.default_rng(40)
         vals = rng.normal(size=(9, 4))
         mask = np.ones((9, 4), dtype=bool)
@@ -529,16 +541,14 @@ class TestEmPatternSweep:
         mask[[5, 8], 2:] = False
         mask[[6, 7], :2] = False
         m = make_matrix(np.where(mask, vals, np.nan), mask)
-
-        # The prior keeps every Sigma EM touches positive definite, so a
-        # singular observed block is simulated: every 2x2 factorization fails.
         cholesky = covariance._cholesky
 
         def singular_pairs(a):
             return None if a.shape == (2, 2) else cholesky(a)
 
         monkeypatch.setattr(covariance, "_cholesky", singular_pairs)
-        with pytest.raises(NumericalError, match="row 'm5' is singular"):
+        with pytest.raises(NumericalError,
+                           match="^EM covariance is singular$"):
             em_fit(m, EmConfig())
 
 
@@ -561,8 +571,8 @@ def count_factors(mp, sizes, solves):
 
 
 class TestOneFactorOfSigma:
-    """An EM map factors Sigma once and each incomplete pattern's observed
-    block once; a complete pattern factors nothing."""
+    """An EM map factors Sigma once and each pattern's observed block
+    once; complete rows form no pattern and factor nothing."""
 
     @settings(max_examples=40, deadline=None)
     @given(em_matrices())
@@ -575,7 +585,8 @@ class TestOneFactorOfSigma:
             count_factors(mp, sizes, solves)
             covariance._em_map(m, patterns, mu, Sigma, D)
         M, N = m.shape
-        assert sizes == [N] + [p.obs.size for p in patterns if p.mis.size]
+        assert all(p.mis.size for p in patterns)
+        assert sizes == [N] + [p.obs.size for p in patterns]
         # One solve gives every row's quadratic form and the prior's trace.
         assert solves == [(N, M + N)]
 
@@ -693,6 +704,18 @@ class TestCholeskyHelper:
         # The E-step and impute_rows read their right-hand sides again
         # after the solves.
         assert same_bits(rhs, before[1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(factor_cases())
+    def test_cho_inverse_matches_cho_solve(self, case):
+        S = case[0]
+        got = covariance._cholesky(S)
+        if got is None:
+            return
+        inv = covariance._cho_inverse(got)
+        assert same_bits(inv, inv.T)
+        want = linalg.cho_solve(linalg.cho_factor(S, lower=True), np.eye(len(S)))
+        assert rel_close(inv, want, 1e-10)
 
 
 class TestFitModel:
