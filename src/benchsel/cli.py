@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 import benchsel
-from benchsel.errors import DataError, NumericalError
+from benchsel.errors import DataError, NumericalError, SingularRowError
 from benchsel.covariance import (
     FittedModel, GaussianModel, fit_model, to_correlation)
 from benchsel.diagnostics import mardia, normality_report
@@ -232,8 +232,11 @@ def cmd_impute(args) -> int:
         fit = FittedModel(model, ColumnStats(np.zeros_like(model.mean),
                                              np.ones_like(model.mean)))
 
-    pred, cvar = impute_rows(fit.encode(m.values), selected, fit.model,
-                             args.ridge)
+    try:
+        pred, cvar = impute_rows(fit.encode(m.values), selected, fit.model,
+                                 args.ridge)
+    except SingularRowError as exc:
+        raise SingularRowError(exc.row, repr(m.model_names[exc.row])) from None
     # Below rounding, a negative variance means Sigma is not PSD.
     negative = ~m.mask & (cvar < -1e-9 * np.abs(np.diag(fit.model.cov)))
     if negative.any():

@@ -173,17 +173,12 @@ def to_correlation(S: np.ndarray) -> np.ndarray:
 
 
 class _Pattern(NamedTuple):
-    """One distinct mask row that misses a cell: its observed and missing
-    columns, its rows in file order, their observed values, and the np.ix_
-    gathers of its Sigma blocks and of its missing cells, built once per
-    fit."""
+    """One distinct mask row that misses a cell: its missing columns, its
+    rows in file order, and the np.ix_ gathers of its block of the
+    precision and of its missing cells, built once per fit."""
 
-    obs: np.ndarray
     mis: np.ndarray
     rows: np.ndarray
-    x_obs: np.ndarray
-    oo: tuple
-    mo: tuple
     mm: tuple
     rows_mis: tuple
 
@@ -193,12 +188,9 @@ def _missingness_patterns(m: ScoreMatrix) -> list[_Pattern]:
     has each; complete rows form no pattern."""
     out = []
     for pattern, rows in _row_groups(m.mask):
-        obs, mis = np.flatnonzero(pattern), np.flatnonzero(~pattern)
+        mis = np.flatnonzero(~pattern)
         if mis.size:
-            out.append(_Pattern(
-                obs, mis, rows, m.values[np.ix_(rows, obs)], np.ix_(obs, obs),
-                np.ix_(mis, obs), np.ix_(mis, mis), np.ix_(rows, mis),
-            ))
+            out.append(_Pattern(mis, rows, np.ix_(mis, mis), np.ix_(rows, mis)))
     return out
 
 
@@ -245,37 +237,36 @@ def _cholesky_pivots(a: np.ndarray) -> np.ndarray:
 
 
 def _e_step(m: ScoreMatrix, patterns, mu, Sigma, D):
-    """Conditional expectations at (mu, Sigma), one pattern at a time.
+    """Conditional expectations at (mu, Sigma) in precision form (the
+    sweep identity; Little & Rubin 2002, ch. 11), one pattern at a time.
 
     Returns the completed matrix, the summed conditional covariance of the
     missing cells, and the penalized objective at (mu, Sigma).  One
-    Cholesky factor of Sigma gives log det Sigma, which the complete rows
-    and the prior read, and one triangular solve on it the prior's trace
-    and each row's r' Sigma_oo^-1 r: that is z' Sigma^-1 z for the
-    completed residual z, whose missing cells minimize it.  Each pattern
-    factors its observed block for its gain and log det.  Either factor
-    failing raises NumericalError: the block is a principal block of a
-    Sigma that has factored, so it has no failure of its own.
+    Cholesky factor of Sigma gives log det Sigma, read by every row and
+    the prior, the precision P, and one triangular solve the prior's trace
+    and each row's quadratic form.  A pattern with missing cells m factors
+    only P_mm: P_mm^-1 is its conditional covariance, mu_m - t_m P_mm^-1
+    its rows' means for t = r P, r the observed residual, and log det
+    Sigma_oo = log det Sigma + log det P_mm.  Either factor failing raises
+    NumericalError: P_mm is a principal block of a P that has factored.
     """
     factor = _cholesky(Sigma)
     if factor is None:
         raise NumericalError("EM covariance is singular")
     logdet = 2.0 * np.sum(np.log(np.diag(factor)))
+    P = _cho_inverse(factor)
+    t = np.where(m.mask, m.values - mu, 0.0) @ P
     completed = np.where(m.mask, m.values, 0.0)
     correction = np.zeros_like(Sigma)
-    objective = -0.5 * ((m.mask.all(axis=1).sum() + _PRIOR_NU) * logdet
+    objective = -0.5 * ((len(completed) + _PRIOR_NU) * logdet
                         + m.mask.sum() * np.log(2 * np.pi))
     for pat in patterns:
-        block = _cholesky(Sigma[pat.oo])
+        block = _cholesky(P[pat.mm])
         if block is None:
             raise NumericalError("EM covariance is singular")
         objective -= pat.rows.size * np.sum(np.log(np.diag(block)))
-        Smo = Sigma[pat.mo]
-        gain = _cho_solve(block, Smo.T).T
-        resid = pat.x_obs - mu[pat.obs]
-        completed[pat.rows_mis] = mu[pat.mis] + resid @ gain.T
-        cond_cov = Sigma[pat.mm] - gain @ Smo.T
-        cond_cov = 0.5 * (cond_cov + cond_cov.T)
+        cond_cov = _cho_inverse(block)
+        completed[pat.rows_mis] = mu[pat.mis] - t[pat.rows_mis] @ cond_cov
         correction[pat.mm] += pat.rows.size * cond_cov
     rhs = np.hstack([(completed - mu).T, np.diag(np.sqrt(_PRIOR_NU * D))])
     z = _lapack.dtrtrs(factor, rhs, lower=1)[0]
@@ -321,10 +312,10 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
     eigenvalues are all at least that floor, so every covariance EM
     touches is positive definite.  The E-step sweeps the distinct
     incomplete missingness patterns, not the rows: rows that miss the
-    same cells share one Cholesky factor of their observed block, for
-    their gain and its log det; one factor of Sigma per map gives the
-    rest of the penalized objective at the map's input, complete rows
-    included.
+    same cells m share one Cholesky factor of P_mm, the block of the
+    precision P = Sigma^-1, for their conditional moments and log det;
+    one factor of Sigma per map gives P and the rest of the penalized
+    objective at the map's input, complete rows included.
 
     Each cycle is one SQUAREM step (Varadhan & Roland 2008, scheme S3):
     two maps from theta0 give theta1 and theta2; with r and v the first

@@ -11,3 +11,13 @@ class DataError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical routine failed beyond its configured fallbacks."""
+
+
+class SingularRowError(NumericalError):
+    """Row `row`'s conditioning block is singular even with the ridge; the
+    message names the row by `name` when given, else by that index."""
+
+    def __init__(self, row: int, name: str | None = None):
+        super().__init__(f"conditioning block for row {name or row} is "
+                         "singular even with ridge")
+        self.row = row

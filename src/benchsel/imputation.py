@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from benchsel.errors import DataError, NumericalError
+from benchsel.errors import DataError, SingularRowError
 from benchsel.covariance import GaussianModel, _cho_solve, _cholesky
 from benchsel.score_matrix import _row_groups
 
@@ -62,10 +62,7 @@ def impute_rows(
             continue
         factor = _cholesky(Sigma[np.ix_(C, C)] + ridge * np.eye(C.size))
         if factor is None:
-            raise NumericalError(
-                f"conditioning block for row {int(rows[0])} is singular "
-                "even with ridge"
-            )
+            raise SingularRowError(int(rows[0]))
         Sxc = Sigma[:, C]
         x = _cho_solve(factor, (values[np.ix_(rows, C)] - mu[C]).T)
         predicted[rows] = mu + (Sxc @ x).T
@@ -110,10 +107,7 @@ def impute_prefixes(values, order, model: GaussianModel,
             pred += np.outer((x[:, c] - pred[:, j]) / s, col)
             out[t:end, rows] = pred
     if failed:
-        raise NumericalError(
-            f"conditioning block for row {min(failed)[1]} is singular "
-            "even with ridge"
-        )
+        raise SingularRowError(min(failed)[1])
     return out
 
 

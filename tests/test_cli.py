@@ -436,6 +436,24 @@ class TestImpute:
                      "--selected", "b0,b1", "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.startswith("numerical error: ")
 
+    def test_singular_conditioning_block_names_the_model(self, tmp_path,
+                                                          capsys):
+        # Row y observes both selected cells, and the indefinite model's
+        # block on them does not factor even with the ridge; row x
+        # observes one cell only, whose 1x1 block factors.
+        model_path = tmp_path / "model.json"
+        model_path.write_text(GaussianModel(
+            np.zeros(2), [[1.0, 1.5], [1.5, 1.0]], "full").to_json())
+        path = tmp_path / "in.csv"
+        path.write_text("model,a,b\nx,0.1,\ny,0.3,0.2\n")
+        out = tmp_path / "o"
+        assert main(["impute", str(path), "--model", str(model_path),
+                     "--selected", "a,b", "--out", str(out)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["numerical error: conditioning block for row 'y' is "
+                       "singular even with ridge"]
+        assert not out.exists()
+
     def test_negative_conditional_variance_exit_code(self, tmp_path, capsys):
         # The conditioning block [1] factors, but the model is not PSD: b's
         # conditional variance is 0.5 - 0.99**2 / 1.01 = -0.47.
