@@ -206,7 +206,7 @@ def _cholesky(a: np.ndarray):
 
     The factor is the one scipy.linalg.cho_factor(a, lower=True) returns,
     upper triangle left as in `a`, without its per-call checks: pass it
-    to _cho_solve, _cho_inverse or LAPACK's dtrtrs.
+    to _solve_lower or _cho_inverse.
     """
     global _lapack
     if _lapack is None:
@@ -215,9 +215,9 @@ def _cholesky(a: np.ndarray):
     return c if info == 0 else None
 
 
-def _cho_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """S^-1 rhs by LAPACK dpotrs, from the lower Cholesky factor of S."""
-    return _lapack.dpotrs(factor, rhs, lower=1)[0]
+def _solve_lower(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """L^-1 rhs by LAPACK dtrtrs; rhs when L is empty, which dtrtrs rejects."""
+    return _lapack.dtrtrs(factor, rhs, lower=1)[0] if len(factor) else rhs
 
 
 def _cho_inverse(factor: np.ndarray) -> np.ndarray:
@@ -269,7 +269,7 @@ def _e_step(m: ScoreMatrix, patterns, mu, Sigma, D):
         completed[pat.rows_mis] = mu[pat.mis] - t[pat.rows_mis] @ cond_cov
         correction[pat.mm] += pat.rows.size * cond_cov
     rhs = np.hstack([(completed - mu).T, np.diag(np.sqrt(_PRIOR_NU * D))])
-    z = _lapack.dtrtrs(factor, rhs, lower=1)[0]
+    z = _solve_lower(factor, rhs)
     return completed, correction, float(objective - 0.5 * np.sum(z * z))
 
 

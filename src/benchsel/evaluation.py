@@ -46,6 +46,8 @@ class CvConfig:
             raise DataError("folds must be >= 2")
         if self.k_max < 1:
             raise DataError("k_max must be >= 1")
+        if self.seed < 0:  # SeedSequence takes no negative entropy
+            raise DataError("seed must be >= 0")
         for p in self.holdout_fractions:
             if not 0 < p < 1:
                 raise DataError("holdout fractions must lie in (0, 1)")

@@ -13,7 +13,7 @@ from typing import NamedTuple
 import numpy as np
 
 from benchsel.errors import DataError, SingularRowError
-from benchsel.covariance import GaussianModel, _cho_solve, _cholesky
+from benchsel.covariance import GaussianModel, _cholesky, _solve_lower
 from benchsel.score_matrix import _row_groups
 
 STANDARDIZED_CLIP = 10.0
@@ -46,28 +46,19 @@ def impute_rows(
 
     Row i conditions on the selected columns it observed: a NaN in the
     standardized `values` is an unobserved cell, an infinite one an
-    error.  Rows with the same conditioning set C share one Cholesky
-    factor of Sigma_CC + ridge*I; with C empty a row gets the marginal
-    mean and variance.
+    error.  Rows with the same conditioning set C share one `_condition`:
+    their means are mu + W'G and their variances diag Sigma - sum_c G^2.
+    With C empty, G and W are empty: a row gets the marginal moments.
     """
     values, sel = _checked(values, selected, model, ridge)
-    mu, Sigma = model.mean, model.cov
+    mu, var = model.mean, np.diag(model.cov)
     sel = np.unique(sel)
-    var = np.diag(Sigma)
     predicted = np.tile(mu, (len(values), 1))
     cond_var = np.tile(var, (len(values), 1))
     for pattern, rows in _row_groups(~np.isnan(values[:, sel])):
-        C = sel[pattern]
-        if C.size == 0:
-            continue
-        factor = _cholesky(Sigma[np.ix_(C, C)] + ridge * np.eye(C.size))
-        if factor is None:
-            raise SingularRowError(int(rows[0]))
-        Sxc = Sigma[:, C]
-        x = _cho_solve(factor, (values[np.ix_(rows, C)] - mu[C]).T)
-        predicted[rows] = mu + (Sxc @ x).T
-        gain = _cho_solve(factor, Sxc.T)  # Scc^{-1} Sigma_C.
-        cond_var[rows] = var - np.sum(Sxc * gain.T, axis=1)
+        G, W = _condition(values, rows, sel[pattern], model, ridge)
+        predicted[rows] = mu + W.T @ G
+        cond_var[rows] = var - np.sum(G * G, axis=0)
     return BatchImputation(predicted, cond_var)
 
 
@@ -76,39 +67,45 @@ def impute_prefixes(values, order, model: GaussianModel,
     """Conditional means of every column for each prefix of `order`.
 
     Returns a (K, R, N) array whose out[k-1] is
-    impute_rows(values, order[:k], model, ridge).predicted, from one pass.
-    Conditioning on the pivots one at a time is the Cholesky of
-    Sigma_CC + ridge*I in pivot order, so each group of rows that observes
-    the same pivots keeps only the N x c factor columns: a pivot j takes
-    col = Sigma[:, j] - L L[j]' and s = col[j] + ridge, and moves the
-    group's means by (x_j - pred_j) / s * col.
+    impute_rows(values, order[:k], model, ridge).predicted.  Each group of
+    rows that observes the same pivots C takes one `_condition` on C in
+    pivot order: its means given the first c pivots are mu + W[:c]'G[:c],
+    so each pivot adds one outer product.  A singular block raises the
+    error of impute_rows' first failing prefix.
     """
     values, order = _checked(values, order, model, ridge)
     if np.unique(order).size != order.size:
         raise DataError("order repeats an index")
-    mu, Sigma = model.mean, model.cov
-    K, N = order.size, mu.size
-    out = np.tile(mu, (K, len(values), 1))
-    failed = []  # (pivot position, first row) of each singular group
+    out = np.tile(model.mean, (order.size, len(values), 1))
     for pattern, rows in _row_groups(~np.isnan(values[:, order])):
         steps = np.flatnonzero(pattern)
-        x = values[np.ix_(rows, order[steps])]
-        pred = np.tile(mu, (rows.size, 1))
-        L = np.empty((N, steps.size))
+        try:
+            G, W = _condition(values, rows, order[steps], model, ridge)
+        except SingularRowError:  # raise the per-k loop's error
+            for k in range(1, order.size + 1):
+                impute_rows(values, order[:k], model, ridge)
+            raise
+        pred = np.tile(model.mean, (rows.size, 1))
         # Pivot order[t] serves the prefixes up to the group's next pivot.
-        for c, (t, end) in enumerate(zip(steps, [*steps[1:], K])):
-            j = order[t]
-            col = Sigma[:, j] - L[:, :c] @ L[j, :c]
-            s = col[j] + ridge
-            if not s > 0:
-                failed.append((t, int(rows[0])))
-                break
-            L[:, c] = col / math.sqrt(s)
-            pred += np.outer((x[:, c] - pred[:, j]) / s, col)
+        for t, end, g, w in zip(steps, [*steps[1:], order.size], G, W):
+            pred += np.outer(w, g)
             out[t:end, rows] = pred
-    if failed:
-        raise SingularRowError(min(failed)[1])
     return out
+
+
+def _condition(values, rows, C, model: GaussianModel, ridge: float):
+    """(G, W) = L^-1 (Sigma[C, :], (x_C - mu_C)') for the rows `rows` from
+    one triangular solve, L the lower Cholesky factor of Sigma_CC + ridge*I
+    in C's order, so row c reads C[:c + 1] alone; an empty C factors none."""
+    mu, Sigma = model.mean, model.cov
+    if C.size == 0:
+        return np.empty((0, mu.size)), np.empty((0, rows.size))
+    factor = _cholesky(Sigma[C[:, None], C] + ridge * np.eye(C.size))
+    if factor is None:
+        raise SingularRowError(int(rows[0]))
+    rhs = np.concatenate((Sigma[C], (values[rows[:, None], C] - mu[C]).T), 1)
+    Z = _solve_lower(factor, rhs)
+    return Z[:, :mu.size], Z[:, mu.size:]
 
 
 def _checked(values, selected, model: GaussianModel, ridge: float):
@@ -122,10 +119,17 @@ def _checked(values, selected, model: GaussianModel, ridge: float):
         raise DataError("values must be finite or NaN")
     if not 0 <= ridge < math.inf:
         raise DataError("ridge must be finite and nonnegative")
-    sel = np.asarray(list(selected), dtype=int)
-    if sel.size and (sel.min() < 0 or sel.max() >= N):
-        raise DataError("selected index out of range")
-    return values, sel
+    return values, _indices(selected, N)
+
+
+def _indices(idx, N: int) -> np.ndarray:
+    """`idx` as an int array of integers in range(N): a float or a boolean
+    mask is refused, not truncated to a column."""
+    idx = np.asarray(list(idx))
+    if idx.size and (idx.dtype.kind not in "iu"
+                     or not 0 <= idx.min() <= idx.max() < N):
+        raise DataError(f"column indices must be integers in range({N})")
+    return idx.astype(int)
 
 
 def impute_row(
@@ -142,10 +146,10 @@ def impute_row(
     `selected`.  A one-row view of `impute_rows`.
     """
     N = model.mean.size
-    selected = sorted(set(int(j) for j in selected))
+    selected = np.unique(_indices(selected, N)).tolist()
     if targets is None:
         targets = [j for j in range(N) if j not in selected]
-    targets = sorted(set(int(j) for j in targets))
+    targets = np.unique(_indices(targets, N)).tolist()
     row = np.array([[obs.get(j, np.nan) for j in range(N)]])
     pred, cvar = impute_rows(row, selected, model, ridge)
     return ImputationResult(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from benchsel.covariance import (
-    _cho_inverse, _cho_solve, _cholesky, _cholesky_pivots)
+    _cho_inverse, _cholesky, _cholesky_pivots, _solve_lower)
 from benchsel.errors import DataError, NumericalError
 
 LOG_2PIE = math.log(2 * math.pi * math.e)
@@ -182,17 +182,14 @@ def _selection_path(S, factor, objective: str, k: int, order=()):
     `factor` is S's lower Cholesky factor.  Only the mi pivot rule reads
     P = S^-1 at every candidate, so only mi runs the recursion on [S, P].
     Every order takes P's residuals at its picks A from the pivots of
-    P_AA, which one solve against A's N x k selector gives.
+    P_AA = Y'Y, Y = L^-1 E_A from one solve against A's N x k selector.
     """
     mats = [S, _cho_inverse(factor)] if objective == "mi" else [S]
     order, _, trace, pivots = _pivoted_cholesky(
         mats, k, _pivot_rule(S, objective, order))
     A = list(order)
-    selector = np.zeros((len(S), len(A)))
-    selector[A, np.arange(len(A))] = 1.0
-    # dpotrs rejects an empty system
-    p_pivots = _cholesky_pivots(_cho_solve(factor, selector)[A]) if A else []
-    pivots = np.column_stack((pivots[:, 0], p_pivots))
+    Y = _solve_lower(factor, np.eye(len(S))[:, A])
+    pivots = np.column_stack((pivots[:, 0], _cholesky_pivots(Y.T @ Y)))
     logs = np.log(pivots, out=np.full(pivots.shape, math.nan), where=pivots > 0)
     entropy, mi = (np.concatenate(([0.0], np.cumsum(step))) for step in
                    (0.5 * (LOG_2PIE + logs[:, 0]), 0.5 * logs.sum(axis=1)))
@@ -394,15 +391,11 @@ def residual_trace(S: np.ndarray, A) -> float:
     S = _check_cov(S)
     N = S.shape[0]
     idx = np.asarray(sorted(A), dtype=int)
-    if idx.size == 0:
-        return float(np.trace(S))
     if idx.size == N:
         return 0.0
     comp = np.setdiff1d(np.arange(N), idx)
-    Saa = S[np.ix_(idx, idx)]
-    Sca = S[np.ix_(comp, idx)]
-    factor = _cholesky(Saa)
+    factor = _cholesky(S[np.ix_(idx, idx)])
     if factor is None:
         raise NumericalError("Sigma_AA is singular")
-    X = _cho_solve(factor, Sca.T)
-    return float(np.trace(S[np.ix_(comp, comp)]) - np.sum(Sca * X.T))
+    G = _solve_lower(factor, S[np.ix_(idx, comp)])
+    return float(np.trace(S[np.ix_(comp, comp)]) - np.sum(G * G))

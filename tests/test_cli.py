@@ -574,6 +574,16 @@ class TestCv:
         assert capsys.readouterr().err.startswith("data error: ")
         assert not (out / "cv_cells.csv").exists()
 
+    def test_negative_seed_exits_2(self, rank1_csv, tmp_path, capsys):
+        # SeedSequence rejects a negative seed with a ValueError, which
+        # ended `cv` in a traceback and exit 1.
+        out = tmp_path / "out"
+        assert main(["cv", rank1_csv, "--folds", "2", "--kmax", "1",
+                     "--methods", "entropy", "--seed", "-1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "data error: seed must be >= 0\n"
+        assert not (out / "cv_cells.csv").exists()
+
 
 class TestNormality:
     def test_gaussian_input(self, tmp_path):

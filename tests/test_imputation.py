@@ -114,6 +114,20 @@ class TestImputeRow:
         with pytest.raises(DataError):
             impute_row({0: 1.0}, selected=[0, 5], model=g, ridge=0.0)
 
+    @pytest.mark.parametrize("selected, targets", [
+        ([1.7], None), ([0], [2.0]), ([0], [True, False, True]),
+    ])
+    def test_non_integer_index_rejected(self, selected, targets):
+        # int() truncated 1.7 to column 1.
+        g = model_from(random_spd(3, seed=8))
+        with pytest.raises(DataError, match="integers"):
+            impute_row({0: 1.0}, selected, g, targets=targets)
+
+
+# A float, a boolean mask (which read as columns 1, 0, 1), a float among
+# integers and a numeric string: none is a column index.
+NON_INTEGER_INDICES = [[1.7], [True, False, True], [0, 2.0], ["1"]]
+
 
 def reference_impute_row(obs, selected, model, ridge, targets):
     """One row at a time: Cholesky of the conditioning block, two solves."""
@@ -188,6 +202,22 @@ class TestImputeRows:
         g = model_from(random_spd(3, seed=13))
         with pytest.raises(DataError):
             impute_rows(np.zeros((2, 4)), [0], g)
+
+    @pytest.mark.parametrize("selected", NON_INTEGER_INDICES)
+    def test_non_integer_index_rejected(self, selected):
+        with pytest.raises(DataError, match="integers"):
+            impute_rows(np.ones((2, 3)), selected,
+                        model_from(random_spd(3, seed=13)))
+
+    def test_integer_arrays_accepted(self):
+        g = model_from(random_spd(3, seed=13))
+        values = np.array([[0.5, np.nan, -1.0], [1.0, 2.0, np.nan]])
+        want = impute_rows(values, [0, 2], g)
+        for selected in (np.array([0, 2], np.int32), np.array([2, 0], np.uint8),
+                         (np.int64(0), 2)):
+            got = impute_rows(values, selected, g)
+            assert np.array_equal(got.predicted, want.predicted)
+            assert np.array_equal(got.cond_var, want.cond_var)
 
     # Columns 1 and 2 have an indefinite block that the ridge cannot
     # repair, so every conditioning set holding both is singular.
@@ -307,10 +337,42 @@ class TestImputePrefixes:
             impute_prefixes(np.ones((2, 3)), order,
                             model_from(random_spd(3, seed=7)))
 
+    @pytest.mark.parametrize("order", NON_INTEGER_INDICES)
+    def test_non_integer_order_rejected(self, order):
+        with pytest.raises(DataError, match="integers"):
+            impute_prefixes(np.ones((2, 3)), order,
+                            model_from(random_spd(3, seed=7)))
+
     def test_empty_order(self):
         out = impute_prefixes(np.ones((2, 3)), [],
                               model_from(random_spd(3, seed=8)))
         assert out.shape == (0, 2, 3)
+
+
+class TestOneFactorPerGroup:
+    """impute_rows and impute_prefixes factor Sigma_CC + ridge*I once per
+    group of rows that observe the same nonempty set C of the selected
+    columns; a group with C empty factors nothing."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(batch_cases(), st.randoms(use_true_random=False))
+    def test_factorizations_per_group(self, case, rnd):
+        values, selected, model, ridge = case
+        order = rnd.sample(selected, len(selected))
+        observed = {tuple(row) for row in ~np.isnan(values[:, selected])}
+        want = sorted(sum(row) for row in observed if any(row))
+        cholesky = imputation._cholesky
+        for impute, idx in ((impute_rows, selected), (impute_prefixes, order)):
+            sizes = []
+
+            def recording(a):
+                sizes.append(len(a))
+                return cholesky(a)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(imputation, "_cholesky", recording)
+                impute(values, idx, model, ridge)
+            assert sorted(sizes) == want, impute.__name__
 
 
 class TestConditionalSdCoverage:
