@@ -150,7 +150,8 @@ def impute_row(
     if targets is None:
         targets = [j for j in range(N) if j not in selected]
     targets = np.unique(_indices(targets, N)).tolist()
-    row = np.array([[obs.get(j, np.nan) for j in range(N)]])
+    row = np.full((1, N), np.nan)
+    row[0, _indices(obs, N)] = list(obs.values())
     pred, cvar = impute_rows(row, selected, model, ridge)
     return ImputationResult(
         {j: float(pred[0, j]) for j in targets},

@@ -126,7 +126,7 @@ class LogitParams:
 # digit gets through, so a NaN from the C reader marks an empty or blank cell,
 # and float() and the C reader (both PyOS_string_to_double) read each cell
 # to the same bits.
-_PLAIN_BYTES = b"0123456789eE+-. \t,\n"
+_PLAIN_BYTES = b"0123456789eE+-. \t,"
 
 
 def load_csv(source) -> ScoreMatrix:
@@ -136,20 +136,21 @@ def load_csv(source) -> ScoreMatrix:
     model name, then one cell per benchmark, each an ASCII decimal number
     or empty or whitespace-only (missing).  "NaN"/"NA" tokens are rejected as
     malformed, and so are quoted cells holding a comma and cells that parse
-    to a non-finite number ("inf", "-nan", "1e999").  Lines may end in LF
-    or CRLF.
+    to a non-finite number ("inf", "-nan", "1e999").  Lines may end in LF,
+    CRLF or CR.
     `source` may be a path, a text stream, a byte stream, or the CSV text
     itself; a str or bytes is CSV text when it holds a line break.
 
-    Two readers share this grammar.  Plain numeric text goes to numpy's C
-    reader in one call: every cell after the model name is an ASCII number
-    or empty, a model name may be quoted ("a,b" reads as a,b) if it holds no
-    quote itself, and a header line with quotes is read by the csv module.
-    The C reader first reads the cells as they are; only when that fails,
-    or a data row is a lone empty cell, does every empty cell become "nan"
-    for a second read.  The csv module reads every other file, cell by
-    cell, and reports the first fault; a file the fast reader cannot take
-    whole goes to it unchanged.
+    Two readers split the lines of this grammar, and one reads the
+    numbers.  Plain text is split with str methods: every cell after the
+    model name is ASCII numeric text or empty, a model name may be quoted
+    ("a,b" reads as a,b) if it holds no quote itself, and a header line with
+    quotes is read by the csv module.  The csv module splits every other
+    file.  Either way numpy's C reader reads all the numbers in one call:
+    first the cells as they are; only when that fails, or a data row is a
+    lone empty cell, does every empty cell become "nan" for a second read.
+    A file that read does not take is read row by row in file order, and
+    its first fault, a wrong cell count or a bad cell, is reported.
     """
     text = _read_text(source)
     try:
@@ -203,22 +204,31 @@ def _parse_plain(text: str):
                 return None
         models.append(model.strip())
         rests.append(rest)
+    values = _numbers(rests, len(header) - 1)
+    return None if values is None else (
+        values, tuple(models), tuple(c.strip() for c in header[1:]))
+
+
+def _numbers(rests, width: int):
+    """The len(rests) x width values of comma-separated numeric lines, read
+    by np.loadtxt with each empty or blank cell NaN; None when a line holds
+    anything else, or other than `width` cells, or a cell reads as inf."""
+    joined = ",".join(rests)
     # What is left once the plain bytes go; a non-ASCII character as "?".
-    if ("\n".join(rests).encode("ascii", "replace")
-            .translate(None, _PLAIN_BYTES)):
+    if joined.encode("ascii", "replace").translate(None, _PLAIN_BYTES):
         return None
     # A row of one empty cell (loadtxt skips a blank line) and any empty or
     # blank cell take a second read, with each one "nan", at a line's ends too.
     values = None if "" in rests else _loadtxt(rests)
     if values is None:
-        if " " in text or "\t" in text:
+        if " " in joined or "\t" in joined:
             rests = [re.sub(r",[ \t]+(?=,)", ",", f",{r},")[1:-1] for r in rests]
         values = _loadtxt([f",{rest},".replace(",,", ",nan,")
                            .replace(",,", ",nan,")[1:-1] for rest in rests])
-    if (values is None or values.shape != (len(rests), len(header) - 1)
+    if (values is None or values.shape != (len(rests), width)
             or np.isinf(values).any()):
         return None
-    return values, tuple(models), tuple(c.strip() for c in header[1:])
+    return values
 
 
 def _loadtxt(lines):
@@ -230,38 +240,21 @@ def _loadtxt(lines):
 
 
 def _parse_rows(text: str):
-    """(values, model names, benchmark names) read by the csv module, cell
-    by cell; DataError at the first fault."""
+    """(values, model names, benchmark names) of CSV text split by the csv
+    module; DataError at the first fault in file order."""
     rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows or len(rows[0]) < 2:
         raise DataError("CSV must have a header row with at least one benchmark")
-    names = [c.strip() for c in rows[0][1:]]
-
-    values, blanks = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(rows[0]):
-            raise DataError(
-                f"line {lineno}: expected {len(rows[0])} cells, got {len(row)}"
-            )
-        cells = row[1:]
-        joined = "".join(cells)
-        try:
-            # what _decimal rejects, tested once per row
-            if "_" in joined or not joined.isascii():
-                raise ValueError(joined)
-            values.append([float(c) if c.strip() else math.nan for c in cells])
-        except ValueError:
-            values.append(_parse_row(lineno, cells, names))
-        blanks.append(cells.count(""))
-    if not values:
+    if len(rows) < 2:
         raise DataError("CSV contains no data rows")
-    values = np.array(values, dtype=float)
-    missing = np.isnan(values)
-    # Parse again the rows with an inf or a NaN that no empty cell explains.
-    for i in np.flatnonzero(np.isinf(values).any(axis=1)
-                            | (missing.sum(axis=1) > blanks)):
-        _parse_row(i + 2, rows[i + 1][1:], names)
-    return values, tuple(row[0].strip() for row in rows[1:]), tuple(names)
+    names = tuple(c.strip() for c in rows[0][1:])
+    # Rows of the header's length only: a quoted comma must not pass as a cell.
+    rests = [",".join(r[1:]) for r in rows[1:] if len(r) == len(rows[0])]
+    values = None if len(rests) < len(rows) - 1 else _numbers(rests, len(names))
+    if values is None:  # the first fault in file order, if there is one
+        values = [_parse_row(n, r, names) for n, r in enumerate(rows[1:], 2)]
+    return (np.asarray(values, dtype=float),
+            tuple(row[0].strip() for row in rows[1:]), names)
 
 
 def _decimal(text: str) -> float:
@@ -272,10 +265,14 @@ def _decimal(text: str) -> float:
     return float(text)
 
 
-def _parse_row(lineno, cells, names) -> list[float]:
-    """Parse stripped cells one by one; raise DataError at a bad one."""
+def _parse_row(lineno, row, names) -> list[float]:
+    """Parse a row's stripped cells one by one; raise DataError at a wrong
+    cell count or at a bad cell."""
+    if len(row) != len(names) + 1:
+        raise DataError(
+            f"line {lineno}: expected {len(names) + 1} cells, got {len(row)}")
     out = []
-    for name, cell in zip(names, map(str.strip, cells)):
+    for name, cell in zip(names, map(str.strip, row[1:])):
         where = f"line {lineno}, column {name!r}: "
         if "," in cell:
             raise DataError(where + "quoted comma cells are not supported")
@@ -369,11 +366,13 @@ def _column_pass(values: np.ndarray):
 def _row_groups(observed: np.ndarray):
     """(pattern, rows) for each distinct row of a boolean matrix, in the
     order of each pattern's first row; `rows` ascend."""
-    patterns, first, inverse = np.unique(
-        observed, axis=0, return_index=True, return_inverse=True)
-    inverse = inverse.ravel()
+    # Each row's void key: a zero byte (a key when N = 0), then its bits.
+    keys = np.zeros((len(observed), (observed.shape[1] + 15) // 8), np.uint8)
+    keys[:, 1:] = np.packbits(observed, axis=1)
+    _, first, inverse = np.unique(keys.view(f"V{keys.shape[1]}").ravel(),
+                                  return_index=True, return_inverse=True)
     for k in np.argsort(first):
-        yield patterns[k], np.flatnonzero(inverse == k)
+        yield observed[first[k]], np.flatnonzero(inverse == k)
 
 
 def _require_two_cells(m: ScoreMatrix) -> None:

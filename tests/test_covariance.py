@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 from scipy.linalg import lapack
-from scipy.linalg.lapack import dpotrs, dtrtrs
+from scipy.linalg.lapack import dtrtrs
 
 from benchsel import covariance
 from benchsel.covariance import (
@@ -489,6 +489,7 @@ def rel_close(a, b, rel):
     return np.abs(a - b).max() <= rel * np.abs(b).max()
 
 
+@pytest.mark.fresh_draws
 class TestCompleteClosedForm:
     """On a complete matrix em_fit returns the EM map's fixed point."""
 
@@ -509,6 +510,7 @@ class TestCompleteClosedForm:
 
 
 class TestEmPatternSweep:
+    @pytest.mark.fresh_draws
     @settings(max_examples=30, deadline=None)
     @given(em_matrices(), st.integers(0, 3))
     # One pattern per row, up to 10 of 12 cells missing.
@@ -539,6 +541,7 @@ class TestEmPatternSweep:
             assert abs(got_ll - want_ll) <= tol * (abs(want_ll) + m.mask.sum())
             mu, Sigma = want_mu, want_S
 
+    @pytest.mark.fresh_draws
     @settings(max_examples=50, deadline=None)
     @given(em_matrices())
     @example(_no_complete_rows_example())
@@ -647,8 +650,7 @@ def count_factors(mp, sizes, solves, inverses):
 
     mp.setattr(covariance, "_cholesky", recording)
     mp.setattr(covariance, "_lapack", SimpleNamespace(
-        dpotrf=lapack.dpotrf, dpotrs=lapack.dpotrs, dtrtrs=dtrtrs_recording,
-        dpotri=dpotri_recording))
+        dpotrf=lapack.dpotrf, dtrtrs=dtrtrs_recording, dpotri=dpotri_recording))
 
 
 class TestOneFactorOfSigma:
@@ -656,6 +658,7 @@ class TestOneFactorOfSigma:
     P_mm of the precision once; complete rows form no pattern and factor
     nothing."""
 
+    @pytest.mark.fresh_draws
     @settings(max_examples=40, deadline=None)
     @given(em_matrices())
     @example(mcar_matrix(30, 4, 0.2, seed=6, complete_rows=5)[0])
@@ -765,7 +768,7 @@ def factor_cases(draw):
 
 
 class TestCholeskyHelper:
-    """`_cholesky` with dpotrs/dtrtrs gives scipy's front ends' bits."""
+    """`_cholesky` with dtrtrs gives scipy's front ends' bits."""
 
     @settings(max_examples=300, deadline=None)
     @given(factor_cases())
@@ -780,14 +783,13 @@ class TestCholeskyHelper:
             assert got is None
             return
         assert got is not None and same_bits(got, want[0])
-        assert same_bits(dpotrs(got, rhs, lower=1)[0],
-                         linalg.cho_solve(want, rhs))
         assert same_bits(dtrtrs(got, rhs, lower=1)[0],
                          linalg.solve_triangular(want[0], rhs, lower=True))
         # The E-step and impute_rows read their right-hand sides again
         # after the solves.
         assert same_bits(rhs, before[1])
 
+    @pytest.mark.fresh_draws
     @settings(max_examples=300, deadline=None)
     @given(factor_cases())
     def test_cho_inverse_matches_cho_solve(self, case):

@@ -520,6 +520,7 @@ class TestPathMetricsInCv:
             assert cells == pytest.approx(np.cumsum(greedy_mi(Sigma, 3).gains),
                                           rel=1e-12)
 
+    @pytest.mark.fresh_draws
     @settings(max_examples=60, deadline=None)
     @given(cv_cases())
     def test_each_method_runs_one_recursion(self, case):

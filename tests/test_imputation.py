@@ -123,6 +123,23 @@ class TestImputeRow:
         with pytest.raises(DataError, match="integers"):
             impute_row({0: 1.0}, selected, g, targets=targets)
 
+    @pytest.mark.parametrize("obs", [{1.5: 2.0}, {7: 2.0}, {True: 2.0},
+                                     {0: 1.0, 2.0: 1.0}],
+                             ids=["float", "out-of-range", "bool", "mixed"])
+    def test_bad_obs_key_rejected(self, obs):
+        # Keys 1.5 and 7 were ignored, so the row conditioned on nothing,
+        # and True read as column 1.
+        g = model_from(random_spd(2, seed=8))
+        with pytest.raises(DataError, match=r"^column indices must be "
+                           r"integers in range\(2\)$"):
+            impute_row(obs, [0, 1], g)
+
+    def test_numpy_integer_obs_keys_accepted(self):
+        g = model_from(random_spd(3, seed=8))
+        want = impute_row({0: 0.5, 2: -1.0}, [0, 2], g)
+        got = impute_row({np.int64(0): 0.5, np.uint8(2): -1.0}, [0, 2], g)
+        assert got == want
+
 
 # A float, a boolean mask (which read as columns 1, 0, 1), a float among
 # integers and a numeric string: none is a column index.
@@ -168,6 +185,7 @@ def batch_cases(draw):
 
 
 class TestImputeRows:
+    @pytest.mark.fresh_draws
     @settings(max_examples=200, deadline=None)
     @given(batch_cases())
     def test_matches_per_row(self, case):
@@ -279,6 +297,7 @@ def singular_name(fn):
 
 
 class TestImputePrefixes:
+    @pytest.mark.fresh_draws
     @settings(max_examples=200, deadline=None)
     @given(batch_cases(), st.randoms(use_true_random=False))
     def test_every_prefix_matches_impute_rows(self, case, rnd):
@@ -354,6 +373,7 @@ class TestOneFactorPerGroup:
     group of rows that observe the same nonempty set C of the selected
     columns; a group with C empty factors nothing."""
 
+    @pytest.mark.fresh_draws
     @settings(max_examples=100, deadline=None)
     @given(batch_cases(), st.randoms(use_true_random=False))
     def test_factorizations_per_group(self, case, rnd):

@@ -113,6 +113,60 @@ class TestLoadCsv:
     def test_wrong_cell_count(self):
         with pytest.raises(DataError, match="expected"):
             load_csv("model,b0,b1\na,1\nb,3,4\n")
+        # A quoted comma does not make up for the missing cell.
+        with pytest.raises(DataError, match="^line 2: expected 3 cells, got 2$"):
+            load_csv('model,b0,b1\na,"1,5"\nb,3,4\n')
+
+    @pytest.mark.parametrize("eol", ["\n", "\r"])
+    @pytest.mark.parametrize("later", ["m3,1", "m3,1,xx", "m3,1,2\nm4"],
+                             ids=["short-row", "bad-cell", "one-cell-row"])
+    @pytest.mark.parametrize("token,message", [
+        ("inf", "non-finite value 'inf' is not a valid score"),
+        ("1e999", "non-finite value '1e999' is not a valid score"),
+        ("nan", "token 'nan' is not a valid missing-cell encoding (use an "
+         "empty cell)")], ids=["inf", "1e999", "nan"])
+    def test_first_fault_in_file_order(self, eol, later, token, message):
+        # A later short row or bad cell was reported in place of the
+        # non-finite cell on line 2.
+        text = f"model,a,b\nm1,{token},2\nm2,1,2\n{later}\n"
+        with pytest.raises(DataError) as exc:
+            load_csv(text.replace("\n", eol))
+        assert str(exc.value) == "line 2, column 'a': " + message
+
+    @pytest.mark.parametrize("form", ["bare-cr", "quote-in-name",
+                                      "quoted-numbers"])
+    def test_csv_split_files_take_the_number_read(self, form):
+        # Files that only the csv module splits: their numbers are read in
+        # one call, not cell by cell, to the bits of the plain file.
+        rng = np.random.default_rng(4)
+        mask = rng.random((9, 4)) > 0.3
+        mask[:2] = True
+        mask[~mask.any(axis=1), 0] = True
+        m = make_matrix(np.where(mask, rng.normal(size=mask.shape), np.nan),
+                        mask)
+        names = m.model_names
+        if form == "quote-in-name":
+            names = (*names[:3], 'm"3', *names[4:])
+        buf = io.StringIO()
+        if form == "quoted-numbers":
+            writer = csv.writer(buf, lineterminator="\n",
+                                quoting=csv.QUOTE_ALL)
+            writer.writerow(["model", *m.benchmark_names])
+            writer.writerows([n, *("" if np.isnan(v) else repr(v) for v in row)]
+                             for n, row in zip(names, m.values.tolist()))
+        else:
+            write_csv(ScoreMatrix(m.values, m.mask, names,
+                                  m.benchmark_names), buf)
+        text = buf.getvalue()
+        if form == "bare-cr":
+            text = text.replace("\n", "\r")
+        assert score_matrix._parse_plain(text) is None
+        with mock.patch.object(score_matrix, "_parse_row",
+                               side_effect=AssertionError("cell loop ran")):
+            back = load_csv(text)
+        assert back.values.tobytes() == m.values.tobytes()
+        assert back.model_names == names
+        assert back.benchmark_names == m.benchmark_names
 
     def test_byte_stream(self):
         m = load_csv(io.BytesIO(CSV_FULL.encode()))
@@ -191,9 +245,10 @@ def _load_outcome(text):
             m.benchmark_names)
 
 
+@pytest.mark.fresh_draws
 class TestCsvReaders:
-    """load_csv reads plain numeric text with np.loadtxt and the rest with
-    the csv module; both must read every file alike."""
+    """load_csv splits plain numeric text with str methods and the rest
+    with the csv module; both must read every file alike."""
 
     @settings(max_examples=600, deadline=None)
     @given(st.data())
@@ -433,6 +488,46 @@ class TestWriteTable:
     def test_matches_csv_writer(self, header, rows):
         assert (_rendering(write_table, header, rows)
                 == _rendering(reference_write_table, header, rows))
+
+
+def reference_row_groups(observed):
+    """_row_groups by np.unique over the rows of the boolean matrix."""
+    patterns, first, inverse = np.unique(
+        observed, axis=0, return_index=True, return_inverse=True)
+    inverse = inverse.ravel()
+    return [(patterns[k], np.flatnonzero(inverse == k))
+            for k in np.argsort(first)]
+
+
+@st.composite
+def boolean_masks(draw):
+    """Boolean matrices of 0 to 12 rows and 0 to 20 columns, with few or
+    many distinct rows, laid out in C order, in Fortran order or as a
+    strided view."""
+    M, N = draw(st.integers(0, 12)), draw(st.integers(0, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = rng.random((draw(st.integers(1, 4)), 2 * N)) < draw(
+        st.floats(0, 1))
+    wide = kinds[rng.integers(len(kinds), size=M)]
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "strided":
+        return wide[:, ::2]
+    return np.asarray(wide[:, :N], order=layout)
+
+
+class TestRowGroups:
+    @settings(max_examples=300, deadline=None)
+    @given(boolean_masks())
+    @example(np.ones((3, 0), bool))
+    @example(np.ones((0, 3), bool))
+    @example(np.zeros((5, 16), bool))
+    def test_matches_np_unique_over_rows(self, observed):
+        got = list(score_matrix._row_groups(observed))
+        want = reference_row_groups(observed)
+        assert len(got) == len(want)
+        for (p, rows), (p_want, rows_want) in zip(got, want):
+            assert p.dtype == bool and np.array_equal(p, p_want)
+            assert np.array_equal(rows, rows_want)
 
 
 class TestInvariants:

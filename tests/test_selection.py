@@ -488,6 +488,7 @@ def full_rank_paths(draw):
     return A @ A.T, order
 
 
+@pytest.mark.fresh_draws
 class TestPathMetrics:
     @settings(max_examples=200, deadline=None)
     @given(full_rank_paths())
@@ -549,6 +550,7 @@ def ill_conditioned_paths(draw):
     return (Q * w) @ Q.T * draw(st.floats(1e-3, 1e3)), order
 
 
+@pytest.mark.fresh_draws
 class TestPrecisionOnThePicks:
     """path_metrics reads P = Sigma^-1 only on the picks, from one solve
     against Sigma's factor, and agrees with the shared [Sigma, P]
@@ -593,6 +595,7 @@ class TestPrecisionOnThePicks:
         assert {(9, 9), (1, 0), (9, 3), (2, 1), (5, 4)} <= set(failed_at)
 
 
+@pytest.mark.fresh_draws
 class TestNystromBound:
     """Whatever k elements are picked, the residual trace is at least the
     sum of the N - k smallest eigenvalues of Sigma (Harbrecht, Peters &
@@ -633,6 +636,7 @@ def padded_spd(draw):
     return S, padded, subset
 
 
+@pytest.mark.fresh_draws
 class TestSingularSigma:
     """greedy_mi, path_metrics and mi_value take a positive definite Sigma;
     a singular one raises NumericalError, with no eigenvalue clamp."""
