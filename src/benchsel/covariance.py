@@ -172,25 +172,30 @@ def to_correlation(S: np.ndarray) -> np.ndarray:
     return R
 
 
-class _Pattern(NamedTuple):
-    """One distinct mask row that misses a cell: its missing columns, its
-    rows in file order, and the np.ix_ gathers of its block of the
-    precision and of its missing cells, built once per fit."""
+class _Stack(NamedTuple):
+    """The G distinct mask rows that miss k cells: their (G, k) missing
+    columns, each row's pattern, each pattern's row count, the flat N x N
+    indices of their (G, k, k) blocks, and the gather of the rows' cells."""
 
     mis: np.ndarray
-    rows: np.ndarray
-    mm: tuple
+    of_row: np.ndarray
+    counts: np.ndarray
+    mm: np.ndarray
     rows_mis: tuple
 
 
-def _missingness_patterns(m: ScoreMatrix) -> list[_Pattern]:
-    """Distinct mask rows that miss a cell, ordered by the first row that
-    has each; complete rows form no pattern."""
+def _missingness_stacks(m: ScoreMatrix) -> list[_Stack]:
+    """The distinct mask rows that miss a cell, stacked by how many they
+    miss, fewest first, each stack in the order of its first rows."""
+    groups = [(np.flatnonzero(~p), rows) for p, rows in _row_groups(m.mask)]
     out = []
-    for pattern, rows in _row_groups(m.mask):
-        mis = np.flatnonzero(~pattern)
-        if mis.size:
-            out.append(_Pattern(mis, rows, np.ix_(mis, mis), np.ix_(rows, mis)))
+    for k in sorted({mis.size for mis, _ in groups} - {0}):
+        mis, rows = zip(*(g for g in groups if g[0].size == k))
+        mis, counts = np.array(mis), np.array([r.size for r in rows])
+        of_row = np.repeat(np.arange(len(mis)), counts)
+        out.append(_Stack(mis, of_row, counts,
+                          mis[:, :, None] * m.shape[1] + mis[:, None],
+                          (np.concatenate(rows)[:, None], mis[of_row])))
     return out
 
 
@@ -236,19 +241,27 @@ def _cholesky_pivots(a: np.ndarray) -> np.ndarray:
     return pivots
 
 
-def _e_step(m: ScoreMatrix, patterns, mu, Sigma, D):
+def _stacked_cholesky(blocks: np.ndarray) -> np.ndarray:
+    """Cholesky factors of a (G, k, k) stack; NumericalError if one fails."""
+    try:
+        return np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError:
+        raise NumericalError("EM covariance is singular") from None
+
+
+def _e_step(m: ScoreMatrix, stacks, mu, Sigma, D):
     """Conditional expectations at (mu, Sigma) in precision form (the
-    sweep identity; Little & Rubin 2002, ch. 11), one pattern at a time.
+    sweep identity; Little & Rubin 2002, ch. 11), one stack at a time.
 
     Returns the completed matrix, the summed conditional covariance of the
     missing cells, and the penalized objective at (mu, Sigma).  One
     Cholesky factor of Sigma gives log det Sigma, read by every row and
     the prior, the precision P, and one triangular solve the prior's trace
-    and each row's quadratic form.  A pattern with missing cells m factors
-    only P_mm: P_mm^-1 is its conditional covariance, mu_m - t_m P_mm^-1
-    its rows' means for t = r P, r the observed residual, and log det
-    Sigma_oo = log det Sigma + log det P_mm.  Either factor failing raises
-    NumericalError: P_mm is a principal block of a P that has factored.
+    and each row's quadratic form.  Rows missing the cells m need only
+    P_mm: P_mm^-1 is their conditional covariance, mu_m - t_m P_mm^-1
+    their means for t = r P, r the observed residual, and log det Sigma_oo
+    = log det Sigma + log det P_mm.  Each stack factors and inverts its
+    blocks P_mm in one call each; a failure raises Sigma's NumericalError.
     """
     factor = _cholesky(Sigma)
     if factor is None:
@@ -257,29 +270,30 @@ def _e_step(m: ScoreMatrix, patterns, mu, Sigma, D):
     P = _cho_inverse(factor)
     t = np.where(m.mask, m.values - mu, 0.0) @ P
     completed = np.where(m.mask, m.values, 0.0)
-    correction = np.zeros_like(Sigma)
+    correction = np.zeros(Sigma.size)
     objective = -0.5 * ((len(completed) + _PRIOR_NU) * logdet
                         + m.mask.sum() * np.log(2 * np.pi))
-    for pat in patterns:
-        block = _cholesky(P[pat.mm])
-        if block is None:
-            raise NumericalError("EM covariance is singular")
-        objective -= pat.rows.size * np.sum(np.log(np.diag(block)))
-        cond_cov = _cho_inverse(block)
-        completed[pat.rows_mis] = mu[pat.mis] - t[pat.rows_mis] @ cond_cov
-        correction[pat.mm] += pat.rows.size * cond_cov
+    for s in stacks:
+        blocks = _stacked_cholesky(P.take(s.mm))
+        objective -= s.counts @ np.log(np.diagonal(blocks, 0, 1, 2)).sum(1)
+        inv = np.linalg.inv(blocks)
+        cond_cov = inv.transpose(0, 2, 1) @ inv
+        completed[s.rows_mis] = mu[s.rows_mis[1]] - np.einsum(
+            "rk,rkl->rl", t[s.rows_mis], cond_cov[s.of_row])
+        np.add.at(correction, s.mm, s.counts[:, None, None] * cond_cov)
     rhs = np.hstack([(completed - mu).T, np.diag(np.sqrt(_PRIOR_NU * D))])
     z = _solve_lower(factor, rhs)
-    return completed, correction, float(objective - 0.5 * np.sum(z * z))
+    return (completed, correction.reshape(Sigma.shape),
+            float(objective - 0.5 * np.sum(z * z)))
 
 
-def _em_map(m: ScoreMatrix, patterns, mu, Sigma, D):
+def _em_map(m: ScoreMatrix, stacks, mu, Sigma, D):
     """One EM update under the prior: E-step, then the posterior-mode
     M-step Sigma' = (scatter + correction + nu diag(D)) / (M + nu).
 
     Returns (mu', Sigma', penalized objective at (mu, Sigma)).
     """
-    completed, correction, objective = _e_step(m, patterns, mu, Sigma, D)
+    completed, correction, objective = _e_step(m, stacks, mu, Sigma, D)
     return (*_m_step(completed, correction, D), objective)
 
 
@@ -311,11 +325,12 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
     Sigma' = (scatter + correction + nu diag(D)) / (M + nu), whose
     eigenvalues are all at least that floor, so every covariance EM
     touches is positive definite.  The E-step sweeps the distinct
-    incomplete missingness patterns, not the rows: rows that miss the
-    same cells m share one Cholesky factor of P_mm, the block of the
-    precision P = Sigma^-1, for their conditional moments and log det;
-    one factor of Sigma per map gives P and the rest of the penalized
-    objective at the map's input, complete rows included.
+    incomplete missingness patterns, not the rows, stacked by how many
+    cells they miss: the patterns that miss k cells share one stacked
+    Cholesky factorization of their blocks P_mm of the precision
+    P = Sigma^-1, for their conditional moments and log det; one factor
+    of Sigma per map gives P and the rest of the penalized objective at
+    the map's input, complete rows included.
 
     Each cycle is one SQUAREM step (Varadhan & Roland 2008, scheme S3):
     two maps from theta0 give theta1 and theta2; with r and v the first
@@ -347,15 +362,15 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
     floor = _PRIOR_NU * D.min() / (m.shape[0] + _PRIOR_NU)
     Sigma = psd_project(Sigma, floor)
 
-    patterns = _missingness_patterns(m)
+    stacks = _missingness_stacks(m)
     loglik_trace: list[float] = []
     converged = False
     it = 0
     for it in range(1, cfg.max_iter + 1):
-        mu1, S1, ll0 = _em_map(m, patterns, mu, Sigma, D)
+        mu1, S1, ll0 = _em_map(m, stacks, mu, Sigma, D)
         if it > 1:
             loglik_trace.append(ll0)
-        mu2, S2, ll1 = _em_map(m, patterns, mu1, S1, D)
+        mu2, S2, ll1 = _em_map(m, stacks, mu1, S1, D)
         r_mu, r_S = mu1 - mu, S1 - Sigma
         v_mu, v_S = mu2 - mu1 - r_mu, S2 - S1 - r_S
         nr = np.sqrt(r_mu @ r_mu + np.sum(r_S * r_S))
@@ -363,7 +378,7 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
         alpha = -max(nr / nv, 1.0) if nv > 0 else -1.0
         mu_x = mu - 2 * alpha * r_mu + alpha**2 * v_mu
         S_x = Sigma - 2 * alpha * r_S + alpha**2 * v_S
-        mu3, S3, ll_x = _em_map(m, patterns, mu_x, psd_project(S_x, floor), D)
+        mu3, S3, ll_x = _em_map(m, stacks, mu_x, psd_project(S_x, floor), D)
         mu_new, Sigma_new = (mu3, S3) if ll_x >= ll1 else (mu2, S2)
 
         denom = np.linalg.norm(Sigma, "fro")
@@ -372,7 +387,7 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
         if change < cfg.rel_tol:
             converged = True
             break
-    loglik_trace.append(_e_step(m, patterns, mu, Sigma, D)[2])
+    loglik_trace.append(_e_step(m, stacks, mu, Sigma, D)[2])
 
     return GaussianModel(
         mu, Sigma, "em", em_iterations=it, converged=converged,

@@ -431,6 +431,22 @@ def _chain_of_windows_example():
     return make_matrix(np.where(mask, X, np.nan), mask)
 
 
+def _shared_cell_example():
+    """A fixed 16x5 matrix whose rows, in a shuffled order, miss {0, 1}
+    and {1, 2} (three rows each), {1} and {2, 3, 4} (two rows each), or
+    nothing (six rows): two patterns of one size and one of another add
+    into the same cells of the correction."""
+    rng = np.random.default_rng(29)
+    missing = ([()] * 6 + [(0, 1)] * 3 + [(1, 2)] * 3 + [(1,)] * 2
+               + [(2, 3, 4)] * 2)
+    mask = np.ones((16, 5), dtype=bool)
+    for row, mis in zip(rng.permutation(16), missing):
+        mask[row, list(mis)] = False
+    A = rng.normal(size=(5, 5))
+    X = rng.multivariate_normal(np.zeros(5), A @ A.T + np.eye(5), size=16)
+    return make_matrix(np.where(mask, X, np.nan), mask)
+
+
 def _no_complete_rows_example():
     """A fixed 24x5 mask with no complete row: row i misses column i % 5,
     and 30% of the other cells are missing at random."""
@@ -500,7 +516,7 @@ class TestCompleteClosedForm:
         assert (g.em_iterations, g.converged, g.loglik_trace) == (0, True, ())
         _, _, D = reference_em_init(m)
         mu, Sigma, _ = covariance._em_map(
-            m, covariance._missingness_patterns(m), g.mean, g.cov, D)
+            m, covariance._missingness_stacks(m), g.mean, g.cov, D)
         assert rel_close(mu, g.mean, 1e-12)
         assert rel_close(Sigma, g.cov, 1e-12)
         ref = reference_em_fit(m, EmConfig())
@@ -517,6 +533,9 @@ class TestEmPatternSweep:
     @example(mcar_matrix(40, 12, 0.5, seed=3)[0], 1)
     # Three patterns, none complete, missing 4 cells each.
     @example(_chain_of_windows_example(), 1)
+    # Two patterns of one size that share a missing cell, and a third
+    # pattern of another size that shares it too, each on several rows.
+    @example(_shared_cell_example(), 1)
     def test_matches_per_row_reference(self, m, stride):
         # One EM map at the start and at several iterates of plain EM: the
         # pattern-grouped E-step and M-step against the 40-digit
@@ -525,7 +544,7 @@ class TestEmPatternSweep:
         # ORACLE_C cond(Sigma) eps of its scale: |mu'| plus the largest
         # sd, |Sigma'|, and |objective| plus the observed cell count, as
         # each cell adds a log 2 pi and a log det term of order one.
-        patterns = covariance._missingness_patterns(m)
+        patterns = covariance._missingness_stacks(m)
         mu, Sigma, D = reference_em_init(m)
         for step in range(5):
             for _ in range(stride if step else 0):
@@ -583,10 +602,10 @@ class TestEmPatternSweep:
         mu, Sigma, D = reference_em_init(m)
         mu, Sigma = reference_em_map(m, mu, Sigma, D)
         got = covariance._em_map(
-            pm, covariance._missingness_patterns(pm), mu, Sigma, D
+            pm, covariance._missingness_stacks(pm), mu, Sigma, D
         )
         want = covariance._em_map(
-            m, covariance._missingness_patterns(m), mu, Sigma, D
+            m, covariance._missingness_stacks(m), mu, Sigma, D
         )
         for a, b in zip(got[:2], want[:2]):
             assert np.max(np.abs(a - b)) <= 1e-10 * max(1.0, np.max(np.abs(b)))
@@ -607,11 +626,13 @@ class TestEmPatternSweep:
             assert np.max(np.abs(a - b)) <= 1e-6 * np.max(np.abs(b))
 
     def test_singular_pattern_block_raises(self, monkeypatch):
-        # Patterns missing one and two of four cells.  A principal block
-        # of a precision that has factored is positive definite too, so a
-        # failing factor of a block P_mm is simulated: every 2x2
-        # factorization fails.  It has no cause apart from Sigma, so it
-        # gets Sigma's message.
+        # Patterns missing one and two of four cells, the two-cell stack
+        # holding two blocks.  A principal block of a precision that has
+        # factored is positive definite too, so a failing factor of a
+        # block P_mm is simulated: every 2x2 block, then only the later
+        # one, is made negative definite before the stacked
+        # factorization.  It has no cause apart from Sigma, so it gets
+        # Sigma's message.
         rng = np.random.default_rng(40)
         vals = rng.normal(size=(9, 4))
         mask = np.ones((9, 4), dtype=bool)
@@ -619,21 +640,28 @@ class TestEmPatternSweep:
         mask[[5, 8], 2:] = False
         mask[[6, 7], :2] = False
         m = make_matrix(np.where(mask, vals, np.nan), mask)
-        cholesky = covariance._cholesky
+        assert [s.mis.shape for s in covariance._missingness_stacks(m)] == [
+            (1, 1), (2, 2)]
+        stacked_cholesky = covariance._stacked_cholesky
+        for failing in (slice(None), -1):
+            def singular_pairs(blocks, failing=failing):
+                if blocks.shape[1:] == (2, 2):
+                    blocks = blocks.copy()
+                    blocks[failing] *= -1.0
+                return stacked_cholesky(blocks)
 
-        def singular_pairs(a):
-            return None if a.shape == (2, 2) else cholesky(a)
-
-        monkeypatch.setattr(covariance, "_cholesky", singular_pairs)
-        with pytest.raises(NumericalError,
-                           match="^EM covariance is singular$"):
-            em_fit(m, EmConfig())
+            monkeypatch.setattr(covariance, "_stacked_cholesky",
+                                singular_pairs)
+            with pytest.raises(NumericalError,
+                               match="^EM covariance is singular$"):
+                em_fit(m, EmConfig())
 
 
-def count_factors(mp, sizes, solves, inverses):
+def count_factors(mp, sizes, solves, inverses, stacked):
     """From now on, record the order of each matrix that covariance's
-    _cholesky factors in `sizes`, each triangular solve in `solves` and
-    the order of each inverse from a factor in `inverses`."""
+    _cholesky factors in `sizes`, each triangular solve in `solves`, the
+    order of each inverse from a factor in `inverses`, and the name and
+    shape of each stack that numpy's cholesky or inv takes in `stacked`."""
     cholesky = covariance._cholesky
 
     def recording(a):
@@ -648,31 +676,48 @@ def count_factors(mp, sizes, solves, inverses):
         inverses.append(len(args[0]))
         return lapack.dpotri(*args, **kwargs)
 
+    def stacked_recording(name):
+        routine = getattr(np.linalg, name)
+
+        def record(a):
+            stacked.append((name, a.shape))
+            return routine(a)
+        return record
+
     mp.setattr(covariance, "_cholesky", recording)
     mp.setattr(covariance, "_lapack", SimpleNamespace(
         dpotrf=lapack.dpotrf, dtrtrs=dtrtrs_recording, dpotri=dpotri_recording))
+    for name in ("cholesky", "inv"):
+        mp.setattr(np.linalg, name, stacked_recording(name))
 
 
 class TestOneFactorOfSigma:
-    """An EM map factors and inverts Sigma once, and each pattern's block
-    P_mm of the precision once; complete rows form no pattern and factor
-    nothing."""
+    """An EM map factors and inverts Sigma once.  The incomplete patterns
+    that miss k cells share one stacked factorization of their blocks
+    P_mm of the precision and one stacked inverse of those factors, one
+    pair per distinct k and none per pattern; complete rows form no
+    pattern and factor nothing."""
 
     @pytest.mark.fresh_draws
     @settings(max_examples=40, deadline=None)
     @given(em_matrices())
     @example(mcar_matrix(30, 4, 0.2, seed=6, complete_rows=5)[0])
+    @example(_shared_cell_example())
     def test_factorizations_per_map(self, m):
-        patterns = covariance._missingness_patterns(m)
+        stacks = covariance._missingness_stacks(m)
         mu, Sigma, D = reference_em_init(m)
-        sizes, solves, inverses = [], [], []
+        sizes, solves, inverses, stacked = [], [], [], []
         with pytest.MonkeyPatch.context() as mp:
-            count_factors(mp, sizes, solves, inverses)
-            covariance._em_map(m, patterns, mu, Sigma, D)
+            count_factors(mp, sizes, solves, inverses, stacked)
+            covariance._em_map(m, stacks, mu, Sigma, D)
         M, N = m.shape
-        assert all(p.mis.size for p in patterns)
-        assert sizes == [N] + [p.mis.size for p in patterns]
-        assert inverses == sizes
+        # The distinct incomplete mask rows, counted by how many cells
+        # they miss, from the mask alone.
+        missed = np.unique(~m.mask, axis=0).sum(axis=1)
+        ks, groups = np.unique(missed[missed > 0], return_counts=True)
+        assert sizes == inverses == [N]
+        assert stacked == [(name, (g, k, k)) for k, g in zip(ks, groups)
+                           for name in ("cholesky", "inv")]
         # One solve gives every row's quadratic form and the prior's trace.
         assert solves == [(N, M + N)]
 
