@@ -16,10 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from benchsel import covariance
 from benchsel.errors import DataError
 
 # The largest sample Royston's W approximation covers.
 SW_MAX_N = 5000
+# Cells of Mardia's M x M kernel held at once: up to M = 1024 one block.
+_BLOCK_CELLS = 2**20
 
 
 @dataclass(frozen=True)
@@ -58,13 +61,16 @@ def mardia(X) -> dict:
     Requires a fully observed M x N matrix with M > N.  The skewness
     statistic M*b1/6 is referred to chi^2 with N(N+1)(N+2)/6 degrees of
     freedom; kurtosis is a z-score against mean N(N+2) and variance
-    8 N(N+2)/M.  A sample covariance that is singular, or whose 1-norm
-    condition number exceeds 1/(N eps), falls back to the pseudo-inverse
-    with a warning.
+    8 N(N+2)/M.  One Cholesky factor L of the sample covariance S,
+    inverted once, whitens the centred rows, Y = Xc L^-T, and b1 sums the
+    Mahalanobis kernel D = Y Y^T cubed in blocks of rows of at most
+    _BLOCK_CELLS cells, so memory grows with M*N, not M^2.  An S that is
+    not positive definite, or whose 1-norm condition number exceeds
+    1/(N eps), falls back to the pseudo-inverse with a warning.
     """
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise DataError("X must be a 2-D matrix")
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise DataError("X must be a 2-D matrix with a column")
     if not np.isfinite(X).all():
         raise DataError("mardia requires a fully observed, finite matrix")
     M, N = X.shape
@@ -74,24 +80,33 @@ def mardia(X) -> dict:
 
     Xc = X - X.mean(axis=0)
     S = Xc.T @ Xc / M
-    try:
-        Sinv = np.linalg.inv(S)
-        # inv raises only on exact singularity; past a 1-norm condition
-        # number of 1/(N eps) its result has no correct digit.  NaN fails
-        # the test too.
-        singular = not (np.linalg.norm(S, 1) * np.linalg.norm(Sinv, 1)
-                        <= 1.0 / (N * np.finfo(float).eps))
-    except np.linalg.LinAlgError:
-        singular = True
-    if singular:
+    factor = covariance._cholesky(S)
+    # L^-1 in L's own array, so that no N x N array is added, with its
+    # upper triangle zeroed: dtrtri leaves S's entries there.  All NaN,
+    # which fails the test below, when S is not positive definite.
+    inv = (np.full((N, N), np.nan) if factor is None
+           else covariance._lapack.dtrtri(factor, lower=1, overwrite_c=1)[0])
+    np.copyto(inv, 0.0, where=~np.tri(N, dtype=bool))
+    # Past a 1-norm condition number of 1/(N eps) S^-1 has no correct digit.
+    if (np.linalg.norm(S, 1) * np.linalg.norm(inv.T @ inv, 1)
+            <= 1.0 / (N * np.finfo(float).eps)):
+        Xc @= inv.T  # Y, in Xc's place
+        W = R = Xc
+    else:
         warnings.warn("singular sample covariance; using pseudo-inverse",
                       stacklevel=2)
-        Sinv = np.linalg.pinv(S)
-    D = Xc @ Sinv @ Xc.T  # d_ij Mahalanobis kernel
-    cube = D * D
-    cube *= D  # D**3 calls pow once per cell, and D * D * D keeps two copies
-    beta1 = float(np.sum(cube)) / M**2
-    beta2 = float(np.sum(np.diag(D) ** 2)) / M
+        W, R = Xc @ np.linalg.pinv(S), Xc
+    # D = W R^T is symmetric: each block of rows takes the columns from its
+    # diagonal on and counts those right of its diagonal block twice.
+    rows = max(1, _BLOCK_CELLS // M)
+    beta1 = 0.0
+    for i in range(0, M, rows):
+        D = W[i:i + rows] @ R[i:].T
+        cube = D * D
+        cube *= D  # D**3 calls pow per cell; D * D * D keeps two copies
+        beta1 += float(np.sum(cube[:, :rows]) + 2 * np.sum(cube[:, rows:]))
+    beta1 /= M**2
+    beta2 = float(np.sum(np.einsum("ij,ij->i", W, R) ** 2)) / M
 
     skew_stat = M * beta1 / 6.0
     dof = N * (N + 1) * (N + 2) / 6.0
@@ -135,29 +150,23 @@ def normality_report(m, alpha: float = 0.05,
         raise DataError("correction must be bh, bonferroni, or none")
     if not 0 < alpha < 1:
         raise DataError("alpha must lie in (0, 1)")
-    tested: list[str] = []
-    cols: list[np.ndarray] = []
-    skipped: list[str] = []
+    counts = m.mask.sum(axis=0)
+    X = m.values.copy()  # NaN in the holes
     rng = np.random.default_rng(0)
-    for j, name in enumerate(m.benchmark_names):
-        col = m.values[m.mask[:, j], j]
-        if col.size > SW_MAX_N:
-            col = rng.choice(col, size=SW_MAX_N, replace=False)
-        if col.size < 3 or np.all(col == col[0]):
-            skipped.append(name)
-            continue
-        tested.append(name)
-        cols.append(col)
+    for j in np.flatnonzero(counts > SW_MAX_N):
+        X[:, j] = np.nan
+        X[:SW_MAX_N, j] = rng.choice(m.values[m.mask[:, j], j],
+                                     size=SW_MAX_N, replace=False)
+    keep = (counts >= 3) & (np.fmax.reduce(X) > np.fmin.reduce(X))
+    tested = [n for n, k in zip(m.benchmark_names, keep) if k]
+    skipped = tuple(n for n, k in zip(m.benchmark_names, keep) if not k)
 
     results: dict = {}
     if tested:
         from scipy import stats
 
-        # One call tests every column; NaN pads the shorter ones.
-        X = np.full((max(c.size for c in cols), len(cols)), np.nan)
-        for k, col in enumerate(cols):
-            X[:col.size, k] = col
-        W, p = stats.shapiro(X, axis=0, nan_policy="omit")
+        # One call tests every column on the cells that are not NaN.
+        W, p = stats.shapiro(X[:, keep], axis=0, nan_policy="omit")
         results = {name: {"W": float(w), "p": float(q)}
                    for name, w, q in zip(tested, W, p)}
     pvals = [results[n]["p"] for n in tested]
@@ -171,4 +180,4 @@ def normality_report(m, alpha: float = 0.05,
         flags = [p <= alpha for p in pvals]
     for name, rej in zip(tested, flags):
         results[name]["rejected"] = bool(rej)
-    return NormalityReport(results, alpha, correction, tuple(skipped))
+    return NormalityReport(results, alpha, correction, skipped)

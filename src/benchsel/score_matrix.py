@@ -127,6 +127,9 @@ class LogitParams:
 # and float() and the C reader (both PyOS_string_to_double) read each cell
 # to the same bits.
 _PLAIN_BYTES = b"0123456789eE+-. \t,"
+# The characters past ASCII that str.isspace, and so str.strip, takes.
+_UNICODE_BLANKS = ("\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006"
+                   "\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
 
 
 def load_csv(source) -> ScoreMatrix:
@@ -143,14 +146,15 @@ def load_csv(source) -> ScoreMatrix:
 
     Two readers split the lines of this grammar, and one reads the
     numbers.  Plain text is split with str methods: every cell after the
-    model name is ASCII numeric text or empty, a model name may be quoted
-    ("a,b" reads as a,b) if it holds no quote itself, and a header line with
-    quotes is read by the csv module.  The csv module splits every other
-    file.  Either way numpy's C reader reads all the numbers in one call:
-    first the cells as they are; only when that fails, or a data row is a
-    lone empty cell, does every empty cell become "nan" for a second read.
-    A file that read does not take is read row by row in file order, and
-    its first fault, a wrong cell count or a bad cell, is reported.
+    model name is ASCII numeric text, padded by any blanks str.strip
+    removes, or empty, a model name may be quoted ("a,b" reads as a,b) if it
+    holds no quote itself, and a header line with quotes is read by the csv
+    module.  The csv module splits every other file.  Either way numpy's C
+    reader reads all the numbers in one call: first the cells as they are;
+    only when that fails, or a data row is a lone empty cell, does every
+    empty cell become "nan" for a second read.  A file that read does not
+    take is read row by row in file order, and its first fault, a wrong
+    cell count or a bad cell, is reported.
     """
     text = _read_text(source)
     try:
@@ -214,6 +218,10 @@ def _numbers(rests, width: int):
     by np.loadtxt with each empty or blank cell NaN; None when a line holds
     anything else, or other than `width` cells, or a cell reads as inf."""
     joined = ",".join(rests)
+    if not joined.isascii():  # padding that str.strip removes
+        for blank in filter(joined.__contains__, _UNICODE_BLANKS):
+            rests = [rest.replace(blank, " ") for rest in rests]
+        joined = ",".join(rests)
     # What is left once the plain bytes go; a non-ASCII character as "?".
     if joined.encode("ascii", "replace").translate(None, _PLAIN_BYTES):
         return None

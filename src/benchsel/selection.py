@@ -378,8 +378,8 @@ def spectrum(R: np.ndarray) -> SpectrumReport:
     """Eigenvalue decay diagnostic: explained and residual fractions."""
     R = _check_cov(R)
     w = np.linalg.eigvalsh(R)[::-1]
-    total = float(np.sum(w))
-    explained = np.cumsum(w) / total
+    explained = np.cumsum(w)
+    explained /= explained[-1]  # the same sum: exactly 1 at k = N
     return SpectrumReport(w, explained, 1.0 - explained)
 
 

@@ -1,9 +1,14 @@
+import tracemalloc
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from benchsel import diagnostics
 from benchsel.diagnostics import (
     SW_MAX_N,
     benjamini_hochberg,
@@ -125,6 +130,11 @@ class TestMardia:
         with pytest.raises(DataError):
             mardia(np.random.default_rng(6).normal(size=(3, 3)))
 
+    def test_no_columns_rejected(self):
+        # LAPACK's dtrtri refuses an order-0 factor
+        with pytest.raises(DataError, match="with a column"):
+            mardia(np.zeros((5, 0)))
+
     def test_missing_rejected(self):
         X = np.random.default_rng(7).normal(size=(50, 3))
         X[0, 0] = np.nan
@@ -136,6 +146,58 @@ class TestMardia:
         X[4, 1] = np.inf
         with pytest.raises(DataError, match="finite"):
             mardia(X)
+
+
+def reference_mardia(X, pinv):
+    """b1, the same sum of |D^3|, and b2 from the whole M x M kernel
+    D = Xc S^-1 Xc^T, with S^-1 by LU inversion or by the pseudo-inverse."""
+    M = len(X)
+    Xc = X - X.mean(axis=0)
+    S = Xc.T @ Xc / M
+    D = Xc @ (np.linalg.pinv(S) if pinv else np.linalg.inv(S)) @ Xc.T
+    return (np.sum(D**3) / M**2, np.sum(np.abs(D) ** 3) / M**2,
+            np.sum(np.diag(D) ** 2) / M)
+
+
+@pytest.mark.fresh_draws
+class TestMardiaKernel:
+    """mardia's one factor of S and its blocks of rows against the whole
+    kernel from S^-1: the same statistics up to rounding."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 8), st.integers(2, 60), st.integers(1, 80),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_the_whole_kernel(self, N, extra, rows, singular, seed):
+        # A block may take from one row of D to all of them.
+        rng = np.random.default_rng(seed)
+        M = 2 * N + extra
+        X = (rng.exponential(size=(M, N)) * rng.uniform(0.1, 10.0, N)
+             + rng.normal(scale=5.0, size=N))
+        singular = singular and N >= 2
+        if singular:  # a repeated column: S is singular
+            X[:, -1] = X[:, 0]
+        with mock.patch.object(diagnostics, "_BLOCK_CELLS", rows * M), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = mardia(X)
+        assert [str(w.message) for w in caught] == \
+            ["singular sample covariance; using pseudo-inverse"] * singular
+        beta1, scale, beta2 = reference_mardia(X, pinv=singular)
+        # b1's terms cancel: on four rows of one column it can be 1e-6 of
+        # their size, so its rounding is relative to that size.
+        assert abs(out["beta1"] - beta1) <= 1e-10 * scale
+        assert out["beta2"] == pytest.approx(beta2, rel=1e-10)
+
+    def test_memory_grows_with_the_rows_not_their_square(self):
+        # The whole 8000 x 8000 kernel and its cube took about 1 GB.
+        X = np.random.default_rng(15).standard_normal((8000, 4)) ** 3
+        tracemalloc.start()
+        try:
+            mardia(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 def reference_benjamini_hochberg(pvals, alpha):
@@ -201,6 +263,24 @@ class TestBenjaminiHochberg:
             prior = cur
 
 
+def column_loop_report(m):
+    """normality_report's W, p and skipped columns, one column at a time:
+    its observed cells, a seeded subsample of those past SW_MAX_N, and one
+    shapiro_wilk call unless under 3 cells or constant."""
+    sample = np.random.default_rng(0)
+    expected, skipped = {}, []
+    for j, name in enumerate(m.benchmark_names):
+        col = m.values[m.mask[:, j], j]
+        if col.size > SW_MAX_N:
+            col = sample.choice(col, size=SW_MAX_N, replace=False)
+        if col.size >= 3 and not np.all(col == col[0]):
+            W, p = shapiro_wilk(col)
+            expected[name] = {"W": W, "p": p}
+        else:
+            skipped.append(name)
+    return expected, tuple(skipped)
+
+
 class TestNormalityReport:
     def test_gaussian_columns(self):
         rng = np.random.default_rng(9)
@@ -248,18 +328,33 @@ class TestNormalityReport:
         vals[:, 4] = rng.exponential(size=vals.shape[0])
         m = make_matrix(vals)
         rep = normality_report(m)
-        sample = np.random.default_rng(0)
-        expected = {}
-        for j, name in enumerate(m.benchmark_names):
-            col = m.values[m.mask[:, j], j]
-            if col.size > SW_MAX_N:
-                col = sample.choice(col, size=SW_MAX_N, replace=False)
-            if col.size >= 3 and not np.all(col == col[0]):
-                W, p = shapiro_wilk(col)
-                expected[name] = {"W": W, "p": p}
         assert rep.skipped == ("b1", "b2")
-        assert {n: {"W": r["W"], "p": r["p"]}
-                for n, r in rep.shapiro.items()} == expected
+        assert ({n: {"W": r["W"], "p": r["p"]} for n, r in rep.shapiro.items()},
+                rep.skipped) == column_loop_report(m)
+
+    @pytest.mark.fresh_draws
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.lists(st.sampled_from(
+        ["holes", "holes", "complete", "constant", "short", "empty"]),
+        min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+    def test_the_screen_matches_the_column_loop(self, M, kinds, seed):
+        # Random holes, with constant, short (< 3 cells) and empty columns.
+        rng = np.random.default_rng(seed)
+        vals = np.round(rng.normal(size=(M, len(kinds))), 1)
+        for j, kind in enumerate(kinds):
+            if kind == "holes":
+                vals[rng.random(M) < rng.random(), j] = np.nan
+            elif kind == "constant":
+                vals[:, j] = np.where(rng.random(M) < 0.3, np.nan, 1.5)
+            elif kind == "short":
+                vals[rng.permutation(M)[rng.integers(0, 3):], j] = np.nan
+            elif kind == "empty":
+                vals[:, j] = np.nan
+        vals[np.isnan(vals).all(axis=1), -1] = 0.25  # a cell in every row
+        m = make_matrix(vals)
+        rep = normality_report(m)
+        assert ({n: {"W": r["W"], "p": r["p"]} for n, r in rep.shapiro.items()},
+                rep.skipped) == column_loop_report(m)
 
     def test_bad_correction(self):
         m = make_matrix(np.random.default_rng(13).normal(size=(30, 2)))

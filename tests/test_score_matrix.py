@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -109,6 +110,15 @@ class TestLoadCsv:
         # no-break spaces around a number are whitespace, as str.strip says
         m = load_csv("model,b0,b1\na,1,\u00a02\u00a0\nb,3,4\nc,5,\u00a0\n")
         assert m.values[0, 1] == 2.0 and not m.mask[2, 1]
+        # but a blank inside a number is no padding
+        with pytest.raises(DataError, match=r"^line 3, column 'b1': cannot "
+                           r"parse '1\\xa02' as a number$"):
+            load_csv("model,b0,b1\na,1,2\nb,3,1\u00a02\nc,4,5\n")
+
+    def test_every_unicode_blank_is_padding(self):
+        # _numbers reads these as spaces; str.strip removes them
+        assert sorted(score_matrix._UNICODE_BLANKS) == [
+            c for c in map(chr, range(128, sys.maxunicode + 1)) if c.isspace()]
 
     def test_wrong_cell_count(self):
         with pytest.raises(DataError, match="expected"):
@@ -232,7 +242,7 @@ _NUMBER_CELLS = st.one_of(
 _ODD_CELLS = st.sampled_from([
     "", "", "", " ", "\t ", "1_000", "\u0661\u0662", "nan", "NA", "inf",
     "1e999", "-1e999", "+.5e-3", "-0", "1.", "4.9e-324", "1e", ".", "1 2",
-    '"1,5"', '"2"', "\u00a0"])
+    '"1,5"', '"2"', "\u00a0", "\u3000-2.5\u00a0", "1\u00a02"])
 
 
 def _load_outcome(text):
@@ -302,6 +312,29 @@ class TestCsvReaders:
         assert np.array_equal(back.mask, m.mask)
         assert back.model_names == m.model_names
         assert back.benchmark_names == m.benchmark_names
+
+    @pytest.mark.parametrize("pad", ["\u00a0", "\u2003 ", "\u3000\t"])
+    def test_blank_padded_numbers_skip_the_cell_loop(self, pad):
+        # Blanks that str.strip removes around every number and in every
+        # empty cell, but not around the names: one numpy read, same bits.
+        rng = np.random.default_rng(3)
+        mask = rng.random((40, 12)) >= 0.5
+        mask[:2] = True
+        mask[~mask.any(axis=1), 0] = True
+        m = make_matrix(np.where(mask, rng.normal(50, 10, mask.shape), np.nan),
+                        mask)
+        buf = io.StringIO()
+        write_csv(m, buf)
+        header, *lines = buf.getvalue().splitlines()
+        text = header + "\n" + "".join(
+            f"{name},{pad}{rest.replace(',', f'{pad},{pad}')}{pad}\n"
+            for name, rest in (line.split(",", 1) for line in lines))
+        with mock.patch.object(score_matrix, "_parse_rows",
+                               side_effect=AssertionError("csv reader ran")):
+            back = load_csv(text)
+        assert back.values.tobytes() == m.values.tobytes()
+        assert np.array_equal(back.mask, m.mask)
+        assert back.model_names == m.model_names
 
     @pytest.mark.parametrize("eol", ["\n", "\r\n"])
     @pytest.mark.parametrize("rows", [

@@ -818,6 +818,19 @@ class TestSpectrum:
         assert (np.diff(rep.eigenvalues) <= 1e-12).all()
         assert np.allclose(rep.residual_fraction, 1 - rep.explained, atol=1e-12)
 
+    @pytest.mark.fresh_draws
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.floats(1e-6, 1e6),
+           st.integers(0, 2**32 - 1))
+    def test_fractions_end_at_one_and_zero(self, N, rank, scale, seed):
+        # A PSD matrix of any rank: the last row is exactly 1 and 0, and
+        # no residual fraction is negative while no eigenvalue is.
+        A = np.random.default_rng(seed).normal(size=(N, min(rank, N)))
+        rep = spectrum(scale * A @ A.T)
+        assert rep.explained[-1] == 1.0 and rep.residual_fraction[-1] == 0.0
+        if rep.eigenvalues[-1] >= 0:
+            assert (rep.residual_fraction >= 0).all()
+
     def test_smallest_k(self):
         rep = spectrum(np.diag([9.0, 0.5, 0.5]))
         assert rep.smallest_k(0.9) == 1
