@@ -90,21 +90,19 @@ def mardia(X) -> dict:
     # Past a 1-norm condition number of 1/(N eps) S^-1 has no correct digit.
     if (np.linalg.norm(S, 1) * np.linalg.norm(inv.T @ inv, 1)
             <= 1.0 / (N * np.finfo(float).eps)):
-        Xc @= inv.T  # Y, in Xc's place
+        np.matmul(Xc, inv.T, out=Xc)  # Y, in Xc's place
         W = R = Xc
     else:
         warnings.warn("singular sample covariance; using pseudo-inverse",
                       stacklevel=2)
         W, R = Xc @ np.linalg.pinv(S), Xc
-    # D = W R^T is symmetric: each block of rows takes the columns from its
-    # diagonal on and counts those right of its diagonal block twice.
     rows = max(1, _BLOCK_CELLS // M)
     beta1 = 0.0
     for i in range(0, M, rows):
-        D = W[i:i + rows] @ R[i:].T
+        D = W[i:i + rows] @ R.T
         cube = D * D
         cube *= D  # D**3 calls pow per cell; D * D * D keeps two copies
-        beta1 += float(np.sum(cube[:, :rows]) + 2 * np.sum(cube[:, rows:]))
+        beta1 += float(np.sum(cube))
     beta1 /= M**2
     beta2 = float(np.sum(np.einsum("ij,ij->i", W, R) ** 2)) / M
 

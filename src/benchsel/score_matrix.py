@@ -127,9 +127,8 @@ class LogitParams:
 # and float() and the C reader (both PyOS_string_to_double) read each cell
 # to the same bits.
 _PLAIN_BYTES = b"0123456789eE+-. \t,"
-# The characters past ASCII that str.isspace, and so str.strip, takes.
-_UNICODE_BLANKS = ("\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006"
-                   "\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+# The non-ASCII characters that str.isspace (so str.strip) takes; U+3000 last.
+_UNICODE_BLANKS = "".join(filter(str.isspace, map(chr, range(128, 0x3001))))
 
 
 def load_csv(source) -> ScoreMatrix:
