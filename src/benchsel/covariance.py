@@ -49,6 +49,8 @@ class GaussianModel:
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
+        if mean.ndim != 1:
+            raise DataError("mean must be 1-D")
         if cov.shape != (mean.size, mean.size):
             raise DataError("covariance shape does not match mean length")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
@@ -104,9 +106,10 @@ class EmConfig:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise DataError("max_iter must be >= 1")
-        if self.rel_tol <= 0:
+        n = self.max_iter
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+            raise DataError("max_iter must be an integer >= 1")
+        if not self.rel_tol > 0:  # rejects NaN too
             raise DataError("rel_tol must be > 0")
 
 
@@ -249,19 +252,21 @@ def _stacked_cholesky(blocks: np.ndarray) -> np.ndarray:
         raise NumericalError("EM covariance is singular") from None
 
 
-def _e_step(m: ScoreMatrix, stacks, mu, Sigma, D):
-    """Conditional expectations at (mu, Sigma) in precision form (the
-    sweep identity; Little & Rubin 2002, ch. 11), one stack at a time.
+def _em_map(m: ScoreMatrix, stacks, mu, Sigma, D):
+    """One EM update under the prior: conditional expectations at
+    (mu, Sigma) in precision form (the sweep identity; Little & Rubin
+    2002, ch. 11), one stack at a time, then the posterior-mode M-step
+    Sigma' = (scatter + correction + nu diag(D)) / (M + nu).
 
-    Returns the completed matrix, the summed conditional covariance of the
-    missing cells, and the penalized objective at (mu, Sigma).  One
+    Returns (mu', Sigma', penalized objective at (mu, Sigma)).  One
     Cholesky factor of Sigma gives log det Sigma, read by every row and
-    the prior, the precision P, and one triangular solve the prior's trace
-    and each row's quadratic form.  Rows missing the cells m need only
+    the prior, and the precision P.  Rows missing the cells m need only
     P_mm: P_mm^-1 is their conditional covariance, mu_m - t_m P_mm^-1
     their means for t = r P, r the observed residual, and log det Sigma_oo
     = log det Sigma + log det P_mm.  Each stack factors and inverts its
     blocks P_mm in one call each; a failure raises Sigma's NumericalError.
+    With S the M-step's scatter and d = mu' - mu, the completed rows'
+    quadratic forms sum to tr(P S) + M d'Pd; the prior's is nu diag(P)'D.
     """
     factor = _cholesky(Sigma)
     if factor is None:
@@ -281,29 +286,21 @@ def _e_step(m: ScoreMatrix, stacks, mu, Sigma, D):
         completed[s.rows_mis] = mu[s.rows_mis[1]] - np.einsum(
             "rk,rkl->rl", t[s.rows_mis], cond_cov[s.of_row])
         np.add.at(correction, s.mm, s.counts[:, None, None] * cond_cov)
-    rhs = np.hstack([(completed - mu).T, np.diag(np.sqrt(_PRIOR_NU * D))])
-    z = _solve_lower(factor, rhs)
-    return (completed, correction.reshape(Sigma.shape),
-            float(objective - 0.5 * np.sum(z * z)))
-
-
-def _em_map(m: ScoreMatrix, stacks, mu, Sigma, D):
-    """One EM update under the prior: E-step, then the posterior-mode
-    M-step Sigma' = (scatter + correction + nu diag(D)) / (M + nu).
-
-    Returns (mu', Sigma', penalized objective at (mu, Sigma)).
-    """
-    completed, correction, objective = _e_step(m, stacks, mu, Sigma, D)
-    return (*_m_step(completed, correction, D), objective)
+    mu_new, Sigma_new, S = _m_step(completed, correction.reshape(P.shape), D)
+    d = mu_new - mu
+    quad = (np.sum(P * S) + len(completed) * (d @ P @ d)
+            + _PRIOR_NU * (np.diag(P) @ D))
+    return mu_new, Sigma_new, float(objective - 0.5 * quad)
 
 
 def _m_step(completed, correction, D):
-    """The M-step's (mu, Sigma) from the completed matrix."""
+    """The M-step's mu, Sigma and scatter Bc'Bc from the completed matrix."""
     mu = completed.mean(axis=0)
     Bc = completed - mu
-    Sigma = Bc.T @ Bc + correction + np.diag(_PRIOR_NU * D)
+    scatter = Bc.T @ Bc
+    Sigma = scatter + correction + np.diag(_PRIOR_NU * D)
     Sigma /= len(completed) + _PRIOR_NU
-    return mu, 0.5 * (Sigma + Sigma.T)
+    return mu, 0.5 * (Sigma + Sigma.T), scatter
 
 
 def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
@@ -329,8 +326,8 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
     cells they miss: the patterns that miss k cells share one stacked
     Cholesky factorization of their blocks P_mm of the precision
     P = Sigma^-1, for their conditional moments and log det; one factor
-    of Sigma per map gives P and the rest of the penalized objective at
-    the map's input, complete rows included.
+    of Sigma per map gives P, and P with the M-step's scatter gives every
+    row's quadratic form in the penalized objective at the map's input.
 
     Each cycle is one SQUAREM step (Varadhan & Roland 2008, scheme S3):
     two maps from theta0 give theta1 and theta2; with r and v the first
@@ -349,14 +346,14 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
     `converged` when the relative Frobenius change of Sigma over one
     cycle is below `rel_tol`.  `loglik_trace[c - 1]` is the
     penalized objective of cycle c's accepted iterate: the next cycle's
-    first E-step gives it, and one last E-step after the loop gives that
-    of the returned estimate.  A complete matrix gives the maps' common
+    first map gives it, and one last map after the loop gives that of
+    the returned estimate.  A complete matrix gives the maps' common
     fixed point (Bc'Bc + nu diag(D)) / (M + nu) at once: no cycle, no trace.
     """
     mu = mean_missing(m)
     if m.mask.all():
         return GaussianModel(
-            *_m_step(m.values, 0.0, m.values.var(axis=0, ddof=1)), "em")
+            *_m_step(m.values, 0.0, m.values.var(axis=0, ddof=1))[:2], "em")
     Sigma = pairwise_cov(m, mu)
     D = np.diag(Sigma).copy()
     floor = _PRIOR_NU * D.min() / (m.shape[0] + _PRIOR_NU)
@@ -387,7 +384,7 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
         if change < cfg.rel_tol:
             converged = True
             break
-    loglik_trace.append(_e_step(m, stacks, mu, Sigma, D)[2])
+    loglik_trace.append(_em_map(m, stacks, mu, Sigma, D)[2])
 
     return GaussianModel(
         mu, Sigma, "em", em_iterations=it, converged=converged,

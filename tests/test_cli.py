@@ -436,6 +436,17 @@ class TestImpute:
                      "--selected", "b0,b1", "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err.startswith("numerical error: ")
 
+    def test_model_mean_not_1d_exit_code(self, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(
+            {"mean": [[0.0, 1.0]], "cov": [1, 0, 0, 1], "estimator": "full"}))
+        path = write_matrix(tmp_path, make_matrix([[0.1, 0.2], [0.3, np.nan]]))
+        out = tmp_path / "o"
+        assert main(["impute", path, "--model", str(model_path),
+                     "--selected", "b0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "data error: mean must be 1-D\n"
+        assert not out.exists()
+
     def test_singular_conditioning_block_names_the_model(self, tmp_path,
                                                           capsys):
         # Row y observes both selected cells, and the indefinite model's

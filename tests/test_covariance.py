@@ -250,6 +250,19 @@ class TestEmFit:
         assert not g.converged
         assert g.em_iterations == 1
 
+    @pytest.mark.parametrize("kwargs", [
+        {"max_iter": 0}, {"max_iter": 2.5}, {"max_iter": 3.0},
+        {"max_iter": True}, {"max_iter": "5"}, {"rel_tol": 0.0},
+        {"rel_tol": -1e-6}, {"rel_tol": float("nan")}])
+    def test_config_rejects(self, kwargs):
+        # A NaN rel_tol would never stop a fit: every cycle's change
+        # compares false against it.
+        with pytest.raises(DataError, match="^(max_iter|rel_tol) must be"):
+            EmConfig(**kwargs)
+
+    def test_config_accepts_numpy_integer(self):
+        assert EmConfig(max_iter=np.int64(3)).max_iter == 3
+
     def test_estimator_tag(self):
         matrix, _, _ = mcar_matrix(100, 4, 0.2, seed=23)
         assert em_fit(matrix, EmConfig()).estimator == "em"
@@ -710,7 +723,7 @@ class TestOneFactorOfSigma:
         with pytest.MonkeyPatch.context() as mp:
             count_factors(mp, sizes, solves, inverses, stacked)
             covariance._em_map(m, stacks, mu, Sigma, D)
-        M, N = m.shape
+        N = m.shape[1]
         # The distinct incomplete mask rows, counted by how many cells
         # they miss, from the mask alone.
         missed = np.unique(~m.mask, axis=0).sum(axis=1)
@@ -718,8 +731,9 @@ class TestOneFactorOfSigma:
         assert sizes == inverses == [N]
         assert stacked == [(name, (g, k, k)) for k, g in zip(ks, groups)
                            for name in ("cholesky", "inv")]
-        # One solve gives every row's quadratic form and the prior's trace.
-        assert solves == [(N, M + N)]
+        # P and the M-step's scatter give every row's quadratic form and
+        # the prior's trace: no triangular solve.
+        assert solves == []
 
     def test_singular_sigma_raises(self, monkeypatch):
         # The prior keeps every Sigma EM touches positive definite, so a
@@ -776,6 +790,15 @@ class TestGaussianModelJson:
                "estimator": "full"}
         doc[field][index] = bad
         with pytest.raises(DataError, match="finite"):
+            GaussianModel.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("mean,cov", [([[0.0, 1.0]], [1, 0, 0, 1]),
+                                          (0.0, [1.0])])
+    def test_mean_not_1d_rejected(self, mean, cov):
+        # A (1, 2) mean has the size of a 2-vector, so the covariance's
+        # shape check alone would let it through.
+        doc = {"mean": mean, "cov": cov, "estimator": "full"}
+        with pytest.raises(DataError, match="^mean must be 1-D$"):
             GaussianModel.from_json(json.dumps(doc))
 
 
