@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import hashlib
 import json
-import math
 import os
 import sys
 import warnings
@@ -31,9 +29,9 @@ from benchsel.diagnostics import mardia, normality_report
 from benchsel.evaluation import CvConfig, run_cv
 # cli uses neither impute_row nor lazy_greedy_entropy; bench/test_bench.py
 # deletes both names from cli to test its tracer, so they stay importable.
-from benchsel.imputation import impute_row, impute_rows  # noqa: F401
+from benchsel.imputation import RIDGE, impute_row, impute_rows  # noqa: F401
 from benchsel.score_matrix import (
-    ColumnStats, _decimal, _require_two_cells, load_csv, write_table)
+    ColumnStats, _require_two_cells, load_csv, write_table)
 from benchsel.selection import (
     CostModel,
     budgeted_entropy,
@@ -121,37 +119,23 @@ def cmd_spectrum(args) -> int:
 
 
 def _parse_costs(path, benchmark_names):
-    index = {n: j for j, n in enumerate(benchmark_names)}
-    costs = np.full(len(index), np.nan)
+    """The cost of each benchmark from a CSV whose rows are the benchmarks
+    and whose one column is `cost`, read by load_csv."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = [c.strip().lower() for c in next(reader, [])[:2]]
-            if header != ["benchmark", "cost"]:
-                raise DataError("costs CSV must have header 'benchmark,cost'")
-            for row in reader:
-                if len(row) < 2:
-                    raise DataError(f"costs CSV line {reader.line_num}: "
-                                    "expected 'benchmark,cost'")
-                name, cell = row[0].strip(), row[1].strip()
-                if name not in index:
-                    raise DataError(f"unknown benchmark {name!r} in costs CSV")
-                if not math.isnan(costs[index[name]]):
-                    raise DataError(f"duplicate benchmark {name!r} in costs CSV")
-                try:
-                    cost = _decimal(cell)
-                except ValueError:
-                    cost = math.nan
-                if not math.isfinite(cost):
-                    raise DataError(f"cost {cell!r} of {name!r} in costs "
-                                    "CSV is not a finite number")
-                costs[index[name]] = cost
-    except csv.Error as exc:  # such as a cell over csv's field size limit
+        table = load_csv(path)
+        if [n.lower() for n in table.benchmark_names] != ["cost"]:
+            raise DataError("header must be '<label>,cost'")
+    except DataError as exc:
         raise DataError(f"costs CSV: {exc}") from None
-    if np.isnan(costs).any():
-        missing = [n for n, j in index.items() if math.isnan(costs[j])]
+    given = dict(zip(table.model_names, table.values[:, 0].tolist()))
+    known = set(benchmark_names)
+    for name in given:
+        if name not in known:
+            raise DataError(f"unknown benchmark {name!r} in costs CSV")
+    missing = [n for n in benchmark_names if n not in given]
+    if missing:
         raise DataError(f"costs CSV missing benchmarks: {missing}")
-    return costs
+    return np.array([given[n] for n in benchmark_names])
 
 
 def cmd_select(args) -> int:
@@ -347,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--selected", required=True,
                    type=lambda s: _File(s[1:]) if s.startswith("@") else s,
                    help="comma-separated names or @file")
-    p.add_argument("--ridge", type=float, default=1e-2)
+    p.add_argument("--ridge", type=float, default=RIDGE)
     p.add_argument("--logit", action="store_true")
     p.set_defaults(fn=cmd_impute)
 
@@ -357,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kmax", type=int, default=15)
     p.add_argument("--methods", default="entropy,mi,random")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ridge", type=float, default=1e-2)
+    p.add_argument("--ridge", type=float, default=RIDGE)
     p.add_argument("--logit", action="store_true")
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=cmd_cv)

@@ -21,6 +21,7 @@ from benchsel.score_matrix import (
     ColumnStats,
     LogitParams,
     ScoreMatrix,
+    _own,
     _require_two_cells,
     _row_groups,
     column_stats,
@@ -49,20 +50,13 @@ class GaussianModel:
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
-        if mean.ndim != 1:
-            raise DataError("mean must be 1-D")
         if cov.shape != (mean.size, mean.size):
             raise DataError("covariance shape does not match mean length")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise DataError("mean and covariance must be finite")
         if np.max(np.abs(cov - cov.T)) > 1e-10 * max(1.0, np.max(np.abs(cov))):
             raise DataError("covariance is not symmetric")
-        cov = 0.5 * (cov + cov.T)
-        mean = mean.copy()
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        _own(self, ("mean",), mean=mean, cov=0.5 * (cov + cov.T))
 
     def to_json(self) -> str:
         return json.dumps(

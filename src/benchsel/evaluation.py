@@ -22,7 +22,7 @@ import numpy as np
 
 from benchsel.errors import DataError
 from benchsel.covariance import EmConfig, fit_model
-from benchsel.imputation import STANDARDIZED_CLIP, impute_prefixes
+from benchsel.imputation import RIDGE, STANDARDIZED_CLIP, impute_prefixes
 from benchsel.score_matrix import (
     ScoreMatrix, _column_pass, _require_two_cells, column_stats, write_table)
 from benchsel.selection import _factor, _selection_path, random_select
@@ -37,7 +37,7 @@ class CvConfig:
     k_max: int = 15
     methods: tuple[str, ...] = ("entropy", "mi", "random")
     seed: int = 0
-    ridge: float = 1e-2
+    ridge: float = RIDGE
     logit_mode: bool = False
     em: EmConfig = field(default_factory=EmConfig)
 

@@ -17,6 +17,8 @@ from benchsel.covariance import GaussianModel, _cholesky, _solve_lower
 from benchsel.score_matrix import _row_groups
 
 STANDARDIZED_CLIP = 10.0
+# The ridge added to Sigma_CC before it is factored, where no caller sets one.
+RIDGE = 1e-2
 
 
 @dataclass(frozen=True)
@@ -40,7 +42,7 @@ class BatchImputation(NamedTuple):
 
 
 def impute_rows(
-    values, selected, model: GaussianModel, ridge: float = 1e-2
+    values, selected, model: GaussianModel, ridge: float = RIDGE
 ) -> BatchImputation:
     """Conditional means and variances of every column, for every row.
 
@@ -63,7 +65,7 @@ def impute_rows(
 
 
 def impute_prefixes(values, order, model: GaussianModel,
-                    ridge: float = 1e-2) -> np.ndarray:
+                    ridge: float = RIDGE) -> np.ndarray:
     """Conditional means of every column for each prefix of `order`.
 
     Returns a (K, R, N) array whose out[k-1] is
@@ -136,7 +138,7 @@ def impute_row(
     obs: dict[int, float],
     selected,
     model: GaussianModel,
-    ridge: float = 1e-2,
+    ridge: float = RIDGE,
     targets=None,
 ) -> ImputationResult:
     """Conditional mean and variance for a partially observed row.

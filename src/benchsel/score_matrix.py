@@ -18,6 +18,20 @@ import numpy as np
 from benchsel.errors import DataError
 
 
+def _own(value, vectors=(), **arrays) -> None:
+    """Store each keyword array as that field of the frozen dataclass
+    `value`: read-only, C-ordered, and copied when it may share memory with
+    what the caller passed, so `value` owns it.  DataError when a field
+    named in `vectors` is not 1-D."""
+    for name, array in arrays.items():
+        if name in vectors and array.ndim != 1:
+            raise DataError(f"{name} must be 1-D")
+        array = (array.copy() if np.may_share_memory(array, getattr(value, name))
+                 else np.ascontiguousarray(array))
+        array.setflags(write=False)
+        object.__setattr__(value, name, array)
+
+
 @dataclass(frozen=True)
 class ScoreMatrix:
     """M x N scores with observation mask and row/column labels."""
@@ -52,11 +66,7 @@ class ScoreMatrix:
             raise DataError(f"row {bad!r} has no observed entries")
         values = values.copy()
         values[~mask] = np.nan
-        values.setflags(write=False)
-        mask = mask.copy()
-        mask.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mask", mask)
+        _own(self, values=values, mask=mask)
         object.__setattr__(self, "model_names", tuple(self.model_names))
         object.__setattr__(self, "benchmark_names", tuple(self.benchmark_names))
 
@@ -84,10 +94,7 @@ class ColumnStats:
         if np.any(stds <= 0):
             j = int(np.argmin(stds))
             raise DataError(f"column {j} has nonpositive std {stds[j]}")
-        means.setflags(write=False)
-        stds.setflags(write=False)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "stds", stds)
+        _own(self, means=means, stds=stds)
 
 
 # The logit map clips s/max_j to [LOGIT_EPSILON, 1 - LOGIT_EPSILON].
@@ -105,8 +112,7 @@ class LogitParams:
         if np.any(col_max <= 0):
             j = int(np.argmin(col_max))
             raise DataError(f"column {j} has nonpositive maximum {col_max[j]}")
-        col_max.setflags(write=False)
-        object.__setattr__(self, "col_max", col_max)
+        _own(self, ("col_max",), col_max=col_max)
 
     def forward(self, values: np.ndarray) -> np.ndarray:
         """s -> log(t / (1-t)), t = clip(s/max_j, eps, 1-eps); NaN stays NaN."""
@@ -264,14 +270,6 @@ def _parse_rows(text: str):
             tuple(row[0].strip() for row in rows[1:]), names)
 
 
-def _decimal(text: str) -> float:
-    """float() of ASCII decimal text; ValueError for anything else, such as
-    the '1_000' and non-ASCII digits float() accepts."""
-    if "_" in text or not text.isascii():
-        raise ValueError(text)
-    return float(text)
-
-
 def _parse_row(lineno, row, names) -> list[float]:
     """Parse a row's stripped cells one by one; raise DataError at a wrong
     cell count or at a bad cell."""
@@ -287,7 +285,9 @@ def _parse_row(lineno, row, names) -> list[float]:
             raise DataError(where + f"token {cell!r} is not a valid "
                             "missing-cell encoding (use an empty cell)")
         try:
-            out.append(_decimal(cell) if cell else math.nan)
+            if "_" in cell or not cell.isascii():  # float() reads '1_000'
+                raise ValueError(cell)
+            out.append(float(cell) if cell else math.nan)
         except ValueError:
             raise DataError(where + f"cannot parse {cell!r} as a number") from None
         if cell and not math.isfinite(out[-1]):

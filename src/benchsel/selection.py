@@ -22,6 +22,7 @@ import numpy as np
 from benchsel.covariance import (
     _cho_inverse, _cholesky, _cholesky_pivots, _solve_lower)
 from benchsel.errors import DataError, NumericalError
+from benchsel.score_matrix import _own
 
 LOG_2PIE = math.log(2 * math.pi * math.e)
 
@@ -93,8 +94,7 @@ class CostModel:
             raise DataError("budget must be positive")
         if self.shift_c is not None and not math.isfinite(self.shift_c):
             raise DataError("shift_c must be finite")
-        costs.setflags(write=False)
-        object.__setattr__(self, "costs", costs)
+        _own(self, ("costs",), costs=costs)
 
     def resolved_shift(self, S: np.ndarray) -> float:
         """The shift constant actually used: the configured value, or the
@@ -278,6 +278,8 @@ def budgeted_entropy(S: np.ndarray, cm: CostModel) -> SelectionResult:
     def max_ratio(d, active):
         nonlocal spent, negative_marginal
         d = d[0]
+        if np.any(d[active] < -1e-9):
+            raise NumericalError("negative residual variance: input is not PSD")
         cand = np.flatnonzero(
             active & (cm.costs <= cm.budget - spent) & (d > floor)
         )

@@ -163,6 +163,29 @@ class TestSelect:
         db = json.load(open(os.path.join(b, "selection.json")))
         assert set(da["order"]) == set(db["order"])
 
+    @pytest.mark.parametrize("form", [
+        # quoted cells, CRLF line ends, benchmarks in another order
+        '"benchmark","cost"\r\n' + "".join(
+            f'"b{j}",{j % 3 + 1}\r\n' for j in reversed(range(6))),
+        # any label cell, blank padding, CR line ends
+        "name , Cost \r" + "".join(f" b{j} ,\t{j % 3 + 1}.0 \r"
+                                    for j in range(6)),
+    ], ids=["quoted-crlf", "label-padding-cr"])
+    def test_costs_file_is_read_like_a_score_file(self, rank1_csv, tmp_path,
+                                                   form):
+        docs = []
+        for name, body in (("plain", "benchmark,cost\n" + "".join(
+                f"b{j},{j % 3 + 1}\n" for j in range(6))), ("other", form)):
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(body.encode())
+            out = tmp_path / name
+            assert main(["select", rank1_csv, "--objective", "budgeted",
+                         "--costs", str(path), "--budget", "4",
+                         "--out", str(out)]) == 0
+            docs.append((out / "selection.json").read_bytes())
+        assert docs[0] == docs[1]
+        assert json.loads(docs[0])["total_cost"] <= 4
+
     def test_budgeted_negative_gain_warning(self, tmp_path, capsys):
         # unit costs on a strongly correlated matrix: later shifted
         # marginals go negative, which voids the approximation guarantee
@@ -922,6 +945,31 @@ class TestBadFiles:
             path.write_text(body)
         self.run(["select", rank1_csv, "--objective", "budgeted",
                   "--costs", str(path), "--budget", "3"], tmp_path, capsys)
+
+    @pytest.mark.parametrize("head,row,message", [
+        ("benchmark,cost,note", "b0,1,2", "header must be '<label>,cost'"),
+        ("benchmark,cost", "b0,1,x", "line 2: expected 2 cells, got 3"),
+        ("benchmark,price", "b0,1", "header must be '<label>,cost'"),
+        ("benchmark,cost", "b0,abc",
+         "line 2, column 'cost': cannot parse 'abc' as a number"),
+        ("benchmark,cost", "b0,inf",
+         "line 2, column 'cost': non-finite value 'inf' is not a valid score"),
+        ("benchmark,cost", "b0,", "row 'b0' has no observed entries"),
+        ("benchmark,cost", "b1,1", "duplicate model names"),
+    ], ids=["third-column", "third-cell", "not-cost", "abc", "inf", "empty",
+            "duplicate"])
+    def test_costs_errors_name_the_costs_file(self, head, row, message,
+                                              rank1_csv, tmp_path, capsys):
+        # The costs file is read by load_csv; each fault it finds is
+        # reported after a "costs CSV: " prefix.
+        width = head.count(",") + 1
+        rows = [row] + [",".join([f"b{j}"] + ["1"] * (width - 1))
+                        for j in range(1, 6)]
+        path = tmp_path / "costs.csv"
+        path.write_text("\n".join([head, *rows]) + "\n")
+        self.run(["select", rank1_csv, "--objective", "budgeted",
+                  "--costs", str(path), "--budget", "3"], tmp_path, capsys,
+                 f"costs CSV: {message}")
 
     @pytest.mark.parametrize("observed", [0, 1])
     @pytest.mark.parametrize("argv", [

@@ -892,3 +892,24 @@ class TestFitModel:
         assert same_bits(got.cov, want.cov)
         assert got.em_iterations == want.em_iterations
         assert got.loglik_trace == want.loglik_trace
+
+
+class TestValidation:
+    """Checks of GaussianModel, its JSON and pairwise_cov, one per case."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: GaussianModel(np.zeros(2), np.eye(3), "full"),
+         "covariance shape does not match mean length"),
+        (lambda: GaussianModel(np.zeros(2), [[1.0, 0.5], [0.0, 1.0]], "full"),
+         "covariance is not symmetric"),
+        (lambda: GaussianModel.from_json("{"), "malformed model JSON: .*"),
+        (lambda: GaussianModel.from_json(
+            '{"mean": [0, 0], "cov": [1, 0, 1], "estimator": "full"}'),
+         "malformed model JSON: .*"),
+        (lambda: pairwise_cov(make_matrix([[1.0, 2.0], [3.0, 5.0]]),
+                              np.zeros(3)),
+         "mu dimension does not match matrix width"),
+    ], ids=["cov-shape", "asymmetric", "not-json", "cov-size", "mu-width"])
+    def test_rejected(self, call, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            call()

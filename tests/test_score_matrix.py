@@ -753,3 +753,79 @@ class TestLogit:
     def test_bad_params(self):
         with pytest.raises(DataError):
             LogitParams(np.array([0.0]))
+
+
+def _owned_values():
+    """(value, {field: the caller's array}) for each frozen value type, built
+    from arrays the caller keeps: an F-ordered matrix and strided vectors."""
+    from benchsel.covariance import GaussianModel
+    from benchsel.selection import CostModel
+
+    vals = np.asfortranarray(np.arange(1.0, 7.0).reshape(3, 2))
+    mask = np.asfortranarray(np.ones((3, 2), dtype=bool))
+    base = np.arange(1.0, 9.0)
+    cov = np.asfortranarray(np.eye(2))
+    return [
+        (ScoreMatrix(vals, mask, ("a", "b", "c"), ("x", "y")),
+         {"values": vals, "mask": mask}),
+        (ColumnStats(base[::2], base[1::2]),
+         {"means": base[::2], "stds": base[1::2]}),
+        (LogitParams(base[:2]), {"col_max": base[:2]}),
+        (CostModel(base[2:5], 3.0), {"costs": base[2:5]}),
+        (GaussianModel(base[:2], cov, "full"), {"mean": base[:2], "cov": cov}),
+    ]
+
+
+class TestOwnedArrays:
+    """Each value type keeps a read-only, C-ordered copy of every array it
+    is given and leaves the caller's array as it was."""
+
+    @pytest.mark.parametrize("case", range(5), ids=[
+        "ScoreMatrix", "ColumnStats", "LogitParams", "CostModel",
+        "GaussianModel"])
+    def test_fields_are_owned_read_only_copies(self, case):
+        value, given = _owned_values()[case]
+        for name, theirs in given.items():
+            ours = getattr(value, name)
+            assert not np.may_share_memory(ours, theirs), name
+            assert not ours.flags.writeable and ours.flags.c_contiguous, name
+            assert theirs.flags.writeable, name
+            np.testing.assert_array_equal(ours, theirs)
+
+    def test_column_stats_leaves_the_caller_array_alone(self):
+        m, s = np.zeros(3), np.ones(3)
+        stats = ColumnStats(m, s)
+        assert m.flags.writeable and stats.means is not m
+        m[0] = 5.0
+        assert stats.means[0] == 0.0
+
+    def test_logit_params_do_not_see_a_later_write(self):
+        base = np.array([1.0, 2.0, 3.0])
+        params = LogitParams(base[:2])
+        base[0] = 99.0
+        assert params.col_max.tolist() == [1.0, 2.0]
+
+    def test_vector_field_must_be_1d(self):
+        with pytest.raises(DataError, match="^col_max must be 1-D$"):
+            LogitParams(np.ones((2, 1)))
+
+
+class TestValidation:
+    """Checks of the value types and transforms, one per case."""
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: ScoreMatrix(np.zeros((2, 2)), np.ones((2, 3), bool),
+                             ("a", "b"), ("x", "y")),
+         "values and mask must be 2-D with identical shape"),
+        (lambda: ScoreMatrix(np.zeros((2, 2)), np.ones((2, 2), bool),
+                             ("a",), ("x", "y")),
+         "label lengths do not match matrix shape"),
+        (lambda: LogitParams(np.array([1.0])).forward(np.array([[-1.0]])),
+         "logit transform requires nonnegative scores"),
+        (lambda: logit_transform(make_matrix([[0.1, 0.2], [0.3, 0.4]]),
+                                 LogitParams(np.array([1.0]))),
+         "logit params dimension does not match matrix width"),
+    ], ids=["mask-shape", "labels", "negative-score", "params-width"])
+    def test_rejected(self, call, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            call()

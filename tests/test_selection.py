@@ -163,7 +163,8 @@ class TestLazyGreedy:
 
 
 # The three greedy loops as they were before they shared one recursion,
-# kept verbatim as the reference for the shared kernel.
+# kept verbatim as the reference for the shared kernel, but for budgeted
+# entropy's check of a negative residual, which greedy entropy already had.
 
 def _reference_check_cov(S: np.ndarray) -> np.ndarray:
     S = np.asarray(S, dtype=float)
@@ -306,6 +307,8 @@ def reference_budgeted_entropy(S: np.ndarray, cm: CostModel) -> SelectionResult:
     negative_marginal = False
     t = 0
     while True:
+        if np.any(d[active] < -1e-9):
+            raise NumericalError("negative residual variance: input is not PSD")
         remaining = cm.budget - spent
         cand = np.flatnonzero(active & (cm.costs <= remaining) & (d > floor))
         if cand.size == 0:
@@ -732,6 +735,20 @@ class TestBudgeted:
         with pytest.raises(DataError, match="no affordable element with positive variance"):
             budgeted_entropy(np.diag([0.0, 1.0]), cm)
 
+    def test_costs_must_be_1d(self):
+        # a column of costs used to reach budgeted_entropy as an IndexError
+        with pytest.raises(DataError, match="^costs must be 1-D$"):
+            CostModel(np.ones((3, 1)), 2.0)
+
+    def test_indefinite_input_rejected_like_greedy_entropy(self):
+        # eigenvalue -0.8: after picks 0 and 1 the residual of 2 is -15.2
+        S = np.array([[1, .9, .9], [.9, 1, -.9], [.9, -.9, 1]])
+        message = "^negative residual variance: input is not PSD$"
+        with pytest.raises(NumericalError, match=message):
+            greedy_entropy(S, 3)
+        with pytest.raises(NumericalError, match=message):
+            budgeted_entropy(S, CostModel(np.ones(3), 3.0))
+
     def test_cost_within_budget(self):
         rng = np.random.default_rng(8)
         S = random_spd(10, seed=8)
@@ -921,6 +938,36 @@ class TestSerialization:
         assert len(d["selected"]) == 2
         assert len(d["residual_trace"]) == 3
         assert d["truncated"] is False
+
+    def test_to_dict_records_a_seed(self):
+        d = random_select(4, 2, seed=7).to_dict(["a", "b", "c", "d"])
+        assert d["seed"] == 7 and d["objective"] == "random"
+
+
+class TestValidation:
+    """Checks and stops that no other test reaches, one per case."""
+
+    def test_mi_stops_at_the_degeneracy_floor(self):
+        r = greedy_mi(np.diag([1, 1, 1e-13, 1e-13]), 3)
+        assert r.order == (0, 1) and r.truncated
+
+    @pytest.mark.parametrize("call,error,message", [
+        (lambda: SelectionResult((0, 0), (1.0, 1.0), (2.0, 1.0, 0.0), "mi"),
+         DataError, "selection order contains duplicates"),
+        (lambda: greedy_entropy(np.ones((2, 3)), 1),
+         DataError, "covariance must be square"),
+        (lambda: greedy_entropy(np.diag([1.0, -1.0]), 1),
+         DataError, "covariance has a negative diagonal entry"),
+        (lambda: budgeted_entropy(np.eye(3), CostModel(np.ones(2), 1.0)),
+         DataError, "cost vector length does not match covariance size"),
+        (lambda: entropy_value(np.eye(2), []), DataError, "A must be nonempty"),
+        (lambda: entropy_value(np.array([[1.0, 2.0], [2.0, 1.0]]), [0, 1]),
+         NumericalError, "selected principal submatrix is singular"),
+    ], ids=["duplicate-order", "not-square", "negative-diagonal",
+            "cost-length", "empty-A", "singular-block"])
+    def test_rejected(self, call, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            call()
 
 
 def same_path(a, b, rel):
