@@ -344,10 +344,11 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
     the returned estimate.  A complete matrix gives the maps' common
     fixed point (Bc'Bc + nu diag(D)) / (M + nu) at once: no cycle, no trace.
     """
-    mu = mean_missing(m)
+    _require_two_cells(m)
     if m.mask.all():
         return GaussianModel(
             *_m_step(m.values, 0.0, m.values.var(axis=0, ddof=1))[:2], "em")
+    mu = mean_missing(m)
     Sigma = pairwise_cov(m, mu)
     D = np.diag(Sigma).copy()
     floor = _PRIOR_NU * D.min() / (m.shape[0] + _PRIOR_NU)

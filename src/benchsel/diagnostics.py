@@ -1,15 +1,16 @@
 """Normality diagnostics: Shapiro-Wilk, Mardia, Benjamini-Hochberg.
 
 Shapiro-Wilk is scipy's implementation of Royston's algorithm AS R94
-(Royston 1995), valid for 3 <= n <= 5000.
+(Royston 1995), valid for 3 <= n <= 5000, run once per tested column.
 
-`scipy.stats` is imported inside the functions that use it, not at
-module top: importing it takes most of a second, and every command but
+scipy is imported inside the functions that use it, not at module top:
+`scipy.stats` takes most of a second to import, and every command but
 `normality` loads this module without calling them.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 import warnings
 from dataclasses import dataclass
@@ -76,7 +77,7 @@ def mardia(X) -> dict:
     M, N = X.shape
     if M <= N:
         raise DataError("mardia requires more rows than columns")
-    from scipy import stats
+    from scipy import special
 
     Xc = X - X.mean(axis=0)
     S = Xc.T @ Xc / M
@@ -108,11 +109,10 @@ def mardia(X) -> dict:
 
     skew_stat = M * beta1 / 6.0
     dof = N * (N + 1) * (N + 2) / 6.0
-    p_skew = float(stats.chi2.sf(skew_stat, dof))
-    kurt_mean = N * (N + 2)
-    kurt_sd = math.sqrt(8.0 * N * (N + 2) / M)
-    kurt_stat = (beta2 - kurt_mean) / kurt_sd
-    p_kurt = float(2 * stats.norm.sf(abs(kurt_stat)))
+    # chi2.sf's and norm.sf's kernels; chi2.sf's p is 1 at beta1 < 0.
+    p_skew = float(special.chdtrc(dof, max(skew_stat, 0.0)))
+    kurt_stat = (beta2 - N * (N + 2)) / math.sqrt(8.0 * N * (N + 2) / M)
+    p_kurt = float(2 * special.ndtr(-abs(kurt_stat)))
     return {
         "beta1": beta1,
         "beta2": beta2,
@@ -141,41 +141,38 @@ def normality_report(m, alpha: float = 0.05,
     """Per-benchmark Shapiro-Wilk with multiple-testing correction.
 
     Columns too short (< 3 observed) or constant are skipped and listed.
-    Columns longer than SW_MAX_N are tested on a subsample of SW_MAX_N
-    cells, drawn by a generator seeded with 0.
+    Each other column's observed cells, or past SW_MAX_N a subsample of
+    SW_MAX_N drawn by default_rng(0), get one call of scipy's 1-D test,
+    unwrapped from its axis and NaN wrapper.
     """
     if correction not in ("bh", "bonferroni", "none"):
         raise DataError("correction must be bh, bonferroni, or none")
     if not 0 < alpha < 1:
         raise DataError("alpha must lie in (0, 1)")
     counts = m.mask.sum(axis=0)
-    X = m.values.copy()  # NaN in the holes
+    X = np.array(m.values, order="F")  # NaN in the holes, columns contiguous
     rng = np.random.default_rng(0)
     for j in np.flatnonzero(counts > SW_MAX_N):
         X[:, j] = np.nan
         X[:SW_MAX_N, j] = rng.choice(m.values[m.mask[:, j], j],
                                      size=SW_MAX_N, replace=False)
     keep = (counts >= 3) & (np.fmax.reduce(X) > np.fmin.reduce(X))
-    tested = [n for n, k in zip(m.benchmark_names, keep) if k]
     skipped = tuple(n for n, k in zip(m.benchmark_names, keep) if not k)
 
-    results: dict = {}
-    if tested:
-        from scipy import stats
+    from scipy import stats
 
-        # One call tests every column on the cells that are not NaN.
-        W, p = stats.shapiro(X[:, keep], axis=0, nan_policy="omit")
-        results = {name: {"W": float(w), "p": float(q)}
-                   for name, w, q in zip(tested, W, p)}
-    pvals = [results[n]["p"] for n in tested]
-    if not tested:
-        flags = []
-    elif correction == "bh":
+    shapiro = inspect.unwrap(stats.shapiro)  # itself, if not wrapped
+    results = {}
+    for j in np.flatnonzero(keep):
+        col = X[:, j]
+        W, p = shapiro(col[~np.isnan(col)])
+        results[m.benchmark_names[j]] = {"W": float(W), "p": float(p)}
+    pvals = [r["p"] for r in results.values()]
+    if correction == "bh" and pvals:
         flags = benjamini_hochberg(pvals, alpha)
-    elif correction == "bonferroni":
-        flags = [p <= alpha / len(pvals) for p in pvals]
     else:
-        flags = [p <= alpha for p in pvals]
-    for name, rej in zip(tested, flags):
-        results[name]["rejected"] = bool(rej)
+        tests = len(pvals) if correction == "bonferroni" else 1
+        flags = [p <= alpha / tests for p in pvals]
+    for r, rej in zip(results.values(), flags):
+        r["rejected"] = bool(rej)
     return NormalityReport(results, alpha, correction, skipped)

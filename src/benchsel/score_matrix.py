@@ -49,10 +49,13 @@ class ScoreMatrix:
         M, N = values.shape
         if len(self.model_names) != M or len(self.benchmark_names) != N:
             raise DataError("label lengths do not match matrix shape")
-        if len(set(self.model_names)) != M:
-            raise DataError("duplicate model names")
-        if len(set(self.benchmark_names)) != N:
-            raise DataError("duplicate benchmark names")
+        for kind in ("model", "benchmark"):
+            names = tuple(getattr(self, f"{kind}_names"))
+            if len(set(names)) != len(names):
+                seen: set = set()  # the first name met a second time
+                dup = next(n for n in names if n in seen or seen.add(n))
+                raise DataError(f"duplicate {kind} names: {dup!r}")
+            object.__setattr__(self, f"{kind}_names", names)
         bad = mask & ~np.isfinite(values)
         if bad.any():
             i, j = np.argwhere(bad)[0]
@@ -67,8 +70,6 @@ class ScoreMatrix:
         values = values.copy()
         values[~mask] = np.nan
         _own(self, values=values, mask=mask)
-        object.__setattr__(self, "model_names", tuple(self.model_names))
-        object.__setattr__(self, "benchmark_names", tuple(self.benchmark_names))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -165,7 +166,7 @@ def load_csv(source) -> ScoreMatrix:
     try:
         values, models, names = _parse_plain(text) or _parse_rows(text)
     except csv.Error as exc:  # such as a cell over csv's field size limit
-        raise DataError(f"CSV: {exc}") from None
+        raise DataError(str(exc)) from None
     return ScoreMatrix(values, ~np.isnan(values), models, names)
 
 

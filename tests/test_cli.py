@@ -955,9 +955,11 @@ class TestBadFiles:
         ("benchmark,cost", "b0,inf",
          "line 2, column 'cost': non-finite value 'inf' is not a valid score"),
         ("benchmark,cost", "b0,", "row 'b0' has no observed entries"),
-        ("benchmark,cost", "b1,1", "duplicate model names"),
+        ("benchmark,cost", "b1,1", "duplicate model names: 'b1'"),
+        ("benchmark,cost", "b0," + "1" * 140_000,
+         "field larger than field limit (131072)"),
     ], ids=["third-column", "third-cell", "not-cost", "abc", "inf", "empty",
-            "duplicate"])
+            "duplicate", "over-field-limit"])
     def test_costs_errors_name_the_costs_file(self, head, row, message,
                                               rank1_csv, tmp_path, capsys):
         # The costs file is read by load_csv; each fault it finds is
@@ -1030,7 +1032,8 @@ class TestBadFiles:
     def test_cell_over_the_field_limit(self, body, tmp_path, capsys):
         path = tmp_path / "input.csv"
         path.write_text(body)
-        self.run(["select", str(path), "--k", "1"], tmp_path, capsys)
+        self.run(["select", str(path), "--k", "1"], tmp_path, capsys,
+                 "field larger than field limit (131072)")
 
     def test_model_without_cov(self, rank1_csv, tmp_path, capsys):
         path = tmp_path / "model.json"

@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 import warnings
 from unittest import mock
@@ -115,6 +116,16 @@ class TestMardia:
         out = mardia(X)
         assert 0 <= out["p_skew"] <= 1
         assert 0 <= out["p_kurt"] <= 1
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_tails_are_scipy_distributions(self, seed, symmetric):
+        # Rows in +- pairs make beta1 0 but for rounding, which can take it
+        # below 0; chi2.sf's p is then 1, where chdtrc alone gives NaN.
+        X = np.random.default_rng(seed).standard_exponential(size=(20, 3))
+        out = mardia(np.vstack([X, -X]) if symmetric else X)
+        assert out["p_skew"] == float(stats.chi2.sf(out["skew_stat"], 10.0))
+        assert out["p_kurt"] == float(2 * stats.norm.sf(abs(out["kurt_stat"])))
 
     def test_near_singular_covariance_uses_pseudo_inverse(self):
         # The last column is the sum of the first two: cond(S) is about
@@ -331,6 +342,31 @@ class TestNormalityReport:
         assert rep.skipped == ("b1", "b2")
         assert ({n: {"W": r["W"], "p": r["p"]} for n, r in rep.shapiro.items()},
                 rep.skipped) == column_loop_report(m)
+
+    def test_one_unwrapped_call_per_tested_column(self, monkeypatch):
+        # Holes, a constant column and a column of two cells: scipy's 1-D
+        # test runs once on each tested column's observed cells, in order.
+        rng = np.random.default_rng(15)
+        vals = rng.normal(size=(40, 5))
+        vals[rng.random(vals.shape) < 0.3] = np.nan
+        vals[:, 1] = 2.5
+        vals[2:, 2] = np.nan
+        m = make_matrix(vals)
+        expected = normality_report(m)
+        one_d = inspect.unwrap(stats.shapiro)
+        calls = []
+
+        def shapiro(x):
+            calls.append(np.array(x))
+            return one_d(x)
+
+        monkeypatch.setattr(stats, "shapiro", shapiro)
+        assert normality_report(m) == expected
+        assert expected.skipped == ("b1", "b2")
+        assert len(calls) == 3
+        for x, j in zip(calls, (0, 3, 4)):
+            assert x.ndim == 1 and not np.isnan(x).any()
+            assert np.array_equal(x, m.values[m.mask[:, j], j])
 
     @pytest.mark.fresh_draws
     @settings(max_examples=200, deadline=None)

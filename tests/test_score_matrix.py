@@ -81,6 +81,14 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="duplicate benchmark"):
             load_csv("model,b0,b0\na,1,2\nb,3,4\n")
 
+    def test_duplicate_is_named(self):
+        # The first name read a second time: 'b' repeats before 'a' does.
+        with pytest.raises(DataError, match="^duplicate model names: 'b'$"):
+            load_csv("model,x\na,1\nb,2\nc,3\nb,4\na,5\n")
+        with pytest.raises(DataError,
+                           match="^duplicate benchmark names: 'y'$"):
+            load_csv("model,x,y,z,y\na,1,2,3,4\nb,5,6,7,8\n")
+
     def test_all_missing_row(self):
         with pytest.raises(DataError, match="no observed"):
             load_csv("model,b0,b1\na,,\nb,1,2\nc,3,4\n")
