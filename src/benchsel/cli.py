@@ -125,8 +125,9 @@ def _parse_costs(path, benchmark_names):
         table = load_csv(path)
         if [n.lower() for n in table.benchmark_names] != ["cost"]:
             raise DataError("header must be '<label>,cost'")
-    except DataError as exc:
-        raise DataError(f"costs CSV: {exc}") from None
+    except DataError as exc:  # whose rows are benchmarks, not models
+        raise DataError("costs CSV: " + str(exc).replace(
+            "duplicate model names:", "duplicate benchmark")) from None
     given = dict(zip(table.model_names, table.values[:, 0].tolist()))
     known = set(benchmark_names)
     for name in given:
@@ -230,15 +231,27 @@ def cmd_impute(args) -> int:
             f"{m.model_names[i]!r} is negative: the model's Sigma is not PSD")
     sd = fit.decode_sd(pred, np.sqrt(np.maximum(cvar, 0.0)))
     completed = np.where(m.mask, m.values, fit.decode(pred))
-    cond_sd = np.where(m.mask, np.nan, sd)
+    # In raw mode, rows with one conditioning set share their sds.  Each
+    # distinct row of bits is formatted once, by repr, in the cells a row of
+    # its group did not observe; a NaN and an observed cell are empty.
+    _, first, inverse = np.unique(
+        sd.view(f"V{sd.itemsize * sd.shape[1]}").ravel(),
+        return_index=True, return_inverse=True)
+    distinct = sd[first]
+    shown = np.zeros(distinct.shape, bool)
+    np.logical_or.at(shown, inverse, ~m.mask)
+    shown &= ~np.isnan(distinct)
+    texts = np.full(distinct.shape, "", dtype=object)
+    texts[shown] = list(map(repr, distinct[shown].tolist()))
+    texts = np.where(m.mask, "", texts[inverse])
 
     os.makedirs(args.out, exist_ok=True)
     header = ["model"] + list(m.benchmark_names)
-    for name, table in (("completed.csv", completed),
-                        ("conditional_sd.csv", cond_sd)):
+    for name, table in (("completed.csv", completed.tolist()),
+                        ("conditional_sd.csv", texts.tolist())):
         write_table(os.path.join(args.out, name), header,
                     ([label, *row] for label, row
-                     in zip(m.model_names, table.tolist())))
+                     in zip(m.model_names, table)))
     _write_manifest(args)
     return 0
 

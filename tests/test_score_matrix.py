@@ -505,7 +505,8 @@ _texts = st.text(alphabet=st.sampled_from(
 _cells = (_floats | _floats.map(np.float64)
           | st.floats(width=32).map(np.float32) | _texts | st.integers()
           | st.booleans() | st.none())
-_rows = st.lists(_cells, max_size=6) | st.lists(_cells, max_size=6).map(tuple)
+_rows = (st.lists(_cells, max_size=6) | st.lists(_cells, max_size=6).map(tuple)
+         | st.lists(_texts, max_size=6))
 
 
 class TestWriteTable:
@@ -526,6 +527,9 @@ class TestWriteTable:
     @example([math.nan], [[np.float32("nan"), 1.0], ("nan", math.nan),
                           [np.float64("nan")], ["banana", -0.0, math.nan],
                           ['q"q', 1], ["it's", 'both"\'', 2]])
+    @example(["a", "b"], [["a", ","], ['"', "q"], ["\r", "c"], ["l", "\n"],
+                          [" ", "s"], ["", "e"], ["", ""], [""], [",", ""]])
+    @example(["a"], [["n", "\0"]])
     def test_matches_csv_writer(self, header, rows):
         assert (_rendering(write_table, header, rows)
                 == _rendering(reference_write_table, header, rows))
