@@ -52,11 +52,16 @@ class GaussianModel:
         cov = np.asarray(self.cov, dtype=float)
         if cov.shape != (mean.size, mean.size):
             raise DataError("covariance shape does not match mean length")
+        if mean.size == 0:
+            raise DataError("model has no benchmarks")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise DataError("mean and covariance must be finite")
-        if np.max(np.abs(cov - cov.T)) > 1e-10 * max(1.0, np.max(np.abs(cov))):
-            raise DataError("covariance is not symmetric")
-        _own(self, ("mean",), mean=mean, cov=0.5 * (cov + cov.T))
+        if not np.array_equal(cov, cov.T):  # every fitted Sigma is symmetric
+            if (np.max(np.abs(cov - cov.T))
+                    > 1e-10 * max(1.0, np.max(np.abs(cov)))):
+                raise DataError("covariance is not symmetric")
+            cov = 0.5 * cov + 0.5 * cov.T  # 0.5 * (cov + cov.T), no overflow
+        _own(self, ("mean",), mean=mean, cov=cov)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -346,8 +351,16 @@ def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:
     """
     _require_two_cells(m)
     if m.mask.all():
-        return GaussianModel(
-            *_m_step(m.values, 0.0, m.values.var(axis=0, ddof=1))[:2], "em")
+        # One centred copy gives the scatter and D, the ddof=1 variances,
+        # by the sum var(ddof=1) runs; nu diag(D) joins Sigma in place.
+        mu = m.values.mean(axis=0)
+        Bc = m.values - mu
+        Sigma = Bc.T @ Bc
+        Bc *= Bc
+        D = Bc.sum(axis=0) / (len(Bc) - 1)
+        Sigma.flat[::len(D) + 1] += _PRIOR_NU * D
+        Sigma /= len(Bc) + _PRIOR_NU
+        return GaussianModel(mu, Sigma, "em")
     mu = mean_missing(m)
     Sigma = pairwise_cov(m, mu)
     D = np.diag(Sigma).copy()

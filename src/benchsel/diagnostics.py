@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from benchsel import covariance
-from benchsel.errors import DataError
+from benchsel.errors import DataError, NumericalError
 
 # The largest sample Royston's W approximation covers.
 SW_MAX_N = 5000
@@ -67,7 +67,8 @@ def mardia(X) -> dict:
     Mahalanobis kernel D = Y Y^T cubed in blocks of rows of at most
     _BLOCK_CELLS cells, so memory grows with M*N, not M^2.  An S that is
     not positive definite, or whose 1-norm condition number exceeds
-    1/(N eps), falls back to the pseudo-inverse with a warning.
+    1/(N eps), falls back to the pseudo-inverse with a warning; an S that
+    overflows raises NumericalError.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] == 0:
@@ -79,8 +80,11 @@ def mardia(X) -> dict:
         raise DataError("mardia requires more rows than columns")
     from scipy import special
 
-    Xc = X - X.mean(axis=0)
-    S = Xc.T @ Xc / M
+    with np.errstate(over="ignore", invalid="ignore"):
+        Xc = X - X.mean(axis=0)
+        S = Xc.T @ Xc / M
+    if not np.isfinite(S).all():  # pinv's SVD would not converge
+        raise NumericalError("the sample covariance overflows")
     factor = covariance._cholesky(S)
     # L^-1 in L's own array, so that no N x N array is added, with its
     # upper triangle zeroed: dtrtri leaves S's entries there.  All NaN,

@@ -185,7 +185,11 @@ def _run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows, warnings_out):
         )
         return None
     names = tuple(m.benchmark_names[j] for j in active)
-    tr_vals, va_vals = tr_vals[:, active], m.values[np.ix_(val_rows, active)]
+    if varies.all():
+        va_vals = m.values[val_rows]
+    else:
+        tr_vals = tr_vals[:, active]
+        va_vals = m.values[np.ix_(val_rows, active)]
 
     keep = ~np.isnan(tr_vals).all(axis=1)
     if not keep.all():
@@ -206,9 +210,11 @@ def _run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows, warnings_out):
     factor = _factor(Sigma)  # one factorization for every method's run
     n_act = len(active)
     va_std = fit.encode(va_vals)
-    # R^2 is scored in raw standardized space, in logit mode too.
+    # R^2 is scored in raw standardized space, in logit mode too; in raw
+    # mode that is va_std.
     raw_stats = column_stats(train_m) if cfg.logit_mode else fit.stats
-    va_z = np.clip((va_vals - raw_stats.means) / raw_stats.stds,
+    va_z = np.clip((va_vals - raw_stats.means) / raw_stats.stds
+                   if cfg.logit_mode else va_std,
                    -STANDARDIZED_CLIP, STANDARDIZED_CLIP)
 
     fold_cells: list[CvCell] = []

@@ -363,19 +363,27 @@ def _column_pass(values: np.ndarray):
 
     A column varies when its observed max exceeds its min (seven cells of
     0.1 have a std of 1.5e-17) and its std is positive.  Sums run along the
-    rows of a contiguous transposed copy, so a fully observed column gets
-    the bits of its own mean() and std(ddof=1).
+    rows of one owned, C-ordered transposed copy, holes zeroed, then
+    centred and squared in place, so a fully observed column gets the bits
+    of its own mean() and std(ddof=1).
     """
-    obs = np.ascontiguousarray(~np.isnan(values).T)
-    X = np.where(obs, values.T, 0.0)
-    n = obs.sum(axis=1)
+    X = np.array(values.T, order="C")  # a copy even when values is F-ordered
+    holes = np.isnan(X)
+    complete = not holes.any()
+    if not complete:
+        X[holes] = 0.0
+    n = len(values) - holes.sum(axis=1)
+    obs = True if complete else ~holes  # a where= mask costs 3x a plain max
+    hi = X.max(axis=1, initial=-np.inf, where=obs)
+    lo = X.min(axis=1, initial=np.inf, where=obs)
     with np.errstate(invalid="ignore", divide="ignore"):
         means = X.sum(axis=1) / n
-        d = np.where(obs, X - means[:, None], 0.0)
-        stds = np.sqrt((d * d).sum(axis=1) / (n - 1))
-    varies = ((X.max(axis=1, initial=-np.inf, where=obs)
-               > X.min(axis=1, initial=np.inf, where=obs)) & (stds > 0))
-    return means, stds, varies
+        X -= means[:, None]
+        if not complete:
+            X[holes] = 0.0
+        X *= X
+        stds = np.sqrt(X.sum(axis=1) / (n - 1))
+    return means, stds, (hi > lo) & (stds > 0)
 
 
 def _row_groups(observed: np.ndarray):

@@ -188,7 +188,9 @@ def _selection_path(S, factor, objective: str, k: int, order=()):
     order, _, trace, pivots = _pivoted_cholesky(
         mats, k, _pivot_rule(S, objective, order))
     A = list(order)
-    Y = _solve_lower(factor, np.eye(len(S))[:, A])
+    E = np.zeros((len(S), len(A)), order="F")  # A's selector: no N x N eye
+    E[A, range(len(A))] = 1.0
+    Y = _solve_lower(factor, E)
     pivots = np.column_stack((pivots[:, 0], _cholesky_pivots(Y.T @ Y)))
     logs = np.log(pivots, out=np.full(pivots.shape, math.nan), where=pivots > 0)
     entropy, mi = (np.concatenate(([0.0], np.cumsum(step))) for step in

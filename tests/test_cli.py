@@ -1,17 +1,21 @@
 import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from benchsel.cli import build_parser, main
@@ -792,6 +796,16 @@ class TestNormality:
         assert errors == [f"error: unrecognized arguments: --ridge {ridge}"]
         assert not os.path.exists(out)
 
+    def test_overflowing_covariance_skips_mardia(self, tmp_path, capsys):
+        X = _overflowing_draw()
+        path = write_matrix(tmp_path, make_matrix(X))
+        out = str(tmp_path / "out")
+        assert main(["normality", path, "--out", out]) == 0
+        assert capsys.readouterr().err == (
+            "warning: Mardia skipped: the sample covariance overflows\n")
+        assert json.load(open(os.path.join(out, "mardia.json"))) is None
+        assert len(read_table(os.path.join(out, "shapiro.csv"))) == X.shape[1]
+
     def test_too_few_rows_for_mardia_warns(self, tmp_path, capsys):
         rng = np.random.default_rng(8)
         path = write_matrix(tmp_path, make_matrix(rng.normal(size=(3, 4))))
@@ -1080,6 +1094,13 @@ class TestBadFiles:
                   "--selected", "b0"], tmp_path, capsys,
                  "model dimension does not match input width")
 
+    def test_model_without_benchmarks(self, rank1_csv, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text('{"mean": [], "cov": [], "estimator": "em"}')
+        self.run(["impute", rank1_csv, "--model", str(path),
+                  "--selected", "b0"], tmp_path, capsys,
+                 "model has no benchmarks")
+
     def test_more_folds_than_models(self, tmp_path, capsys):
         path = write_matrix(tmp_path, rank_one_matrix(M=5, N=3))
         self.run(["cv", path, "--folds", "6", "--holdout", "0.2"], tmp_path,
@@ -1178,3 +1199,87 @@ class TestEntryPoint:
         assert proc.returncode == 0
         for cmd in ("spectrum", "select", "impute", "cv", "normality"):
             assert cmd in proc.stdout
+
+
+def _overflowing_draw():
+    """A complete 12 x 3 draw with entries up to 2.4e280, whose normality
+    run once ended in pinv's LinAlgError."""
+    rng = np.random.default_rng(2)
+    M, N = rng.integers(5, 14), rng.integers(2, 6)
+    X = (rng.normal(size=(M, 1)) @ rng.normal(size=(1, N))
+         + rng.normal(scale=10.0 ** rng.integers(-12, 1), size=(M, N)))
+    return X * 10.0 ** rng.integers(-300, 300)
+
+
+@st.composite
+def fuzz_matrices(draw):
+    """Small leaderboards: a rank-one signal plus noise at 1e-12 to 1 of
+    its scale, scaled by 10^-300 to 10^300, maybe nonnegative, maybe with
+    a constant, duplicated or near-collinear column, 0-80% holes, and at
+    least one observed cell per row."""
+    M, N = draw(st.integers(2, 13)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(M, 1)) @ rng.normal(size=(1, N))
+    X += rng.normal(scale=10.0 ** draw(st.integers(-12, 0)), size=(M, N))
+    X *= 10.0 ** draw(st.integers(-300, 300))
+    if draw(st.booleans()):
+        X = np.abs(X)
+    column = draw(st.sampled_from(["", "constant", "duplicate", "collinear"]))
+    if column == "constant":
+        X[:, -1] = X[0, -1]
+    elif column == "duplicate":
+        X[:, -1] = X[:, 0]
+    elif column == "collinear":
+        X[:, -1] = X[:, 0] * (1 + 1e-9)
+    holes = rng.random((M, N)) < draw(st.sampled_from([0.0, 0.2, 0.5, 0.8]))
+    holes[np.arange(M), rng.integers(N, size=M)] = False
+    return np.where(holes, np.nan, X)
+
+
+@pytest.mark.fresh_draws
+class TestEveryInputExits:
+    """Every command ends in an exit code on any leaderboard the CSV
+    schema admits: 0, 2 for bad data, 3 for a numerical failure, and 1
+    only for a usage error; never in an exception."""
+
+    COMMANDS = [
+        ["spectrum"],
+        ["select", "--k", "2"],
+        ["select", "--objective", "mi", "--k", "2"],
+        ["select", "--k", "2", "--logit"],
+        ["select", "--objective", "budgeted", "--costs", "{costs}",
+         "--budget", "2"],
+        ["impute", "--train", "{input}", "--selected", "b0"],
+        ["impute", "--train", "{input}", "--selected", "b0", "--logit"],
+        ["cv", "--folds", "2", "--kmax", "2", "--holdout", "0.5"],
+        ["cv", "--folds", "2", "--kmax", "2", "--holdout", "0.5", "--logit"],
+        ["normality"],
+    ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(fuzz_matrices())
+    @example(_overflowing_draw())
+    def test_exit_code(self, X):
+        m = make_matrix(X)
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = {"input": write_matrix(Path(tmp), m),
+                     "costs": os.path.join(tmp, "costs.csv")}
+            with open(paths["costs"], "w", encoding="utf-8") as fh:
+                fh.write("benchmark,cost\n" + "".join(
+                    f"{name},1\n" for name in m.benchmark_names))
+            for command in self.COMMANDS:
+                argv = [command[0], paths["input"], "--out",
+                        os.path.join(tmp, "out"),
+                        *(a.format(**paths) for a in command[1:])]
+                err = io.StringIO()
+                # numpy's overflow warnings reach a user as stderr lines.
+                with contextlib.redirect_stderr(err), \
+                        contextlib.redirect_stdout(io.StringIO()), \
+                        warnings.catch_warnings(record=True):
+                    warnings.simplefilter("always")
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:  # argparse's usage errors
+                        code = exc.code
+                assert code in (0, 1, 2, 3), argv
+                assert code != 1 or "error: " in err.getvalue(), argv

@@ -27,6 +27,7 @@ from benchsel.score_matrix import (
     column_stats, logit_params, logit_transform, standardize)
 
 from conftest import make_matrix, mcar_matrix, random_spd
+from test_score_matrix import in_layout, reference_column_pass, same_bits
 
 
 class TestEstimateFull:
@@ -802,12 +803,6 @@ class TestGaussianModelJson:
             GaussianModel.from_json(json.dumps(doc))
 
 
-def same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and a.dtype == b.dtype and \
-        a.tobytes() == b.tobytes()
-
-
 @st.composite
 def factor_cases(draw):
     """A symmetric matrix that is positive definite, near-singular (a
@@ -894,6 +889,52 @@ class TestFitModel:
         assert got.loglik_trace == want.loglik_trace
 
 
+def reference_complete_fit(m, logit):
+    """(means, stds, mu, Sigma) of fit_model on a complete matrix as the
+    separate steps gave them: the masked column pass, standardize, the
+    M-step with D from var(ddof=1) and its symmetrization, then
+    GaussianModel's."""
+    work = logit_transform(m, logit_params(m)) if logit else m
+    means, stds, _ = reference_column_pass(work.values)
+    v = (work.values - means) / stds
+    mu = v.mean(axis=0)
+    Bc = v - mu
+    Sigma = Bc.T @ Bc + 0.0 + np.diag(PRIOR_NU * v.var(axis=0, ddof=1))
+    Sigma /= len(v) + PRIOR_NU
+    Sigma = 0.5 * (Sigma + Sigma.T)
+    return means, stds, mu, 0.5 * (Sigma + Sigma.T)
+
+
+@pytest.mark.fresh_draws
+class TestCompleteFitBits:
+    """On a complete matrix, one column pass and one centred copy give the
+    bits of the separate steps, and the caller's array is left as it was."""
+
+    @staticmethod
+    def check(X, logit):
+        before = X.copy()
+        m = make_matrix(X)
+        fit = fit_model(m, logit=logit)
+        assert np.array_equal(X, before) and X.flags.writeable
+        got = (fit.stats.means, fit.stats.stds, fit.model.mean, fit.model.cov)
+        for a, b in zip(got, reference_complete_fit(m, logit)):
+            assert same_bits(a, b)
+        assert fit.model.cov.flags.c_contiguous
+
+    @settings(max_examples=100, deadline=None)
+    @given(complete_matrices(), st.booleans(),
+           st.sampled_from(["C", "F", "strided"]))
+    def test_matches_the_separate_steps(self, m, logit, layout):
+        X = np.abs(m.values) if logit else m.values  # logit: nonnegative
+        self.check(in_layout(X, layout), logit)
+
+    @pytest.mark.parametrize("shape", [(500, 400), (300, 60), (40, 120)])
+    def test_bench_shapes(self, shape):
+        X = np.random.default_rng(shape[1]).normal(size=shape)
+        self.check(X @ np.tril(np.ones((shape[1], shape[1]))), False)
+        self.check(np.abs(X), True)
+
+
 class TestValidation:
     """Checks of GaussianModel, its JSON and pairwise_cov, one per case."""
 
@@ -909,7 +950,21 @@ class TestValidation:
         (lambda: pairwise_cov(make_matrix([[1.0, 2.0], [3.0, 5.0]]),
                               np.zeros(3)),
          "mu dimension does not match matrix width"),
-    ], ids=["cov-shape", "asymmetric", "not-json", "cov-size", "mu-width"])
+        # Once a ValueError from the symmetry test's max of no entries.
+        (lambda: GaussianModel.from_json(
+            '{"mean": [], "cov": [], "estimator": "em"}'),
+         "model has no benchmarks"),
+    ], ids=["cov-shape", "asymmetric", "not-json", "cov-size", "mu-width",
+            "empty"])
     def test_rejected(self, call, message):
         with pytest.raises(DataError, match=f"^{message}$"):
             call()
+
+    @pytest.mark.parametrize("off", [1.0, 1.0 + 1e-12],
+                             ids=["symmetric", "asymmetric"])
+    def test_symmetrization_does_not_overflow(self, off):
+        # 0.5 * (cov + cov.T) took the diagonal's 1.7e308 + 1.7e308 to inf.
+        cov = np.array([[1.7e308, off], [1.0, 1.0]])
+        g = GaussianModel(np.zeros(2), cov, "em")
+        assert g.cov[0, 0] == 1.7e308
+        assert g.cov[0, 1] == g.cov[1, 0] == 0.5 * off + 0.5

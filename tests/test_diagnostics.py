@@ -17,7 +17,7 @@ from benchsel.diagnostics import (
     normality_report,
     shapiro_wilk,
 )
-from benchsel.errors import DataError
+from benchsel.errors import DataError, NumericalError
 
 from conftest import make_matrix
 
@@ -166,6 +166,15 @@ class TestMardia:
         X = np.random.default_rng(7).normal(size=(20, 3))
         X[4, 1] = np.inf
         with pytest.raises(DataError, match="finite"):
+            mardia(X)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_overflowing_covariance_raises(self, scale):
+        # Finite scores whose products overflow: S is not finite, and
+        # pinv's SVD would not converge on it.
+        X = np.random.default_rng(7).normal(size=(20, 3)) * scale
+        with pytest.raises(NumericalError,
+                           match="^the sample covariance overflows$"):
             mardia(X)
 
 

@@ -17,7 +17,9 @@ from benchsel.evaluation import (
     run_cv,
     training_size,
 )
-from benchsel.imputation import clip_standardized, impute_row, r2_standardized
+from benchsel.imputation import (
+    STANDARDIZED_CLIP, clip_standardized, impute_prefixes, impute_row,
+    r2_standardized)
 from benchsel.score_matrix import (
     ScoreMatrix,
     column_stats,
@@ -411,6 +413,77 @@ class TestBatchedFold:
             for a, b in ((g.residual_fraction, w.residual_fraction),
                          (g.entropy, w.entropy), (g.mi, w.mi)):
                 assert abs(a - b) <= 1e-12
+
+
+@st.composite
+def fold_matrices(draw):
+    """Nonnegative leaderboards with holes, maybe a constant column, which
+    every fold excludes, and rows that observe only that column, which a
+    fold then drops."""
+    M, N = draw(st.integers(8, 30)), draw(st.integers(3, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.abs(rng.normal(size=(M, N)) + 2.0)
+    holes = rng.random((M, N)) < draw(st.sampled_from([0.0, 0.2, 0.4]))
+    holes[np.arange(M), rng.integers(N, size=M)] = False
+    if draw(st.booleans()):
+        X[:, 0] = 1.0
+        holes[:draw(st.integers(0, 3))] = [False] + [True] * (N - 1)
+    for j in np.flatnonzero((~holes).sum(axis=0) < 2):
+        holes[-2:, j] = False
+    return make_matrix(np.where(holes, np.nan, X))
+
+
+@pytest.mark.fresh_draws
+class TestFoldFit:
+    """A fold's fit, its standardized validation rows and the clipped
+    targets its R^2 is scored on have the bits of fit_model and
+    column_stats on the fold's training matrix: with every column kept or
+    some excluded, rows dropped or not, in raw and logit mode."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(fold_matrices(), st.booleans())
+    def test_matches_fit_model(self, m, logit):
+        seen = []
+        real_fold, real_r2 = evaluation._run_fold, evaluation._prefix_r2
+
+        def run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows, out):
+            seen.append({"val_rows": val_rows})
+            return real_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows,
+                             out)
+
+        def score_matrix(*args):
+            seen[-1]["train"] = ScoreMatrix(*args)
+            return seen[-1]["train"]
+
+        def prefixes(va_std, order, model, ridge):
+            seen[-1].update(va_std=va_std, model=model)
+            return impute_prefixes(va_std, order, model, ridge)
+
+        def prefix_r2(pred, order, va_z):
+            seen[-1]["va_z"] = va_z
+            return real_r2(pred, order, va_z)
+
+        with pytest.MonkeyPatch.context() as patch:
+            for name, fn in (("_run_fold", run_fold),
+                             ("_prefix_r2", prefix_r2),
+                             ("ScoreMatrix", score_matrix),
+                             ("impute_prefixes", prefixes)):
+                patch.setattr(evaluation, name, fn)
+            run_cv(m, CvConfig(folds=2, holdout_fractions=(0.2, 0.5), k_max=1,
+                               methods=("entropy",), logit_mode=logit))
+        for fold in (f for f in seen if "train" in f):
+            train = fold["train"]
+            fit = fit_model(train, logit=logit)
+            raw = column_stats(train)
+            cols = [m.benchmark_names.index(n) for n in train.benchmark_names]
+            va_vals = m.values[np.ix_(fold["val_rows"], cols)]
+            want = np.clip((va_vals - raw.means) / raw.stds,
+                           -STANDARDIZED_CLIP, STANDARDIZED_CLIP)
+            for a, b in ((fold["model"].mean, fit.model.mean),
+                         (fold["model"].cov, fit.model.cov),
+                         (fold["va_std"], fit.encode(va_vals)),
+                         (fold["va_z"], want)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestPrefixR2:

@@ -605,6 +605,74 @@ class TestInvariants:
         assert np.isnan(make_matrix(vals, mask).values[2, 1])
 
 
+def reference_column_pass(values):
+    """_column_pass as masked copies wrote it: np.where zeroes the holes of
+    the transposed matrix, and again after centring."""
+    obs = np.ascontiguousarray(~np.isnan(values).T)
+    X = np.where(obs, values.T, 0.0)
+    n = obs.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        means = X.sum(axis=1) / n
+        d = np.where(obs, X - means[:, None], 0.0)
+        stds = np.sqrt((d * d).sum(axis=1) / (n - 1))
+    varies = ((X.max(axis=1, initial=-np.inf, where=obs)
+               > X.min(axis=1, initial=np.inf, where=obs)) & (stds > 0))
+    return means, stds, varies
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and \
+        a.tobytes() == b.tobytes()
+
+
+def in_layout(X, layout):
+    """X as a C-ordered array, an F-ordered one, or a strided view (every
+    other row and column of a larger array) holding the same values."""
+    if layout in ("C", "F"):
+        return np.array(X, order=layout)
+    base = np.full((2 * X.shape[0], 2 * X.shape[1]), -7.0)
+    base[::2, ::2] = X
+    return base[::2, ::2]
+
+
+@st.composite
+def column_pass_cases(draw):
+    """Score matrices with holes, all-NaN columns, one-cell and constant
+    columns, at scales from 1e-3 to 1e3, in one of three layouts."""
+    M, N = draw(st.integers(0, 30)), draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(M, N)) * 10.0 ** rng.uniform(-3, 3, size=N)
+    holes = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9]))
+    X[rng.random((M, N)) < holes] = np.nan
+    for j in rng.choice(N, size=draw(st.integers(0, N)), replace=True):
+        kind = rng.integers(3)
+        if kind == 0:
+            X[:, j] = np.nan
+        elif kind == 1 and M:  # one cell
+            X[:, j] = np.nan
+            X[rng.integers(M), j] = rng.normal()
+        else:
+            X[:, j] = np.where(np.isnan(X[:, j]), np.nan, 0.1)
+    return in_layout(X, draw(st.sampled_from(["C", "F", "strided"])))
+
+
+@pytest.mark.fresh_draws
+class TestColumnPass:
+    """One owned transposed copy, centred and squared in place, gives the
+    bits of the masked copies, and the caller's array is left as it was."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(column_pass_cases())
+    def test_matches_the_masked_copies(self, X):
+        before = X.copy()
+        got, want = score_matrix._column_pass(X), reference_column_pass(X)
+        assert np.array_equal(X, before, equal_nan=True)
+        assert X.flags.writeable
+        for a, b in zip(got, want):
+            assert same_bits(a, b)
+
+
 class TestStandardize:
     def test_single_value(self):
         m = make_matrix([[0.8], [0.4], [0.6]])
