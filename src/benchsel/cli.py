@@ -306,8 +306,7 @@ def cmd_normality(args) -> int:
             # Each row conditions on all it observed: one group per pattern.
             pred = impute_rows(z, range(m.shape[1]), fit.model).predicted
             x, kind = np.where(m.mask, z, pred), "completed-data"
-        with _warnings_to_stderr():
-            mardia_doc = {**mardia(x), "matrix": kind}
+        mardia_doc = {**mardia(x), "matrix": kind}
     except (DataError, NumericalError) as exc:
         print(f"warning: Mardia skipped: {exc}", file=sys.stderr)
     _write_json(os.path.join(args.out, "mardia.json"), mardia_doc)

@@ -30,9 +30,24 @@ from benchsel.score_matrix import (
     standardize,
 )
 
-_SYM_TOL = 1e-8
 # Weight of em_fit's prior on Sigma, in pseudo-observations.
 _PRIOR_NU = 1.0
+
+
+def _symmetric(S) -> np.ndarray:
+    """The one check of a covariance: S, square and finite, as it is if
+    exactly symmetric, as 0.5 * S + 0.5 * S.T (0.5 * (S + S.T) without its
+    overflow) within 1e-10 max(1, max|S|) of it, else DataError."""
+    S = np.asarray(S, dtype=float)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise DataError("covariance must be square")
+    if not np.isfinite(S).all():
+        raise DataError("covariance must be finite")
+    if np.array_equal(S, S.T):
+        return S
+    if np.max(np.abs(S - S.T)) > 1e-10 * max(1.0, np.max(np.abs(S))):
+        raise DataError("covariance is not symmetric")
+    return 0.5 * S + 0.5 * S.T
 
 
 @dataclass(frozen=True)
@@ -56,12 +71,7 @@ class GaussianModel:
             raise DataError("model has no benchmarks")
         if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise DataError("mean and covariance must be finite")
-        if not np.array_equal(cov, cov.T):  # every fitted Sigma is symmetric
-            if (np.max(np.abs(cov - cov.T))
-                    > 1e-10 * max(1.0, np.max(np.abs(cov)))):
-                raise DataError("covariance is not symmetric")
-            cov = 0.5 * cov + 0.5 * cov.T  # 0.5 * (cov + cov.T), no overflow
-        _own(self, ("mean",), mean=mean, cov=cov)
+        _own(self, ("mean",), mean=mean, cov=_symmetric(cov))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -122,8 +132,7 @@ def estimate_full(m: ScoreMatrix) -> GaussianModel:
     M = B.shape[0]
     mu = B.mean(axis=0)
     Bc = B - mu
-    cov = Bc.T @ Bc / (M - 1)
-    return GaussianModel(mu, 0.5 * (cov + cov.T), "full")
+    return GaussianModel(mu, Bc.T @ Bc / (M - 1), "full")
 
 
 def mean_missing(m: ScoreMatrix) -> np.ndarray:
@@ -146,30 +155,24 @@ def pairwise_cov(m: ScoreMatrix, mu: np.ndarray) -> np.ndarray:
     Bc = np.where(m.mask, m.values - mu, 0.0)
     num = Bc.T @ Bc
     den = np.maximum(O.T @ O - 1.0, 1.0)
-    S = num / den
-    return 0.5 * (S + S.T)
+    return num / den  # exactly symmetric: A'A is a symmetric rank-k update
 
 
 def psd_project(S: np.ndarray, floor: float) -> np.ndarray:
     """Eigendecompose, clamp eigenvalues to >= floor, reconstruct."""
-    S = np.asarray(S, dtype=float)
-    if np.max(np.abs(S - S.T)) > _SYM_TOL * max(1.0, np.max(np.abs(S))):
-        raise DataError("input is not symmetric")
-    S = 0.5 * (S + S.T)
-    w, V = np.linalg.eigh(S)
+    w, V = np.linalg.eigh(_symmetric(S))
     out = (V * np.maximum(w, floor)) @ V.T
-    return 0.5 * (out + out.T)
+    return 0.5 * (out + out.T)  # V diag V' is not exactly symmetric
 
 
 def to_correlation(S: np.ndarray) -> np.ndarray:
     """Convert a covariance to a correlation matrix D^{-1/2} S D^{-1/2}."""
-    S = np.asarray(S, dtype=float)
+    S = _symmetric(S)
     d = np.diag(S)
     if np.any(d <= 0):
         raise DataError("covariance has nonpositive diagonal entries")
     inv_sd = 1.0 / np.sqrt(d)
-    R = S * np.outer(inv_sd, inv_sd)
-    R = 0.5 * (R + R.T)
+    R = S * np.outer(inv_sd, inv_sd)  # exactly symmetric, as S is
     np.fill_diagonal(R, 1.0)
     return R
 
@@ -222,6 +225,14 @@ def _cholesky(a: np.ndarray):
     return c if info == 0 else None
 
 
+def _factor(S, message="covariance is not positive definite"):
+    """Lower Cholesky factor of S, or NumericalError(message)."""
+    factor = _cholesky(S)
+    if factor is None:
+        raise NumericalError(message)
+    return factor
+
+
 def _solve_lower(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """L^-1 rhs by LAPACK dtrtrs; rhs when L is empty, which dtrtrs rejects."""
     return _lapack.dtrtrs(factor, rhs, lower=1)[0] if len(factor) else rhs
@@ -267,9 +278,7 @@ def _em_map(m: ScoreMatrix, stacks, mu, Sigma, D):
     With S the M-step's scatter and d = mu' - mu, the completed rows'
     quadratic forms sum to tr(P S) + M d'Pd; the prior's is nu diag(P)'D.
     """
-    factor = _cholesky(Sigma)
-    if factor is None:
-        raise NumericalError("EM covariance is singular")
+    factor = _factor(Sigma, "EM covariance is singular")
     logdet = 2.0 * np.sum(np.log(np.diag(factor)))
     P = _cho_inverse(factor)
     t = np.where(m.mask, m.values - mu, 0.0) @ P
@@ -293,13 +302,16 @@ def _em_map(m: ScoreMatrix, stacks, mu, Sigma, D):
 
 
 def _m_step(completed, correction, D):
-    """The M-step's mu, Sigma and scatter Bc'Bc from the completed matrix."""
+    """The M-step's mu, Sigma and scatter Bc'Bc from the completed matrix.
+    Sigma is exactly symmetric: numpy forms A'A by a symmetric rank-k
+    update, and the correction adds the same terms into (i, j) and (j, i).
+    """
     mu = completed.mean(axis=0)
     Bc = completed - mu
     scatter = Bc.T @ Bc
     Sigma = scatter + correction + np.diag(_PRIOR_NU * D)
     Sigma /= len(completed) + _PRIOR_NU
-    return mu, 0.5 * (Sigma + Sigma.T), scatter
+    return mu, Sigma, scatter
 
 
 def em_fit(m: ScoreMatrix, cfg: EmConfig = EmConfig()) -> GaussianModel:

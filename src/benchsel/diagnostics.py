@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import inspect
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,10 +64,10 @@ def mardia(X) -> dict:
     8 N(N+2)/M.  One Cholesky factor L of the sample covariance S,
     inverted once, whitens the centred rows, Y = Xc L^-T, and b1 sums the
     Mahalanobis kernel D = Y Y^T cubed in blocks of rows of at most
-    _BLOCK_CELLS cells, so memory grows with M*N, not M^2.  An S that is
-    not positive definite, or whose 1-norm condition number exceeds
-    1/(N eps), falls back to the pseudo-inverse with a warning; an S that
-    overflows raises NumericalError.
+    _BLOCK_CELLS cells, so memory grows with M*N, not M^2.  The degrees
+    of freedom and the kurtosis mean assume S of rank N (Mardia 1970), so
+    an S that overflows, is not positive definite, or whose 1-norm
+    condition number exceeds 1/(N eps) raises NumericalError.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] == 0:
@@ -83,33 +82,27 @@ def mardia(X) -> dict:
     with np.errstate(over="ignore", invalid="ignore"):
         Xc = X - X.mean(axis=0)
         S = Xc.T @ Xc / M
-    if not np.isfinite(S).all():  # pinv's SVD would not converge
+    if not np.isfinite(S).all():
         raise NumericalError("the sample covariance overflows")
-    factor = covariance._cholesky(S)
+    factor = covariance._factor(S, "the sample covariance is singular")
     # L^-1 in L's own array, so that no N x N array is added, with its
-    # upper triangle zeroed: dtrtri leaves S's entries there.  All NaN,
-    # which fails the test below, when S is not positive definite.
-    inv = (np.full((N, N), np.nan) if factor is None
-           else covariance._lapack.dtrtri(factor, lower=1, overwrite_c=1)[0])
+    # upper triangle zeroed: dtrtri leaves S's entries there.
+    inv = covariance._lapack.dtrtri(factor, lower=1, overwrite_c=1)[0]
     np.copyto(inv, 0.0, where=~np.tri(N, dtype=bool))
     # Past a 1-norm condition number of 1/(N eps) S^-1 has no correct digit.
-    if (np.linalg.norm(S, 1) * np.linalg.norm(inv.T @ inv, 1)
+    if not (np.linalg.norm(S, 1) * np.linalg.norm(inv.T @ inv, 1)
             <= 1.0 / (N * np.finfo(float).eps)):
-        np.matmul(Xc, inv.T, out=Xc)  # Y, in Xc's place
-        W = R = Xc
-    else:
-        warnings.warn("singular sample covariance; using pseudo-inverse",
-                      stacklevel=2)
-        W, R = Xc @ np.linalg.pinv(S), Xc
+        raise NumericalError("the sample covariance is singular")
+    Y = np.matmul(Xc, inv.T, out=Xc)  # in Xc's place
     rows = max(1, _BLOCK_CELLS // M)
     beta1 = 0.0
     for i in range(0, M, rows):
-        D = W[i:i + rows] @ R.T
+        D = Y[i:i + rows] @ Y.T
         cube = D * D
         cube *= D  # D**3 calls pow per cell; D * D * D keeps two copies
         beta1 += float(np.sum(cube))
     beta1 = max(0.0, beta1 / M**2)  # a squared norm over M^2, bar rounding
-    beta2 = float(np.sum(np.einsum("ij,ij->i", W, R) ** 2)) / M
+    beta2 = float(np.sum(np.einsum("ij,ij->i", Y, Y) ** 2)) / M
 
     skew_stat = M * beta1 / 6.0
     dof = N * (N + 1) * (N + 2) / 6.0

@@ -21,11 +21,12 @@ from operator import attrgetter
 import numpy as np
 
 from benchsel.errors import DataError
-from benchsel.covariance import EmConfig, fit_model
+from benchsel.covariance import EmConfig, _factor, fit_model
 from benchsel.imputation import RIDGE, STANDARDIZED_CLIP, impute_prefixes
 from benchsel.score_matrix import (
-    ScoreMatrix, _column_pass, _require_two_cells, column_stats, write_table)
-from benchsel.selection import _factor, _selection_path, random_select
+    LOGIT_EPSILON, ScoreMatrix, _column_pass, _require_two_cells, column_stats,
+    write_table)
+from benchsel.selection import _selection_path, random_select
 
 VALID_METHODS = ("entropy", "mi", "random")
 
@@ -171,8 +172,15 @@ def _run_fold(m, cfg, p, pk, fold_idx, train_rows, val_rows, warnings_out):
     tr_vals = m.values[train_rows]
 
     # Columns must be estimable from training data: observed values that
-    # are not all equal; others are excluded from this fold.
+    # are not all equal, raw and, in logit mode, once logit_params' maxima
+    # and the clip are applied; others are excluded from this fold.  A
+    # column with a negative score is left to logit_params to reject.
     varies = _column_pass(tr_vals)[2]
+    if cfg.logit_mode:
+        with np.errstate(all="ignore"):
+            t = np.clip(tr_vals / np.fmax.reduce(tr_vals), LOGIT_EPSILON,
+                        1 - LOGIT_EPSILON)
+            varies &= _column_pass(np.log(t / (1 - t)))[2] | (tr_vals < 0).any(0)
     warnings_out.extend(
         f"p={p} fold={fold_idx}: column {m.benchmark_names[j]!r} "
         "excluded (too few training observations or zero variance)"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from benchsel.covariance import (
-    _cho_inverse, _cholesky, _cholesky_pivots, _solve_lower)
+    _cho_inverse, _cholesky_pivots, _factor, _solve_lower, _symmetric)
 from benchsel.errors import DataError, NumericalError
 from benchsel.score_matrix import _own
 
@@ -107,15 +107,6 @@ class CostModel:
         return max(0.0, -float(min_singleton))
 
 
-def _check_cov(S: np.ndarray) -> np.ndarray:
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise DataError("covariance must be square")
-    if not np.isfinite(S).all():
-        raise DataError("covariance must be finite")
-    return 0.5 * (S + S.T)
-
-
 def _pivoted_cholesky(mats, k: int, pivot):
     """Forward pivoted Cholesky of every matrix in `mats`, shared pivots.
 
@@ -200,14 +191,6 @@ def _selection_path(S, factor, objective: str, k: int, order=()):
     return A, entropy, mi, np.asarray(trace)
 
 
-def _factor(S: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of S; NumericalError when S does not factor."""
-    factor = _cholesky(S)
-    if factor is None:
-        raise NumericalError("covariance is not positive definite")
-    return factor
-
-
 def greedy_entropy(S: np.ndarray, k: int) -> SelectionResult:
     """Greedy entropy maximization = pivoted Cholesky with max pivot.
 
@@ -216,7 +199,7 @@ def greedy_entropy(S: np.ndarray, k: int) -> SelectionResult:
     Stops early (truncated=True) once the largest residual falls below
     the degeneracy floor.
     """
-    S = _check_cov(S)
+    S = _symmetric(S)
     N = S.shape[0]
     if not 1 <= k <= N:
         raise DataError(f"k={k} out of range [1, {N}]")
@@ -238,7 +221,7 @@ def greedy_mi(S: np.ndarray, k: int) -> SelectionResult:
     from one Cholesky, so a singular Sigma raises NumericalError.
     Negative gains are legal (MI is non-monotone) and simply recorded.
     """
-    S = _check_cov(S)
+    S = _symmetric(S)
     N = S.shape[0]
     if not 1 <= k <= N - 1:
         raise DataError(f"k={k} out of range [1, {N - 1}] (complement nonempty)")
@@ -260,7 +243,7 @@ def budgeted_entropy(S: np.ndarray, cm: CostModel) -> SelectionResult:
     affordable singleton under the shifted objective; returns whichever
     set has the larger shifted objective value.
     """
-    S = _check_cov(S)
+    S = _symmetric(S)
     N = S.shape[0]
     if cm.costs.size != N:
         raise DataError("cost vector length does not match covariance size")
@@ -337,7 +320,7 @@ def path_metrics(S: np.ndarray, order):
     empty prefix and NaN from the first non-positive pivot on; MI of the
     full set is 0, as in mi_value.
     """
-    S = _check_cov(S)
+    S = _symmetric(S)
     if len(set(order)) != len(order) or not all(0 <= j < len(S) for j in order):
         raise DataError("order must hold distinct indices of the covariance")
     return _selection_path(S, _factor(S), "path", len(order), order)[1:]
@@ -345,7 +328,7 @@ def path_metrics(S: np.ndarray, order):
 
 def entropy_value(S: np.ndarray, A) -> float:
     """Joint differential entropy 0.5*logdet(2*pi*e*Sigma_AA) in nats."""
-    S = _check_cov(S)
+    S = _symmetric(S)
     idx = np.asarray(sorted(A), dtype=int)
     if idx.size == 0:
         raise DataError("A must be nonempty")
@@ -365,7 +348,7 @@ def mi_value(S: np.ndarray, A) -> float:
     empty or full A returns 0 by convention.  A block whose determinant
     is not positive raises NumericalError.
     """
-    S = _check_cov(S)
+    S = _symmetric(S)
     N = S.shape[0]
     idx = np.asarray(sorted(A), dtype=int)
     if idx.size == 0 or idx.size == N:
@@ -380,7 +363,7 @@ def mi_value(S: np.ndarray, A) -> float:
 
 def spectrum(R: np.ndarray) -> SpectrumReport:
     """Eigenvalue decay diagnostic: explained and residual fractions."""
-    R = _check_cov(R)
+    R = _symmetric(R)
     w = np.linalg.eigvalsh(R)[::-1]
     explained = np.cumsum(w)
     explained /= explained[-1]  # the same sum: exactly 1 at k = N
@@ -392,14 +375,12 @@ def residual_trace(S: np.ndarray, A) -> float:
 
     A singular Sigma_AA raises NumericalError.
     """
-    S = _check_cov(S)
+    S = _symmetric(S)
     N = S.shape[0]
     idx = np.asarray(sorted(A), dtype=int)
     if idx.size == N:
         return 0.0
     comp = np.setdiff1d(np.arange(N), idx)
-    factor = _cholesky(S[np.ix_(idx, idx)])
-    if factor is None:
-        raise NumericalError("Sigma_AA is singular")
+    factor = _factor(S[np.ix_(idx, idx)], "Sigma_AA is singular")
     G = _solve_lower(factor, S[np.ix_(idx, comp)])
     return float(np.trace(S[np.ix_(comp, comp)]) - np.sum(G * G))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from decimal import Context, Decimal, localcontext
 from types import SimpleNamespace
@@ -25,6 +26,9 @@ from benchsel.covariance import (
 from benchsel.errors import DataError, NumericalError
 from benchsel.score_matrix import (
     column_stats, logit_params, logit_transform, standardize)
+from benchsel.selection import (
+    CostModel, budgeted_entropy, entropy_value, greedy_entropy, greedy_mi,
+    mi_value, path_metrics, residual_trace, spectrum)
 
 from conftest import make_matrix, mcar_matrix, random_spd
 from test_score_matrix import in_layout, reference_column_pass, same_bits
@@ -924,8 +928,18 @@ class TestCompleteFitBits:
     @settings(max_examples=100, deadline=None)
     @given(complete_matrices(), st.booleans(),
            st.sampled_from(["C", "F", "strided"]))
+    # Column b1 is 4.8985 and 4.9014: the logit clip takes both to 1 - 1e-3.
+    @example(make_matrix([[0.8925, -4.8985], [1.0861, 4.9014]]), True, "C")
     def test_matches_the_separate_steps(self, m, logit, layout):
         X = np.abs(m.values) if logit else m.values  # logit: nonnegative
+        if logit:  # a column that the clip takes to one value is no fit
+            mx = make_matrix(X)
+            z = logit_transform(mx, logit_params(mx)).values
+            if not reference_column_pass(z)[2].all():
+                with pytest.raises(DataError,
+                                   match="has zero observed variance$"):
+                    fit_model(mx, logit=True)
+                return
         self.check(in_layout(X, layout), logit)
 
     @pytest.mark.parametrize("shape", [(500, 400), (300, 60), (40, 120)])
@@ -968,3 +982,124 @@ class TestValidation:
         g = GaussianModel(np.zeros(2), cov, "em")
         assert g.cov[0, 0] == 1.7e308
         assert g.cov[0, 1] == g.cov[1, 0] == 0.5 * off + 0.5
+
+
+# Every public function that takes a covariance, called on S.
+COVARIANCE_ENTRY_POINTS = {
+    "greedy_entropy": lambda S: greedy_entropy(S, len(S) - 1),
+    "greedy_mi": lambda S: greedy_mi(S, len(S) - 1),
+    "budgeted_entropy": lambda S: budgeted_entropy(
+        S, CostModel(np.ones(len(S)), 2.0, shift_c=100.0)),
+    "path_metrics": lambda S: path_metrics(S, range(len(S))),
+    "entropy_value": lambda S: entropy_value(S, [0, 1]),
+    "mi_value": lambda S: mi_value(S, [0]),
+    "spectrum": spectrum,
+    "residual_trace": lambda S: residual_trace(S, [0]),
+    "GaussianModel": lambda S: GaussianModel(np.zeros(len(S)), S, "em").cov,
+    "psd_project": lambda S: psd_project(S, 1e-3),
+    "to_correlation": to_correlation,
+}
+
+
+def result_bits(x):
+    """x with every number as its bytes, through dataclasses, tuples and
+    arrays, so that == compares bits."""
+    if dataclasses.is_dataclass(x):
+        x = tuple(getattr(x, f.name) for f in dataclasses.fields(x))
+    if isinstance(x, (tuple, list)):
+        return tuple(result_bits(v) for v in x)
+    if x is None or isinstance(x, str):
+        return x
+    return np.asarray(x).tobytes()
+
+
+@st.composite
+def covariance_variants(draw):
+    """A positive definite covariance scaled by 10^-3 to 10^3, exactly
+    symmetric, asymmetric by 1 to 4 ulps in some cells of its upper
+    triangle, or asymmetric in one cell by more than 1e-10 max(1, max|S|);
+    returns (kind, matrix)."""
+    N = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A = rng.normal(size=(N, N))
+    S = (A @ A.T + np.eye(N)) * 10.0 ** draw(st.integers(-3, 3))
+    kind = draw(st.sampled_from(["symmetric", "ulps", "asymmetric"]))
+    rows, cols = np.triu_indices(N, 1)
+    if kind == "ulps":
+        for i, j in zip(rows, cols):
+            for _ in range(draw(st.integers(0 if i or j > 1 else 1, 4))):
+                S[i, j] = np.nextafter(S[i, j], np.inf)
+    elif kind == "asymmetric":
+        k = draw(st.integers(0, rows.size - 1))
+        S[rows[k], cols[k]] += (draw(st.sampled_from([2e-10, 1e-6, 1.0]))
+                                * max(1.0, np.abs(S).max()))
+    return kind, S
+
+
+@pytest.mark.fresh_draws
+class TestCovarianceContract:
+    """Every function that takes a covariance checks it one way: an
+    exactly symmetric S is used as it is, an S a few ulps from symmetric
+    as 0.5 * (S + S.T), and any other S is a DataError."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(covariance_variants())
+    def test_each_entry_point(self, case):
+        kind, S = case
+        want = 0.5 * (S + S.T)
+        assert same_bits(want, S) == (kind == "symmetric")
+        for name, call in COVARIANCE_ENTRY_POINTS.items():
+            if kind == "asymmetric":
+                with pytest.raises(DataError,
+                                   match="^covariance is not symmetric$"):
+                    call(S.copy())
+            else:
+                assert result_bits(call(S.copy())) == \
+                    result_bits(call(want.copy())), name
+
+
+@pytest.mark.fresh_draws
+class TestExactSymmetry:
+    """The covariances that are symmetric by construction are so bit for
+    bit with no symmetrizing: numpy forms A'A by a symmetric rank-k
+    update, and the E-step's correction adds the same terms into cells
+    (i, j) and (j, i)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(em_matrices())
+    @example(mcar_matrix(150, 8, 0.3, seed=23)[0])
+    @example(_chain_of_windows_example())
+    def test_pairwise_cov_and_every_em_map(self, m):
+        S = pairwise_cov(m, mean_missing(m))
+        assert same_bits(S, S.T)
+        sigmas = []
+        em_map = covariance._em_map
+
+        def recording(*args):
+            out = em_map(*args)
+            sigmas.append(out[1])
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(covariance, "_em_map", recording)
+            em_fit(m, EmConfig(max_iter=5))
+        assert bool(sigmas) != m.mask.all()  # a complete fit makes no map
+        for Sigma in sigmas:
+            assert same_bits(Sigma, Sigma.T)
+
+    @settings(max_examples=60, deadline=None)
+    @given(complete_matrices())
+    def test_complete_fits_give_the_model_a_symmetric_cov(self, m):
+        covs = []
+
+        def recording(mean, cov, *args, **kwargs):
+            covs.append(np.asarray(cov))
+            return GaussianModel(mean, cov, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(covariance, "GaussianModel", recording)
+            estimate_full(m)
+            em_fit(m)
+        assert len(covs) == 2
+        for cov in covs:
+            assert same_bits(cov, cov.T)

@@ -137,15 +137,15 @@ class TestMardia:
             assert out["beta1"] >= 0 and out["skew_stat"] >= 0
             assert out["p_skew"] == 1.0
 
-    def test_near_singular_covariance_uses_pseudo_inverse(self):
+    def test_near_singular_covariance_raises(self):
         # The last column is the sum of the first two: cond(S) is about
-        # 4e16 and inv returns without raising, but its beta2 was 13.76.
+        # 4e16.  inv returns without raising, but its beta2 was 13.76, and
+        # the statistics' degrees of freedom assume S has rank N.
         X = np.random.default_rng(0).standard_normal((30, 4))
         X[:, 3] = X[:, 0] + X[:, 1]
-        with pytest.warns(UserWarning, match="pseudo-inverse"):
-            out = mardia(X)
-        assert out["beta2"] == pytest.approx(mardia(X[:, :3])["beta2"],
-                                             rel=1e-12)
+        with pytest.raises(NumericalError,
+                           match="^the sample covariance is singular$"):
+            mardia(X)
 
     def test_m_le_n_rejected(self):
         with pytest.raises(DataError):
@@ -178,13 +178,13 @@ class TestMardia:
             mardia(X)
 
 
-def reference_mardia(X, pinv):
+def reference_mardia(X):
     """b1, the same sum of |D^3|, and b2 from the whole M x M kernel
-    D = Xc S^-1 Xc^T, with S^-1 by LU inversion or by the pseudo-inverse."""
+    D = Xc S^-1 Xc^T, with S^-1 by LU inversion."""
     M = len(X)
     Xc = X - X.mean(axis=0)
     S = Xc.T @ Xc / M
-    D = Xc @ (np.linalg.pinv(S) if pinv else np.linalg.inv(S)) @ Xc.T
+    D = Xc @ np.linalg.inv(S) @ Xc.T
     return (np.sum(D**3) / M**2, np.sum(np.abs(D) ** 3) / M**2,
             np.sum(np.diag(D) ** 2) / M)
 
@@ -192,7 +192,8 @@ def reference_mardia(X, pinv):
 @pytest.mark.fresh_draws
 class TestMardiaKernel:
     """mardia's one factor of S and its blocks of rows against the whole
-    kernel from S^-1: the same statistics up to rounding."""
+    kernel from S^-1: the same statistics up to rounding.  A singular S
+    raises."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 8), st.integers(2, 60), st.integers(1, 80),
@@ -203,16 +204,18 @@ class TestMardiaKernel:
         M = 2 * N + extra
         X = (rng.exponential(size=(M, N)) * rng.uniform(0.1, 10.0, N)
              + rng.normal(scale=5.0, size=N))
-        singular = singular and N >= 2
-        if singular:  # a repeated column: S is singular
+        if singular and N >= 2:  # a repeated column: S is singular
             X[:, -1] = X[:, 0]
+            with pytest.raises(NumericalError,
+                               match="^the sample covariance is singular$"):
+                mardia(X)
+            return
         with mock.patch.object(diagnostics, "_BLOCK_CELLS", rows * M), \
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             out = mardia(X)
-        assert [str(w.message) for w in caught] == \
-            ["singular sample covariance; using pseudo-inverse"] * singular
-        beta1, scale, beta2 = reference_mardia(X, pinv=singular)
+        assert caught == []
+        beta1, scale, beta2 = reference_mardia(X)
         # b1's terms cancel: on four rows of one column it can be 1e-6 of
         # their size, so its rounding is relative to that size.
         assert abs(out["beta1"] - beta1) <= 1e-10 * scale
