@@ -31,7 +31,7 @@ from benchsel.evaluation import CvConfig, run_cv
 # deletes both names from cli to test its tracer, so they stay importable.
 from benchsel.imputation import RIDGE, impute_row, impute_rows  # noqa: F401
 from benchsel.score_matrix import (
-    ColumnStats, _require_two_cells, load_csv, write_table)
+    ColumnStats, load_csv, write_table)
 from benchsel.selection import (
     CostModel,
     budgeted_entropy,
@@ -284,7 +284,6 @@ def cmd_cv(args) -> int:
 
 def cmd_normality(args) -> int:
     m = load_csv(args.input)
-    _require_two_cells(m)
     rep = normality_report(m, alpha=args.alpha, correction=args.correction)
     os.makedirs(args.out, exist_ok=True)
     write_table(
@@ -294,19 +293,18 @@ def cmd_normality(args) -> int:
          for name, r in rep.shapiro.items()),
     )
 
+    # Mardia reads observed scores only (a filled cell has too little spread
+    # for its null): on an incomplete file, the models that ran every column.
+    x, noun, kind = m.values, "rows", {"matrix": "raw"}
+    if not m.mask.all():
+        x, noun = m.values[m.mask.all(axis=1)], "fully observed rows"
+        kind = {"matrix": "complete-rows", "rows": len(x)}
     mardia_doc = None
     try:
-        if m.shape[0] <= m.shape[1]:
-            raise DataError("{} rows do not exceed {} columns".format(*m.shape))
-        x, kind = m.values, "raw"
-        if not m.mask.all():
-            # Mardia needs a complete matrix; fill by EM conditional means.
-            fit = fit_model(m)
-            z = fit.encode(m.values)
-            # Each row conditions on all it observed: one group per pattern.
-            pred = impute_rows(z, range(m.shape[1]), fit.model).predicted
-            x, kind = np.where(m.mask, z, pred), "completed-data"
-        mardia_doc = {**mardia(x), "matrix": kind}
+        if len(x) <= x.shape[1]:
+            raise DataError("{} {} do not exceed {} columns".format(
+                len(x), noun, x.shape[1]))
+        mardia_doc = {**mardia(x), **kind}
     except (DataError, NumericalError) as exc:
         print(f"warning: Mardia skipped: {exc}", file=sys.stderr)
     _write_json(os.path.join(args.out, "mardia.json"), mardia_doc)

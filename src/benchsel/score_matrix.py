@@ -92,9 +92,9 @@ class ColumnStats:
         stds = np.asarray(self.stds, dtype=float)
         if means.shape != stds.shape or means.ndim != 1:
             raise DataError("means and stds must be 1-D with equal length")
-        if np.any(stds <= 0):
-            j = int(np.argmin(stds))
-            raise DataError(f"column {j} has nonpositive std {stds[j]}")
+        if not np.all((stds > 0) & np.isfinite(stds)):
+            j = int(np.argmin((stds > 0) & np.isfinite(stds)))
+            raise DataError(f"column {j} has std {stds[j]} outside (0, inf)")
         _own(self, means=means, stds=stds)
 
 
@@ -376,7 +376,7 @@ def _column_pass(values: np.ndarray):
     obs = True if complete else ~holes  # a where= mask costs 3x a plain max
     hi = X.max(axis=1, initial=-np.inf, where=obs)
     lo = X.min(axis=1, initial=np.inf, where=obs)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         means = X.sum(axis=1) / n
         X -= means[:, None]
         if not complete:
@@ -398,6 +398,12 @@ def _row_groups(observed: np.ndarray):
         yield observed[first[k]], np.flatnonzero(inverse == k)
 
 
+def _reject_columns(m: ScoreMatrix, bad: np.ndarray, why: str) -> None:
+    """DataError naming the first column flagged in `bad`, if any."""
+    if bad.any():
+        raise DataError(f"column {m.benchmark_names[np.argmax(bad)]!r} {why}")
+
+
 def _require_two_cells(m: ScoreMatrix) -> None:
     """DataError naming a column with fewer than the 2 cells a fit needs."""
     col_obs = m.mask.sum(axis=0)
@@ -409,15 +415,15 @@ def _require_two_cells(m: ScoreMatrix) -> None:
 def column_stats(m: ScoreMatrix) -> ColumnStats:
     """Observed-cell means and sample stds (ddof=1) per column.
 
-    Columns with fewer than two observed cells or zero observed variance
-    are rejected: a constant benchmark carries no selection signal and
-    breaks standardization.
+    Columns with fewer than two observed cells, scores whose mean or std
+    overflows, or zero observed variance are rejected: a constant benchmark
+    carries no selection signal and breaks standardization.
     """
     _require_two_cells(m)
     means, stds, varies = _column_pass(m.values)
-    if not varies.all():
-        raise DataError(f"column {m.benchmark_names[int(np.argmin(varies))]!r} "
-                        "has zero observed variance")
+    _reject_columns(m, ~(np.isfinite(means) & np.isfinite(stds)),
+                    "has scores too large for a finite mean and std")
+    _reject_columns(m, ~varies, "has zero observed variance")
     return ColumnStats(means, stds)
 
 
@@ -431,13 +437,13 @@ def standardize(m: ScoreMatrix, stats: ColumnStats) -> ScoreMatrix:
 
 def logit_params(m: ScoreMatrix) -> LogitParams:
     """Per-column observed maxima from training data."""
-    negative = np.any(m.mask & (m.values < 0), axis=0)
-    if negative.any():
-        raise DataError(
-            f"column {m.benchmark_names[int(np.argmax(negative))]!r} has "
-            "negative scores; the logit transform requires nonnegative scores"
-        )
-    return LogitParams(np.where(m.mask, m.values, -np.inf).max(axis=0))
+    _reject_columns(m, np.any(m.mask & (m.values < 0), axis=0),
+                    "has negative scores; the logit transform requires "
+                    "nonnegative scores")
+    col_max = np.where(m.mask, m.values, -np.inf).max(axis=0)
+    _reject_columns(m, col_max <= 0, "has no positive score; the logit "
+                    "transform requires a positive maximum")
+    return LogitParams(col_max)
 
 
 def logit_transform(m: ScoreMatrix, params: LogitParams) -> ScoreMatrix:

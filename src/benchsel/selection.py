@@ -332,21 +332,16 @@ def entropy_value(S: np.ndarray, A) -> float:
     idx = np.asarray(sorted(A), dtype=int)
     if idx.size == 0:
         raise DataError("A must be nonempty")
-    sub = S[np.ix_(idx, idx)]
-    try:
-        L = np.linalg.cholesky(sub)
-    except np.linalg.LinAlgError:
-        raise NumericalError("selected principal submatrix is singular") from None
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    return 0.5 * (idx.size * LOG_2PIE + logdet)
+    L = _factor(S[np.ix_(idx, idx)], "selected principal submatrix is singular")
+    return 0.5 * idx.size * LOG_2PIE + float(np.sum(np.log(np.diag(L))))
 
 
 def mi_value(S: np.ndarray, A) -> float:
     """Mutual information I(X_A; X_complement) in nats.
 
     Evaluated as 0.5*(logdet Sigma_AA + logdet Sigma_CC - logdet Sigma);
-    empty or full A returns 0 by convention.  A block whose determinant
-    is not positive raises NumericalError.
+    empty or full A returns 0 by convention.  A block that is not
+    positive definite raises NumericalError.
     """
     S = _symmetric(S)
     N = S.shape[0]
@@ -354,11 +349,10 @@ def mi_value(S: np.ndarray, A) -> float:
     if idx.size == 0 or idx.size == N:
         return 0.0
     comp = np.setdiff1d(np.arange(N), idx)
-    sign, logdet = zip(*(np.linalg.slogdet(B) for B in
-                         (S[np.ix_(idx, idx)], S[np.ix_(comp, comp)], S)))
-    if min(sign) <= 0 or not np.isfinite(logdet).all():
-        raise NumericalError("covariance block is not positive definite")
-    return float(0.5 * (logdet[0] + logdet[1] - logdet[2]))
+    a, c, s = (np.sum(np.log(np.diag(_factor(
+        B, "covariance block is not positive definite"))))
+        for B in (S[np.ix_(idx, idx)], S[np.ix_(comp, comp)], S))
+    return float(a + c - s)
 
 
 def spectrum(R: np.ndarray) -> SpectrumReport:

@@ -718,7 +718,7 @@ class TestNormality:
         assert doc["matrix"] == "raw"
         assert 0 <= doc["p_kurt"] <= 1
 
-    def test_sparse_input_completed(self, tmp_path):
+    def test_sparse_input_uses_complete_rows(self, tmp_path):
         full = rank_one_matrix(M=100, N=4, noise=0.1, seed=9)
         vals = full.values.copy()
         mask = full.mask.copy()
@@ -738,8 +738,34 @@ class TestNormality:
         out = str(tmp_path / "out")
         assert main(["normality", path, "--out", out]) == 0
         doc = json.load(open(os.path.join(out, "mardia.json")))
-        assert doc["matrix"] == "completed-data"
+        assert doc["matrix"] == "complete-rows"
+        assert doc["rows"] == int(mask.all(axis=1).sum()) < 100
 
+    def test_mardia_holds_its_size_on_incomplete_gaussian_scores(
+            self, tmp_path):
+        # 100 Gaussian 200x5 leaderboards with 30% of cells missing
+        # completely at random.  Mardia must reject at alpha 0.05 about as
+        # often as its null says: a test of cells filled with conditional
+        # means, which have too little spread, rejects nearly every draw.
+        p_skew, p_kurt = [], []
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            A = rng.normal(size=(5, 5))
+            X = rng.multivariate_normal(np.zeros(5), A @ A.T + np.eye(5),
+                                        size=200)
+            mask = rng.random((200, 5)) >= 0.3
+            mask[~mask.any(axis=1), 0] = True
+            path = write_matrix(tmp_path, make_matrix(
+                np.where(mask, X, np.nan), mask))
+            out = str(tmp_path / "out")
+            assert main(["normality", path, "--out", out]) == 0
+            doc = json.load(open(os.path.join(out, "mardia.json")))
+            if doc is not None:
+                p_skew.append(doc["p_skew"])
+                p_kurt.append(doc["p_kurt"])
+        assert len(p_skew) >= 90
+        assert np.mean(np.array(p_skew) < 0.05) <= 0.10
+        assert np.mean(np.array(p_kurt) < 0.05) <= 0.10
 
     def test_bonferroni_and_no_correction(self, tmp_path):
         # alpha 0.5 over 4 columns: Bonferroni tests each p against 0.125
@@ -797,8 +823,9 @@ class TestNormality:
         assert len(read_table(os.path.join(out, "shapiro.csv"))) == 6
 
     def test_failed_completion_warns(self, tmp_path, capsys):
-        # A constant column fails the EM completion: Mardia is skipped with
-        # a warning line, mardia.json is null and the command succeeds.
+        # A constant column makes the complete rows' S singular: Mardia is
+        # skipped with a warning line, mardia.json is null and the command
+        # succeeds.
         full = rank_one_matrix(M=60, N=4, noise=0.1, seed=9)
         mask = np.random.default_rng(10).random(full.shape) > 0.1
         mask[:2] = True
@@ -808,15 +835,31 @@ class TestNormality:
         out = str(tmp_path / "out")
         assert main(["normality", path, "--out", out]) == 0
         assert capsys.readouterr().err == (
-            "warning: Mardia skipped: column 'b1' has zero observed "
-            "variance\n")
+            "warning: Mardia skipped: the sample covariance is singular\n")
         assert json.load(open(os.path.join(out, "mardia.json"))) is None
+
+    @pytest.mark.parametrize("observed", [0, 1])
+    def test_underobserved_column_skipped(self, observed, tmp_path, capsys):
+        # The file that fails every fitting command's two-cell check: normality
+        # fits nothing, so it lists the short column as skipped, and skips
+        # Mardia, which has too few complete rows, with one warning line.
+        vals = np.abs(rank_one_matrix(M=30, N=6, seed=2).values)
+        vals[observed:, 1] = np.nan
+        path = write_matrix(tmp_path, make_matrix(vals))
+        out = tmp_path / "o"
+        assert main(["normality", path, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == (
+            f"warning: Mardia skipped: {observed} fully observed rows do not "
+            "exceed 6 columns\n")
+        manifest = json.loads((out / "normality_manifest.json").read_text())
+        assert manifest["skipped_columns"] == ["b1"]
+        assert json.loads((out / "mardia.json").read_text()) is None
 
     @pytest.mark.parametrize("ridge", ["-0.5", "nan", "inf"])
     @pytest.mark.parametrize("missing", [0.0, 0.1])
     def test_bad_ridge_rejected(self, tmp_path, capsys, missing, ridge):
-        # normality has no --ridge: its EM completion runs at impute_rows'
-        # default, so any value is a usage error on either kind of input.
+        # normality fits nothing and has no --ridge, so any value is a
+        # usage error on either kind of input.
         full = rank_one_matrix(M=60, N=4, noise=0.1, seed=9)
         mask = np.random.default_rng(10).random(full.shape) >= missing
         mask[:2] = True
@@ -1087,8 +1130,8 @@ class TestBadFiles:
     @pytest.mark.parametrize("observed", [0, 1])
     @pytest.mark.parametrize("argv", [
         ["spectrum"], ["select", "--k", "1"], ["select", "--k", "1", "--logit"],
-        ["cv", "--folds", "2"], ["normality"], ["impute", "--selected", "b0"],
-    ], ids=["spectrum", "select", "select-logit", "cv", "normality", "impute"])
+        ["cv", "--folds", "2"], ["impute", "--selected", "b0"],
+    ], ids=["spectrum", "select", "select-logit", "cv", "impute"])
     def test_underobserved_training_column(self, argv, observed, rank1_csv,
                                            tmp_path, capsys):
         # The file a command fits needs two observed cells per column.
@@ -1099,6 +1142,34 @@ class TestBadFiles:
                 else [*argv, bad])
         self.run(argv, tmp_path, capsys,
                  "column 'b1' has fewer than 2 observed entries")
+
+    @pytest.mark.parametrize("argv", [
+        ["select", "--k", "2"], ["impute", "--selected", "b0"], ["spectrum"],
+        ["cv", "--folds", "2"],
+    ], ids=["select", "impute", "spectrum", "cv"])
+    def test_scores_too_large_to_square(self, argv, tmp_path, capsys):
+        # Scores of 1e160 square past the float range.  The std overflowed
+        # to inf after a RuntimeWarning line, every standardized score was
+        # 0, and select and impute exited 0 with no pick and empty cells.
+        path = write_matrix(tmp_path, make_matrix(
+            rank_one_matrix(M=12, N=3, seed=0).values * 1e160))
+        argv = ([*argv, path, "--train", path] if argv[0] == "impute"
+                else [*argv, path])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self.run(argv, tmp_path, capsys, "column 'b0' has scores too "
+                     "large for a finite mean and std")
+        assert not caught
+
+    def test_logit_names_a_column_without_a_positive_score(self, tmp_path,
+                                                          capsys):
+        # The message named the column by its 0-based index, 2.
+        path = tmp_path / "zero.csv"
+        path.write_text("model,b0,b1,zero\n" + "".join(
+            f"m{i},{i + 1},{i * 7 % 5 + 1},0\n" for i in range(10)))
+        self.run(["select", "--k", "1", "--logit", str(path)], tmp_path, capsys,
+                 "column 'zero' has no positive score; the logit transform "
+                 "requires a positive maximum")
 
     @pytest.mark.parametrize("body,message", [
         ("benchmark,cost\nzz,1\n" + "".join(f"b{j},1\n" for j in range(6)),

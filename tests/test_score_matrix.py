@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import sys
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -721,6 +722,23 @@ class TestStandardize:
         assert m.values[:, 1].std(ddof=1) > 0
         with pytest.raises(DataError, match="column 'b1' has zero observed"):
             column_stats(m)
+
+    def test_overflowing_column_rejected(self):
+        # Scores past 1.3e154 square past the float range: the std was inf,
+        # and standardizing set every score to 0.  The check comes before
+        # the zero-variance check, which would name b0, and warns nothing.
+        m = make_matrix([[1.0, 1e160], [1.0, -1e160], [1.0, 3e160]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="column 'b1' has scores too "
+                                                "large for a finite mean"):
+                column_stats(m)
+
+    @pytest.mark.parametrize("std", [0.0, -1.0, np.inf, np.nan])
+    def test_stats_need_a_positive_finite_std(self, std):
+        with pytest.raises(DataError, match=r"column 1 has std \S+ outside "
+                                            r"\(0, inf\)$"):
+            ColumnStats(np.zeros(2), np.array([1.0, std]))
 
     def test_underobserved_column_rejected(self):
         # b1 has one observed cell: too few, whatever its variance.

@@ -963,8 +963,11 @@ class TestValidation:
         (lambda: entropy_value(np.eye(2), []), DataError, "A must be nonempty"),
         (lambda: entropy_value(np.array([[1.0, 2.0], [2.0, 1.0]]), [0, 1]),
          NumericalError, "selected principal submatrix is singular"),
+        # Indefinite, though each block's determinant is positive.
+        (lambda: mi_value(np.diag([1.0, -1.0, -1.0]), [0]),
+         NumericalError, "covariance block is not positive definite"),
     ], ids=["duplicate-order", "not-square", "negative-diagonal",
-            "cost-length", "empty-A", "singular-block"])
+            "cost-length", "empty-A", "singular-block", "indefinite-blocks"])
     def test_rejected(self, call, error, message):
         with pytest.raises(error, match=f"^{message}$"):
             call()
